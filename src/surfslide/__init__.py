@@ -24,7 +24,6 @@ from .slider import (
     StepRecord,
     SurfaceSlider,
     solve,
-    warm_start_from,
 )
 from .oracle import OracleConfig, OverlapSuspectedError, oracle_min_distance, point_to_ellipsoid
 from .contact import ContactReport, classify, penetration_depth
@@ -61,7 +60,6 @@ __all__ = [
     "surface_point_local",
     "to_global_point",
     "to_global_vector",
-    "warm_start_from",
 ]
 
 __version__ = "0.1.0"

@@ -28,14 +28,15 @@ import math
 import random
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from .contact import analyze as contact_analyze
-from .geometry import SurfaceParam, implicit_value
+from .contact import analyze as contact_analyze, interpenetrating
+from .geometry import SurfaceParam
 from .oracle import OverlapSuspectedError, oracle_min_distance
 from .scenarios import (
     Scenario,
     ScenarioFormatError,
+    builtin_scenario,
     builtin_scenarios,
     load_scenario,
 )
@@ -200,9 +201,10 @@ def build_parser() -> _Parser:
 
 
 def resolve_scenario(ref: str) -> Scenario:
-    for sc in builtin_scenarios():
-        if sc.name == ref:
-            return sc
+    try:
+        return builtin_scenario(ref)
+    except KeyError:
+        pass
     try:
         return load_scenario(ref)
     except FileNotFoundError:
@@ -254,13 +256,7 @@ def cmd_solve(args) -> int:
         write_trace(args.trace, res.trace)
     record = _record_from_result(sc.name, res, wall)
     exit_code = _STATUS_EXIT[res.status]
-    # converged states can still interpenetrate (spurious stationary pairs
-    # on overlapping bodies), so classify by interiority as well as status
-    P1, P2 = res.closest_points
-    interpenetrating = (
-        implicit_value(sc.e2, P1) < 0.0 and implicit_value(sc.e1, P2) < 0.0
-    )
-    if res.status in ("contact", "overlap") or interpenetrating:
+    if not _separated(sc.e1, sc.e2, res):
         report = contact_analyze(sc.e1, sc.e2, config, sc.init)
         signed = report.distance_or_depth
         if report.kind == "overlapping":
@@ -307,7 +303,7 @@ def cmd_sweep(args) -> int:
             raise CliError("--values list is empty")
         for v in values:
             try:
-                cfg = SolverConfig(**{**_config_dict(base), "lambda0": v})
+                cfg = replace(base, lambda0=v)
             except ValueError as exc:
                 raise CliError(f"invalid lambda0 {v!r}: {exc}") from exc
             runs.append((f"lambda0={v:g}", cfg, sc.init))
@@ -354,26 +350,13 @@ def cmd_sweep(args) -> int:
     return worst
 
 
-def _config_dict(cfg: SolverConfig) -> dict:
-    return {
-        "lambda0": cfg.lambda0,
-        "max_iter": cfg.max_iter,
-        "tol_d": cfg.tol_d,
-        "tol_n": cfg.tol_n,
-        "tol_lambda": cfg.tol_lambda,
-        "lambda_floor": cfg.lambda_floor,
-        "overshoot_mode": cfg.overshoot_mode,
-        "contact_sigma": cfg.contact_sigma,
-        "record_trace": cfg.record_trace,
-    }
-
-
 def _separated(e1, e2, res) -> bool:
-    """True when a solve result describes a genuinely separated pair."""
+    """True when a solve result describes a genuinely separated pair.
+    Converged states can still interpenetrate (spurious stationary pairs on
+    overlapping bodies), so interiority counts as well as the status."""
     if res.status in ("contact", "overlap"):
         return False
-    P1, P2 = res.closest_points
-    return not (implicit_value(e2, P1) < 0.0 and implicit_value(e1, P2) < 0.0)
+    return not interpenetrating(e1, e2, *res.closest_points)
 
 
 def _perturbed(e2, rng: random.Random, magnitude: float):

@@ -18,11 +18,15 @@ import numpy as np
 
 from .geometry import Ellipsoid, SurfaceParam, implicit_value
 from .slider import (
+    ZERO_PROJECTION_FACTOR,
     SolverConfig,
     SolverState,
     _evaluate,
-    _increments_fast,
+    _halved,
+    _project,
     advance_param,
+    initial_state,
+    step_increments,
 )
 
 # tolerance on |n1 . n2 + 1| for calling a sub-sigma pair tangent
@@ -43,12 +47,16 @@ class ContactReport:
     witness_normals: tuple[np.ndarray, np.ndarray]
 
 
+def interpenetrating(e1: Ellipsoid, e2: Ellipsoid, P1, P2) -> bool:
+    """Whether each witness point lies strictly inside the other body."""
+    return implicit_value(e2, P1) < 0.0 and implicit_value(e1, P2) < 0.0
+
+
 def classify(
     state: SolverState,
     e1: Ellipsoid,
     e2: Ellipsoid,
     sigma: float,
-    align_tol: float = ALIGN_TOL,
 ) -> str:
     """Sort a sub-sigma (or converged) state into in-contact / overlapping /
     separated.
@@ -58,20 +66,19 @@ def classify(
     """
     n1, n2 = state.normals
     dot = n1[0] * n2[0] + n1[1] * n2[1] + n1[2] * n2[2]
-    if abs(dot + 1.0) < align_tol:
+    if abs(dot + 1.0) < ALIGN_TOL:
         return "in-contact"
-    P1, P2 = state.points_global
-    if implicit_value(e2, P1) < 0.0 and implicit_value(e1, P2) < 0.0:
+    if interpenetrating(e1, e2, *state.points_global):
         return "overlapping"
     return "separated"
 
 
-def _report(kind: str, state: SolverState) -> ContactReport:
+def _report(kind: str, distance: float, params, normals) -> ContactReport:
     return ContactReport(
         kind=kind,
-        distance_or_depth=state.distance,
-        witness_params=state.params,
-        witness_normals=(np.array(state.normals[0]), np.array(state.normals[1])),
+        distance_or_depth=distance,
+        witness_params=params,
+        witness_normals=(np.array(normals[0]), np.array(normals[1])),
     )
 
 
@@ -94,7 +101,9 @@ def penetration_depth(
         entry_state.distance < sigma
         and classify(entry_state, e1, e2, sigma) == "in-contact"
     ):
-        return _report("in-contact", entry_state)
+        return _report(
+            "in-contact", entry_state.distance, entry_state.params, entry_state.normals
+        )
     p1, p2 = entry_state.params
     f1, f2, d12, dist = _evaluate(e1, e2, p1, p2)
     lam1 = lam2 = config.lambda0
@@ -102,7 +111,7 @@ def penetration_depth(
     prev_dist = math.nan
     prev_push = None
 
-    for k in range(1, config.max_iter + 1):
+    for _ in range(config.max_iter):
         P1, P2 = f1[0], f2[0]
         inside1 = implicit_value(e2, P1) < 0.0
         inside2 = implicit_value(e1, P2) < 0.0
@@ -112,21 +121,19 @@ def penetration_depth(
         if prev_push is not None and push == prev_push and not math.isnan(prev_dist):
             wrong_way = dist < prev_dist if push else dist > prev_dist
             if wrong_way:
-                if toggle == 0:
-                    lam1 *= 0.5
-                else:
-                    lam2 *= 0.5
-                toggle = 1 - toggle
+                lam1, lam2, toggle = _halved(lam1, lam2, toggle)
 
-        guard = 1e-15 * max(dist, sigma)
+        guard = ZERO_PROJECTION_FACTOR * max(dist, sigma)
         if push:
             g1 = (-f2[1][0], -f2[1][1], -f2[1][2])  # -n2 pushes the point on e1
             g2 = (-f1[1][0], -f1[1][1], -f1[1][2])
         else:
             g1 = d12
             g2 = (-d12[0], -d12[1], -d12[2])
-        dth1, dph1 = _increments_fast(f1, g1, lam1, guard)
-        dth2, dph2 = _increments_fast(f2, g2, lam2, guard)
+        th1, ph1 = _project(f1, g1)
+        th2, ph2 = _project(f2, g2)
+        dth1, dph1 = step_increments(th1, ph1, lam1, guard)
+        dth2, dph2 = step_increments(th2, ph2, lam2, guard)
 
         stationary = dth1 == 0.0 and dph1 == 0.0 and dth2 == 0.0 and dph2 == 0.0
         eps_d = None if math.isnan(prev_dist) else abs((dist - prev_dist) / dist) if dist > 0 else None
@@ -142,31 +149,7 @@ def penetration_depth(
                 or max(lam1, lam2) < config.tol_lambda
             )
             if done and inside1 and inside2 and dist > sigma:
-                final = SolverState(
-                    k=k,
-                    params=(p1, p2),
-                    points_global=(P1, P2),
-                    d12=d12,
-                    distance=dist,
-                    lambdas=(lam1, lam2),
-                    prev_distance=prev_dist,
-                    halve_toggle=toggle,
-                    normals=(f1[1], f2[1]),
-                )
-                return _report("overlapping", final)
-        if not push and classify_state_contact(f1, f2, dist, sigma):
-            final = SolverState(
-                k=k,
-                params=(p1, p2),
-                points_global=(P1, P2),
-                d12=d12,
-                distance=dist,
-                lambdas=(lam1, lam2),
-                prev_distance=prev_dist,
-                halve_toggle=toggle,
-                normals=(f1[1], f2[1]),
-            )
-            return _report("in-contact", final)
+                return _report("overlapping", dist, (p1, p2), (f1[1], f2[1]))
 
         q1 = advance_param(p1, dth1, dph1)
         q2 = advance_param(p2, dth2, dph2)
@@ -174,29 +157,7 @@ def penetration_depth(
         prev_dist, prev_push = dist, push
         p1, p2, f1, f2, d12, dist = q1, q2, nf1, nf2, nd12, ndist
 
-    final = SolverState(
-        k=config.max_iter,
-        params=(p1, p2),
-        points_global=(f1[0], f2[0]),
-        d12=d12,
-        distance=dist,
-        lambdas=(lam1, lam2),
-        prev_distance=prev_dist,
-        halve_toggle=toggle,
-        normals=(f1[1], f2[1]),
-    )
-    report = _report("overlapping", final)
-    return ContactReport("max-iter", report.distance_or_depth, report.witness_params, report.witness_normals)
-
-
-def classify_state_contact(f1, f2, dist, sigma) -> bool:
-    """Tangency short-circuit for the continuation: sub-sigma pair with
-    anti-aligned normals."""
-    if dist >= sigma:
-        return False
-    n1, n2 = f1[1], f2[1]
-    dot = n1[0] * n2[0] + n1[1] * n2[1] + n1[2] * n2[2]
-    return abs(dot + 1.0) < ALIGN_TOL
+    return _report("max-iter", dist, (p1, p2), (f1[1], f2[1]))
 
 
 def analyze(
@@ -211,31 +172,18 @@ def analyze(
 
     result = solve(e1, e2, init, config)
     sigma = config.resolve_sigma(e1, e2)
-    state = SolverState(
-        k=result.iterations,
-        params=result.params,
-        points_global=(tuple(result.closest_points[0]), tuple(result.closest_points[1])),
-        d12=tuple(result.closest_points[1] - result.closest_points[0]),
-        distance=result.distance,
-        lambdas=(config.lambda0, config.lambda0),
-        prev_distance=math.nan,
-        halve_toggle=0,
-        normals=(tuple(result.normals[0]), tuple(result.normals[1])),
-    )
     if result.status == "contact":
-        return _report("in-contact", state)
-    if result.status == "overlap":
-        return penetration_depth(e1, e2, state, config)
+        return _report("in-contact", result.distance, result.params, result.normals)
+    entry = initial_state(e1, e2, result.params, config)
     # a converged state can still be interpenetrating: overlapping bodies
     # admit spurious stationary pairs (anti-aligned normals at the
     # maximum-overlap points), so interiority decides, not alignment
-    P1, P2 = state.points_global
-    if implicit_value(e2, P1) < 0.0 and implicit_value(e1, P2) < 0.0:
-        return penetration_depth(e1, e2, state, config)
-    if state.distance < sigma:
-        kind = classify(state, e1, e2, sigma)
+    if result.status == "overlap" or interpenetrating(e1, e2, *result.closest_points):
+        return penetration_depth(e1, e2, entry, config)
+    if result.distance < sigma:
+        kind = classify(entry, e1, e2, sigma)
         if kind == "in-contact":
-            return _report("in-contact", state)
+            return _report("in-contact", result.distance, result.params, result.normals)
         if kind == "overlapping":
-            return penetration_depth(e1, e2, state, config)
-    return _report("separated", state)
+            return penetration_depth(e1, e2, entry, config)
+    return _report("separated", result.distance, result.params, result.normals)

@@ -248,28 +248,16 @@ def surface_frame(e: Ellipsoid, p: SurfaceParam, frame: str = "global") -> Surfa
     """
     if frame not in ("local", "global"):
         raise ValueError(f"frame must be 'local' or 'global', got {frame!r}")
-    a, b, c = e.semi_axes
-    theta, phi = p.theta, p.phi
-    if frame == "global":
-        pos, n, et, ep = _frame_fast(e, theta, phi)
-        return SurfaceFrame(
-            np.array(pos),
-            np.array(n),
-            None if et is None else np.array(et),
-            np.array(ep),
-            "global",
-        )
-    sp, cp = math.sin(phi), math.cos(phi)
-    st, ct = math.sin(theta), math.cos(theta)
-    pos = np.array((a * sp * ct, b * sp * st, c * cp))
-    n = np.array((b * c * sp * ct, a * c * sp * st, a * b * cp))
-    n /= np.linalg.norm(n)
-    rt = np.array((-a * sp * st, b * sp * ct, 0.0))
-    rt_norm = np.linalg.norm(rt)
-    et = None if rt_norm < POLE_TOL * max(a, b) else rt / rt_norm
-    rp = np.array((a * cp * ct, b * cp * st, -c * sp))
-    ep = rp / np.linalg.norm(rp)
-    return SurfaceFrame(pos, n, et, ep, "local")
+    if frame == "local":  # the body's own axes: unrotated, at the origin
+        e = Ellipsoid(e.semi_axes, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
+    pos, n, et, ep = _frame_fast(e, p.theta, p.phi)
+    return SurfaceFrame(
+        np.array(pos),
+        np.array(n),
+        None if et is None else np.array(et),
+        np.array(ep),
+        frame,
+    )
 
 
 def implicit_value(e: Ellipsoid, X_global) -> float:

@@ -15,7 +15,7 @@ chart.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -28,8 +28,6 @@ from .geometry import (
     implicit_value,
     line_surface_entry,
 )
-
-_STATUSES = ("converged", "max-iter", "lambda-floor", "contact", "overlap")
 
 # Eq-style step normalization is singular exactly at the solution; treat the
 # projection pair as zero below this fraction of the current separation.
@@ -129,16 +127,24 @@ class DistanceResult:
 # ---------------------------------------------------------------------------
 # elementary operations
 
+def _project(frame, goal) -> tuple[float, float]:
+    """Components of the goal vector along the two unit tangents of a
+    float-tuple frame (position, normal, tangent_theta, tangent_phi). The
+    theta component is zero at a pole."""
+    _, _, et, ep = frame
+    gx, gy, gz = goal
+    dth = 0.0 if et is None else gx * et[0] + gy * et[1] + gz * et[2]
+    return dth, gx * ep[0] + gy * ep[1] + gz * ep[2]
+
+
 def project_tension(frame_i: SurfaceFrame, d_ij) -> tuple[float, float]:
     """Tangential projections of the connecting segment at one surface
-    point. The theta projection is zero at a pole."""
+    point, as the solver computes them. The theta projection is zero at a
+    pole."""
     if frame_i.frame != "global":
         raise ValueError("projection expects a global-frame SurfaceFrame")
-    d = np.asarray(d_ij, dtype=float)
-    et = frame_i.tangent_theta
-    delta_theta = 0.0 if et is None else float(d @ et)
-    delta_phi = float(d @ frame_i.tangent_phi)
-    return delta_theta, delta_phi
+    dth, dph = _project((None, None, frame_i.tangent_theta, frame_i.tangent_phi), d_ij)
+    return float(dth), float(dph)
 
 
 def step_increments(
@@ -186,19 +192,23 @@ def convergence_metrics(
     return eps_d, eps_n, max(state.lambdas)
 
 
+def _halved(lam1: float, lam2: float, toggle: int) -> tuple[float, float, int]:
+    """Alternating step halving: halve the lambda the toggle selects and
+    flip the toggle."""
+    if toggle == 0:
+        return lam1 * 0.5, lam2, 1
+    return lam1, lam2 * 0.5, 0
+
+
 def apply_overshoot_schedule(state: SolverState, config: SolverConfig) -> SolverState:
     """Alternating step halving: when the distance grew this round, halve
-    the lambda selected by the toggle and flip the toggle."""
-    if math.isnan(state.prev_distance) or not state.distance > state.prev_distance:
+    the lambda selected by the toggle and flip the toggle. A NaN
+    ``prev_distance`` (k = 0) compares false and halves nothing."""
+    if not state.distance > state.prev_distance:
         return state
-    lam = list(state.lambdas)
-    lam[state.halve_toggle] *= 0.5
-    return replace(
-        state,
-        lambdas=tuple(lam),
-        halve_toggle=1 - state.halve_toggle,
-        overshoot=True,
-    )
+    lam1, lam2 = state.lambdas
+    lam1, lam2, toggle = _halved(lam1, lam2, state.halve_toggle)
+    return replace(state, lambdas=(lam1, lam2), halve_toggle=toggle, overshoot=True)
 
 
 # ---------------------------------------------------------------------------
@@ -281,15 +291,6 @@ def _canonical_params(params, charts) -> tuple[SurfaceParam, SurfaceParam]:
 # ---------------------------------------------------------------------------
 # iteration engine
 
-def _increments_fast(frame, d, lam, guard):
-    """step_increments over the raw float-tuple frame used in the hot loop."""
-    _, _, et, ep = frame
-    dx, dy, dz = d
-    dth = 0.0 if et is None else dx * et[0] + dy * et[1] + dz * et[2]
-    dph = dx * ep[0] + dy * ep[1] + dz * ep[2]
-    return step_increments(dth, dph, lam, guard)
-
-
 def _evaluate(e1, e2, p1: SurfaceParam, p2: SurfaceParam):
     f1 = _frame_fast(e1, p1.theta, p1.phi)
     f2 = _frame_fast(e2, p2.theta, p2.phi)
@@ -364,16 +365,18 @@ def iterate_once(
     else:
         f1, f2, _, _ = _evaluate(e1, e2, p1, p2)
     d12 = state.d12
-    d21 = (-d12[0], -d12[1], -d12[2])
     dist = state.distance
     lam1, lam2 = state.lambdas
     toggle = state.halve_toggle
     guard = ZERO_PROJECTION_FACTOR * dist
     revert = config.overshoot_mode == "revert-and-retry"
+    # a retry changes only the lambdas, not the frames or the segment
+    th1, ph1 = _project(f1, d12)
+    th2, ph2 = _project(f2, (-d12[0], -d12[1], -d12[2]))
 
     while True:
-        dth1, dph1 = _increments_fast(f1, d12, lam1, guard)
-        dth2, dph2 = _increments_fast(f2, d21, lam2, guard)
+        dth1, dph1 = step_increments(th1, ph1, lam1, guard)
+        dth2, dph2 = step_increments(th2, ph2, lam2, guard)
         if dth1 == 0.0 and dph1 == 0.0 and dth2 == 0.0 and dph2 == 0.0:
             # stationary: tension has no tangential component anywhere
             return replace(state, k=state.k + 1, prev_distance=dist, overshoot=False)
@@ -381,11 +384,7 @@ def iterate_once(
         q2 = advance_param(p2, dth2, dph2)
         g1, g2, nd12, ndist = _evaluate(e1, e2, q1, q2)
         if ndist > dist and revert and max(lam1, lam2) > config.lambda_floor:
-            if toggle == 0:
-                lam1 *= 0.5
-            else:
-                lam2 *= 0.5
-            toggle = 1 - toggle
+            lam1, lam2, toggle = _halved(lam1, lam2, toggle)
             continue
         new = SolverState(
             k=state.k + 1,
@@ -518,49 +517,18 @@ def _result(status, state, charts, eps, trace, criteria) -> DistanceResult:
     )
 
 
-def warm_start_from(result: DistanceResult) -> tuple[SurfaceParam, SurfaceParam]:
-    """Final surface parameters of a previous query, for reuse as ``init``
-    on a nearby configuration."""
-    return result.params
-
-
 class SurfaceSlider:
     """Estimator-style front end: hyperparameters at construction,
-    ``solve`` per query, sklearn-compatible ``get_params``/``set_params``."""
+    ``solve`` per query, sklearn-compatible ``get_params``/``set_params``.
+    The hyperparameters are the fields of :class:`SolverConfig`, with its
+    defaults."""
 
-    def __init__(
-        self,
-        lambda0: float = 0.05,
-        max_iter: int = 10_000,
-        tol_d: float = 1e-12,
-        tol_n: float = 1e-10,
-        tol_lambda: float = 1e-8,
-        lambda_floor: float = 1e-12,
-        overshoot_mode: str = "accept-and-continue",
-        contact_sigma: float | None = None,
-        record_trace: bool = False,
-    ):
-        self.lambda0 = lambda0
-        self.max_iter = max_iter
-        self.tol_d = tol_d
-        self.tol_n = tol_n
-        self.tol_lambda = tol_lambda
-        self.lambda_floor = lambda_floor
-        self.overshoot_mode = overshoot_mode
-        self.contact_sigma = contact_sigma
-        self.record_trace = record_trace
+    _param_names = tuple(f.name for f in fields(SolverConfig))
 
-    _param_names = (
-        "lambda0",
-        "max_iter",
-        "tol_d",
-        "tol_n",
-        "tol_lambda",
-        "lambda_floor",
-        "overshoot_mode",
-        "contact_sigma",
-        "record_trace",
-    )
+    def __init__(self, **params):
+        for f in fields(SolverConfig):
+            setattr(self, f.name, f.default)
+        self.set_params(**params)
 
     def get_params(self, deep: bool = True) -> dict:
         return {name: getattr(self, name) for name in self._param_names}

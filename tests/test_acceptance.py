@@ -283,7 +283,7 @@ def test_criterion_6_oracle_cross_validation(capsys):
     )
 
 
-def test_criterion_7_property_suites(capsys):
+def test_criterion_7_property_suites(capsys, property_outcome):
     clauses = []
     for name, runner in (
         ("on-surface closure", run_on_surface_closure),
@@ -295,13 +295,13 @@ def test_criterion_7_property_suites(capsys):
         ("warm-start idempotence", run_warm_start_idempotence),
     ):
         try:
-            runner()
+            property_outcome(runner)
             clauses.append((name, True))
         except AssertionError as exc:
             clauses.append((f"{name} [{exc}]", False))
 
     # symmetry graded strictly at the stated 1e-12 on every case
-    stats = run_symmetry()
+    stats = property_outcome(run_symmetry)
     n_bad = len(stats["violations"])
     sym_ok = n_bad == 0
     note = f"symmetry 1e-12 on {stats['cases'] - n_bad}/{stats['cases']}"

@@ -183,6 +183,29 @@ def test_frame_pole_has_no_theta_tangent():
         assert np.allclose(f.normal, [0, 0, 1 if phi == 0.0 else -1], atol=1e-12)
 
 
+def test_local_frame_is_global_frame_of_unmoved_body():
+    # both frames come from one kernel: at the origin with zero Euler angles
+    # they must agree, poles included
+    e = Ellipsoid((1.3, 0.5, 0.9), (0, 0, 0), (0, 0, 0))
+    rng = np.random.default_rng(9)
+    params = [SurfaceParam(rng.uniform(0, 2 * PI), rng.uniform(0, PI)) for _ in range(50)]
+    params += [SurfaceParam(0.7, 0.0), SurfaceParam(0.7, PI)]
+    for p in params:
+        loc = surface_frame(e, p, frame="local")
+        glob = surface_frame(e, p, frame="global")
+        assert loc.frame == "local" and glob.frame == "global"
+        for u, v in (
+            (loc.position, glob.position),
+            (loc.normal, glob.normal),
+            (loc.tangent_phi, glob.tangent_phi),
+        ):
+            assert np.max(np.abs(u - v)) <= 1e-15
+        if p.phi in (0.0, PI):
+            assert loc.tangent_theta is None and glob.tangent_theta is None
+        else:
+            assert np.max(np.abs(loc.tangent_theta - glob.tangent_theta)) <= 1e-15
+
+
 def test_frame_unit_and_orthogonal():
     rng = np.random.default_rng(6)
     e = Ellipsoid((1.3, 0.5, 0.9), (1, -2, 0.5), (0.2, -0.6, 1.9))

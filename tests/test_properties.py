@@ -2,8 +2,9 @@
 
 Each property is implemented as a ``run_*`` function returning nothing but
 raising AssertionError with case context on the first violation, so the
-acceptance suite can re-run the exact same checks. Pytest wrappers at the
-bottom invoke each runner with >= 500 cases.
+acceptance suite can grade the exact same checks. Pytest wrappers at the
+bottom invoke each runner with >= 500 cases, through the session fixture
+``property_outcome`` (conftest.py), which runs each runner once for both.
 """
 
 import math
@@ -284,28 +285,28 @@ def run_warm_start_idempotence(n=500, seed=108):
 # pytest wrappers
 
 
-def test_on_surface_closure():
-    run_on_surface_closure()
+def test_on_surface_closure(property_outcome):
+    property_outcome(run_on_surface_closure)
 
 
-def test_frame_orthogonality():
-    run_frame_orthogonality()
+def test_frame_orthogonality(property_outcome):
+    property_outcome(run_frame_orthogonality)
 
 
-def test_rotation_orthonormality():
-    run_rotation_orthonormality()
+def test_rotation_orthonormality(property_outcome):
+    property_outcome(run_rotation_orthonormality)
 
 
-def test_fixed_point_alignment():
-    run_fixed_point_alignment()
+def test_fixed_point_alignment(property_outcome):
+    property_outcome(run_fixed_point_alignment)
 
 
-def test_symmetry():
+def test_symmetry(property_outcome):
     # a looser grade than the acceptance suite's: it tolerates up to 1% of
     # cases at 1e-9, provided each is a converged pair stopped on the
     # distance-change criterion, so a regression that brings back such
     # stalls fails the stricter acceptance grade first
-    stats = run_symmetry()
+    stats = property_outcome(run_symmetry)
     assert len(stats["violations"]) <= stats["cases"] // 100, stats["violations"]
     assert stats["worst_rel_converged"] < 1e-9, stats["violations"]
     for v in stats["violations"]:
@@ -314,13 +315,13 @@ def test_symmetry():
             assert v["stop"] == (("eps_d",), ("eps_d",)), v
 
 
-def test_rigid_motion_invariance():
-    run_rigid_motion_invariance()
+def test_rigid_motion_invariance(property_outcome):
+    property_outcome(run_rigid_motion_invariance)
 
 
-def test_scale_invariance():
-    run_scale_invariance()
+def test_scale_invariance(property_outcome):
+    property_outcome(run_scale_invariance)
 
 
-def test_warm_start_idempotence():
-    run_warm_start_idempotence()
+def test_warm_start_idempotence(property_outcome):
+    property_outcome(run_warm_start_idempotence)

@@ -18,6 +18,7 @@ from surfslide.geometry import (
 from surfslide.scenarios import builtin_scenario
 from surfslide.slider import (
     CHART_POLE_MARGIN,
+    ZERO_PROJECTION_FACTOR,
     SolverConfig,
     SurfaceSlider,
     advance_param,
@@ -28,7 +29,6 @@ from surfslide.slider import (
     project_tension,
     solve,
     step_increments,
-    warm_start_from,
 )
 
 PI = math.pi
@@ -50,6 +50,25 @@ def test_project_tension_at_pole_has_no_theta_component():
     f = surface_frame(e, SurfaceParam(0.3, 0.0))
     dth, dph = project_tension(f, [0.7, -0.2, 0.5])
     assert dth == 0.0
+
+
+def test_project_tension_and_step_increments_give_the_solver_step():
+    # the public projection and step rule must not drift from the solver's
+    rng = np.random.default_rng(12)
+    e1, e2 = random_separated_pair(rng)
+    cfg = SolverConfig()
+    s0 = initial_state(e1, e2, None, cfg)
+    for p in s0.params:
+        assert CHART_POLE_MARGIN < p.phi < PI - CHART_POLE_MARGIN
+    s1 = iterate_once(s0, cfg, (e1, e2))
+    d12 = np.asarray(s0.d12)
+    guard = ZERO_PROJECTION_FACTOR * s0.distance
+    for e, p, moved, d in zip((e1, e2), s0.params, s1.params, (d12, -d12)):
+        step = step_increments(*project_tension(surface_frame(e, p), d), cfg.lambda0, guard)
+        assert math.hypot(*step) == pytest.approx(cfg.lambda0, rel=1e-12)
+        expected = advance_param(p, *step)
+        assert abs(moved.theta - expected.theta) <= 1e-15
+        assert abs(moved.phi - expected.phi) <= 1e-15
 
 
 def test_step_increments_normalizes_to_lambda():
@@ -321,7 +340,7 @@ def test_recharted_run_reports_canonical_params():
 def test_warm_restart_unchanged_configuration():
     sc = builtin_scenario("system-II-aligned")
     first = solve(sc.e1, sc.e2, sc.init, sc.config())
-    second = solve(sc.e1, sc.e2, warm_start_from(first), sc.config())
+    second = solve(sc.e1, sc.e2, first.params, sc.config())
     assert second.status == "converged"
     assert second.iterations <= 2
     assert second.distance == pytest.approx(first.distance, abs=1e-10)
@@ -335,7 +354,7 @@ def test_warm_start_after_center_shift():
         (sc.e2.center[0] + 0.01, sc.e2.center[1], sc.e2.center[2]),
         sc.e2.euler,
     )
-    res = solve(sc.e1, shifted, warm_start_from(first), sc.config())
+    res = solve(sc.e1, shifted, first.params, sc.config())
     assert res.status == "converged"
     # support-point distance with the new separation 3.01
     assert res.distance == pytest.approx(3.01 - 1.0 - 0.4, abs=1e-6)
@@ -349,7 +368,7 @@ def test_warm_start_beats_cold_after_small_rotation():
         sc.e2.center,
         (sc.e2.euler[0] + 0.01, sc.e2.euler[1], sc.e2.euler[2] - 0.01),
     )
-    warm = solve(sc.e1, rotated, warm_start_from(first), sc.config())
+    warm = solve(sc.e1, rotated, first.params, sc.config())
     cold = solve(sc.e1, rotated, None, sc.config())
     assert warm.status == cold.status == "converged"
     assert warm.iterations < cold.iterations
