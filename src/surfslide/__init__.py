@@ -22,7 +22,6 @@ from .slider import (
     SolverConfig,
     SolverState,
     StepRecord,
-    SurfaceSlider,
     solve,
 )
 from .oracle import OracleConfig, OverlapSuspectedError, oracle_min_distance, point_to_ellipsoid
@@ -42,7 +41,6 @@ __all__ = [
     "StepRecord",
     "SurfaceFrame",
     "SurfaceParam",
-    "SurfaceSlider",
     "builtin_scenarios",
     "classify",
     "euler_from_rotation",

@@ -28,7 +28,7 @@ import math
 import random
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 
 from .contact import analyze as contact_analyze, interpenetrating
 from .geometry import SurfaceParam
@@ -72,61 +72,27 @@ def _g17(x: float) -> str:
     return f"{x:.17g}"
 
 
-@dataclass
-class ResultRecord:
+def _record(name: str, res, wall: float) -> dict:
     """One solve, serialized loss-free (floats survive a JSON round trip)."""
-
-    scenario: str
-    status: str
-    distance: float
-    params1: tuple[float, float]
-    params2: tuple[float, float]
-    closest_points: list[list[float]]
-    normals: list[list[float]]
-    iterations: int
-    final_eps: dict
-    wall_time_s: float
-    extra: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        doc = {
-            "scenario": self.scenario,
-            "status": self.status,
-            "distance": self.distance,
-            "params1": list(self.params1),
-            "params2": list(self.params2),
-            "closest_points": self.closest_points,
-            "normals": self.normals,
-            "iterations": self.iterations,
-            "final_eps": self.final_eps,
-            "wall_time_s": self.wall_time_s,
-        }
-        doc.update(self.extra)
-        return doc
-
-
-def _record_from_result(name: str, res, wall: float) -> ResultRecord:
     p1, p2 = res.params
     eps_d, eps_n, eps_lam = res.final_eps
-    return ResultRecord(
-        scenario=name,
-        status=res.status,
-        distance=res.distance,
-        params1=(p1.theta, p1.phi),
-        params2=(p2.theta, p2.phi),
-        closest_points=[[float(v) for v in p] for p in res.closest_points],
-        normals=[[float(v) for v in n] for n in res.normals],
-        iterations=res.iterations,
-        final_eps={"eps_d": eps_d, "eps_n": eps_n, "eps_lambda": eps_lam},
-        wall_time_s=wall,
-    )
+    return {
+        "scenario": name,
+        "status": res.status,
+        "distance": res.distance,
+        "params1": [p1.theta, p1.phi],
+        "params2": [p2.theta, p2.phi],
+        "closest_points": [[float(v) for v in p] for p in res.closest_points],
+        "normals": [[float(v) for v in n] for n in res.normals],
+        "iterations": res.iterations,
+        "final_eps": {"eps_d": eps_d, "eps_n": eps_n, "eps_lambda": eps_lam},
+        "wall_time_s": wall,
+    }
 
 
 def write_trace(path: str, trace) -> None:
     lines = [TRACE_COLUMNS]
     for r in trace:
-        eps_d = "nan" if r.eps_d is None else _g17(r.eps_d)
-        eps_n = "nan" if r.eps_n is None else _g17(r.eps_n)
         lines.append(
             ",".join(
                 (
@@ -138,8 +104,8 @@ def write_trace(path: str, trace) -> None:
                     _g17(r.distance),
                     _g17(r.lambda1),
                     _g17(r.lambda2),
-                    eps_d,
-                    eps_n,
+                    _g17(r.eps_d),
+                    _g17(r.eps_n),
                     "1" if r.overshoot_flag else "0",
                 )
             )
@@ -176,7 +142,6 @@ def build_parser() -> _Parser:
     p.add_argument("scenario", help="builtin name or scenario file path")
     p.add_argument("--trace", metavar="FILE", default=None)
     p.add_argument("--verify", action="store_true")
-    p.add_argument("--json", action="store_true")
     _add_config_flags(p)
 
     p = sub.add_parser("sweep", help="sweep lambda0 or random initializations")
@@ -193,7 +158,6 @@ def build_parser() -> _Parser:
     p.add_argument("--steps", type=int, default=1000, metavar="N")
     p.add_argument("--perturbation", type=float, default=1e-3, metavar="X")
     p.add_argument("--seed", type=int, default=0, metavar="N")
-    p.add_argument("--json", action="store_true")
     _add_config_flags(p)
 
     sub.add_parser("list", help="print the builtin scenarios")
@@ -219,26 +183,18 @@ def resolve_scenario(ref: str) -> Scenario:
 
 def build_config(sc: Scenario, args, record_trace: bool = False) -> SolverConfig:
     """Defaults, then scenario overrides, then command-line flags."""
-    overrides = dict(sc.config_overrides or {})
-    for attr, key in (
-        ("lambda0", "lambda0"),
-        ("max_iter", "max_iter"),
-        ("tol_d", "tol_d"),
-        ("tol_n", "tol_n"),
-        ("tol_lambda", "tol_lambda"),
-    ):
-        v = getattr(args, attr, None)
-        if v is not None:
-            overrides[key] = v
-    mode = getattr(args, "mode", None)
-    if mode is not None:
-        overrides["overshoot_mode"] = (
-            "accept-and-continue" if mode == "accept" else "revert-and-retry"
+    flags = {
+        key: getattr(args, key)
+        for key in ("lambda0", "max_iter", "tol_d", "tol_n", "tol_lambda")
+        if getattr(args, key) is not None
+    }
+    if args.mode is not None:
+        flags["overshoot_mode"] = (
+            "accept-and-continue" if args.mode == "accept" else "revert-and-retry"
         )
-    overrides["record_trace"] = record_trace
     try:
-        return SolverConfig(**overrides)
-    except (TypeError, ValueError) as exc:
+        return replace(sc.config(), record_trace=record_trace, **flags)
+    except ValueError as exc:
         raise CliError(f"invalid solver configuration: {exc}") from exc
 
 
@@ -254,7 +210,7 @@ def cmd_solve(args) -> int:
     wall = time.perf_counter() - t0
     if args.trace is not None:
         write_trace(args.trace, res.trace)
-    record = _record_from_result(sc.name, res, wall)
+    record = _record(sc.name, res, wall)
     exit_code = _STATUS_EXIT[res.status]
     if not _separated(sc.e1, sc.e2, res):
         report = contact_analyze(sc.e1, sc.e2, config, sc.init)
@@ -264,19 +220,19 @@ def cmd_solve(args) -> int:
             exit_code = EXIT_OVERLAP
         elif report.kind == "in-contact":
             exit_code = EXIT_CONTACT
-        record.extra["contact_kind"] = report.kind
-        record.extra["contact_value"] = signed
+        record["contact_kind"] = report.kind
+        record["contact_value"] = signed
     if args.verify:
         try:
             oracle_d, _ = oracle_min_distance(sc.e1, sc.e2)
-            record.extra["oracle_distance"] = oracle_d
-            record.extra["oracle_gap"] = abs(res.distance - oracle_d)
+            record["oracle_distance"] = oracle_d
+            record["oracle_gap"] = abs(res.distance - oracle_d)
         except OverlapSuspectedError as exc:
-            record.extra["oracle_distance"] = None
-            record.extra["oracle_error"] = str(exc)
+            record["oracle_distance"] = None
+            record["oracle_error"] = str(exc)
     if sc.expected is not None:
-        record.extra["expected_distance"] = sc.expected[0]
-    print(json.dumps(record.to_dict(), indent=2))
+        record["expected_distance"] = sc.expected[0]
+    print(json.dumps(record, indent=2))
     return exit_code
 
 
@@ -320,12 +276,12 @@ def cmd_sweep(args) -> int:
         t0 = time.perf_counter()
         res = solve(sc.e1, sc.e2, init, cfg)
         wall = time.perf_counter() - t0
-        rec = _record_from_result(sc.name, res, wall)
-        rec.extra["run"] = label
+        rec = _record(sc.name, res, wall)
+        rec["run"] = label
         records.append(rec)
         worst = max(worst, _STATUS_EXIT[res.status])
 
-    distances = [r.distance for r in records if r.status == "converged"]
+    distances = [r["distance"] for r in records if r["status"] == "converged"]
     spread = (max(distances) - min(distances)) if distances else math.nan
 
     if args.json:
@@ -333,7 +289,7 @@ def cmd_sweep(args) -> int:
             json.dumps(
                 {
                     "scenario": sc.name,
-                    "runs": [r.to_dict() for r in records],
+                    "runs": records,
                     "distance_spread": spread,
                 },
                 indent=2,
@@ -343,8 +299,8 @@ def cmd_sweep(args) -> int:
         print(f"{'run':24s} {'status':12s} {'iterations':>10s} {'distance':>22s}")
         for r in records:
             print(
-                f"{r.extra['run']:24s} {r.status:12s} {r.iterations:10d} "
-                f"{_g17(r.distance):>22s}"
+                f"{r['run']:24s} {r['status']:12s} {r['iterations']:10d} "
+                f"{_g17(r['distance']):>22s}"
             )
         print(f"distance spread: {_g17(spread)}")
     return worst

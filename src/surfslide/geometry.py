@@ -161,16 +161,6 @@ def _rotate(rows, v):
     )
 
 
-def _rotate_t(rows, v):
-    x, y, z = v
-    r0, r1, r2 = rows
-    return (
-        r0[0] * x + r1[0] * y + r2[0] * z,
-        r0[1] * x + r1[1] * y + r2[1] * z,
-        r0[2] * x + r1[2] * y + r2[2] * z,
-    )
-
-
 def _norm3(v):
     return math.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .geometry import Ellipsoid, SurfaceParam
 from .slider import SolverConfig
@@ -46,10 +46,9 @@ class Scenario:
     config_overrides: dict | None = None
     expected: tuple[float, str] | None = None
 
-    def config(self, base: SolverConfig = SolverConfig()) -> SolverConfig:
-        if not self.config_overrides:
-            return base
-        return replace(base, **self.config_overrides)
+    def config(self) -> SolverConfig:
+        """The default configuration with this scenario's overrides."""
+        return SolverConfig(**(self.config_overrides or {}))
 
 
 def _support_point_distance(e1: Ellipsoid, e2: Ellipsoid) -> float:

@@ -15,7 +15,7 @@ chart.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,15 +38,18 @@ ZERO_PROJECTION_FACTOR = 1e-15
 # to the chart whose poles are farthest from it.
 CHART_POLE_MARGIN = 0.1
 
+# Smallest step: a revert retry halves no further, and a run whose steps have
+# all shrunk below it ends with status ``lambda-floor``.
+LAMBDA_FLOOR = 1e-12
+
 
 @dataclass(frozen=True)
 class SolverConfig:
     """Tunables of the sliding search.
 
-    ``contact_sigma=None`` resolves at solve time to 1e-6 times the mean
-    semi-axis of the pair. ``overshoot_mode`` is ``accept-and-continue``
-    (keep the overshooting step; matches the observed oscillate-then-settle
-    behavior) or ``revert-and-retry`` (monotone distance sequence).
+    ``overshoot_mode`` is ``accept-and-continue`` (keep the overshooting
+    step; matches the observed oscillate-then-settle behavior) or
+    ``revert-and-retry`` (monotone distance sequence).
     """
 
     lambda0: float = 0.05
@@ -54,46 +57,51 @@ class SolverConfig:
     tol_d: float = 1e-12
     tol_n: float = 1e-10
     tol_lambda: float = 1e-8
-    lambda_floor: float = 1e-12
     overshoot_mode: str = "accept-and-continue"
-    contact_sigma: float | None = None
     record_trace: bool = False
 
     def __post_init__(self):
-        if self.lambda0 <= 0.0:
-            raise ValueError("lambda0 must be positive")
+        if not self.lambda0 > LAMBDA_FLOOR:
+            raise ValueError(f"lambda0 must exceed {LAMBDA_FLOOR:g}")
         if min(self.tol_d, self.tol_n, self.tol_lambda) <= 0.0:
             raise ValueError("tolerances must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if not 0.0 <= self.lambda_floor < self.lambda0:
-            raise ValueError("lambda_floor must lie in [0, lambda0)")
         if self.overshoot_mode not in ("accept-and-continue", "revert-and-retry"):
             raise ValueError(f"unknown overshoot_mode {self.overshoot_mode!r}")
-        if self.contact_sigma is not None and self.contact_sigma <= 0.0:
-            raise ValueError("contact_sigma must be positive")
 
     def resolve_sigma(self, e1: Ellipsoid, e2: Ellipsoid) -> float:
-        if self.contact_sigma is not None:
-            return self.contact_sigma
+        """Contact threshold: 1e-6 times the mean semi-axis of the pair."""
         return 1e-6 * (sum(e1.semi_axes) + sum(e2.semi_axes)) / 6.0
 
 
 @dataclass(frozen=True)
 class SolverState:
-    """Snapshot of the iteration after step ``k``."""
+    """Snapshot of the iteration after step ``k``.
+
+    ``frames`` holds both witnesses' (position, normal, tangent_theta,
+    tangent_phi) float triples, as the frame kernel returns them;
+    ``points_global`` and ``normals`` read from it."""
 
     k: int
     params: tuple[SurfaceParam, SurfaceParam]
-    points_global: tuple[tuple, tuple]
     d12: tuple
     distance: float
     lambdas: tuple[float, float]
     prev_distance: float  # nan before the first iteration
     halve_toggle: int  # index of the lambda halved on the next overshoot
-    normals: tuple[tuple, tuple] = ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
+    frames: tuple
     overshoot: bool = False
-    frames: tuple = field(default=None, repr=False, compare=False)
+
+    @property
+    def points_global(self) -> tuple[tuple, tuple]:
+        f1, f2 = self.frames
+        return f1[0], f2[0]
+
+    @property
+    def normals(self) -> tuple[tuple, tuple]:
+        f1, f2 = self.frames
+        return f1[1], f2[1]
 
 
 @dataclass(frozen=True)
@@ -185,7 +193,8 @@ def convergence_metrics(
         eps_d = change / state.distance
     dx, dy, dz = state.d12
     dist = state.distance
-    n1, n2 = state.normals
+    f1, f2 = state.frames
+    n1, n2 = f1[1], f2[1]
     dot1 = (dx * n1[0] + dy * n1[1] + dz * n1[2]) / dist
     dot2 = (dx * n2[0] + dy * n2[1] + dz * n2[2]) / dist
     eps_n = max(1.0 - dot1, 1.0 + dot2)
@@ -269,15 +278,7 @@ def _recharted(state: SolverState, charts, bodies):
             charts[i] = _chart(bodies[i], (axis + 1) % 3)
             params[i] = _param_in_chart(u, charts[i].shift)
     f1, f2, d12, dist = _evaluate(charts[0], charts[1], params[0], params[1])
-    state = replace(
-        state,
-        params=tuple(params),
-        points_global=(f1[0], f2[0]),
-        d12=d12,
-        distance=dist,
-        normals=(f1[1], f2[1]),
-        frames=(f1, f2),
-    )
+    state = replace(state, params=tuple(params), d12=d12, distance=dist, frames=(f1, f2))
     return state, tuple(charts)
 
 
@@ -339,13 +340,11 @@ def initial_state(
     return SolverState(
         k=0,
         params=(p1, p2),
-        points_global=(f1[0], f2[0]),
         d12=d12,
         distance=dist,
         lambdas=(config.lambda0, config.lambda0),
         prev_distance=math.nan,
         halve_toggle=0,
-        normals=(f1[1], f2[1]),
         frames=(f1, f2),
     )
 
@@ -360,10 +359,7 @@ def iterate_once(
     overshoot schedule."""
     e1, e2 = ellipsoids
     p1, p2 = state.params
-    if state.frames is not None:
-        f1, f2 = state.frames
-    else:
-        f1, f2, _, _ = _evaluate(e1, e2, p1, p2)
+    f1, f2 = state.frames
     d12 = state.d12
     dist = state.distance
     lam1, lam2 = state.lambdas
@@ -383,19 +379,17 @@ def iterate_once(
         q1 = advance_param(p1, dth1, dph1)
         q2 = advance_param(p2, dth2, dph2)
         g1, g2, nd12, ndist = _evaluate(e1, e2, q1, q2)
-        if ndist > dist and revert and max(lam1, lam2) > config.lambda_floor:
+        if ndist > dist and revert and max(lam1, lam2) > LAMBDA_FLOOR:
             lam1, lam2, toggle = _halved(lam1, lam2, toggle)
             continue
         new = SolverState(
             k=state.k + 1,
             params=(q1, q2),
-            points_global=(g1[0], g2[0]),
             d12=nd12,
             distance=ndist,
             lambdas=(lam1, lam2),
             prev_distance=dist,
             halve_toggle=toggle,
-            normals=(g1[1], g2[1]),
             frames=(g1, g2),
         )
         if not revert:
@@ -477,7 +471,7 @@ def solve(
             status = "converged"
             criteria = tuple(met)
             break
-        if max(state.lambdas) < config.lambda_floor:
+        if max(state.lambdas) < LAMBDA_FLOOR:
             status = "lambda-floor"
             break
     return _result(status, state, charts, eps, trace, criteria)
@@ -501,52 +495,16 @@ def _step_record(state, charts, eps_d, eps_n) -> StepRecord:
 
 
 def _result(status, state, charts, eps, trace, criteria) -> DistanceResult:
+    f1, f2 = state.frames
     return DistanceResult(
         status=status,
         distance=state.distance,
         params=_canonical_params(state.params, charts),
-        closest_points=(
-            np.array(state.points_global[0]),
-            np.array(state.points_global[1]),
-        ),
-        normals=(np.array(state.normals[0]), np.array(state.normals[1])),
+        closest_points=(np.array(f1[0]), np.array(f2[0])),
+        normals=(np.array(f1[1]), np.array(f2[1])),
         iterations=state.k,
         final_eps=eps,
         trace=trace,
         stop_criteria=criteria,
     )
 
-
-class SurfaceSlider:
-    """Estimator-style front end: hyperparameters at construction,
-    ``solve`` per query, sklearn-compatible ``get_params``/``set_params``.
-    The hyperparameters are the fields of :class:`SolverConfig`, with its
-    defaults."""
-
-    _param_names = tuple(f.name for f in fields(SolverConfig))
-
-    def __init__(self, **params):
-        for f in fields(SolverConfig):
-            setattr(self, f.name, f.default)
-        self.set_params(**params)
-
-    def get_params(self, deep: bool = True) -> dict:
-        return {name: getattr(self, name) for name in self._param_names}
-
-    def set_params(self, **params) -> "SurfaceSlider":
-        for name, value in params.items():
-            if name not in self._param_names:
-                raise ValueError(f"unknown parameter {name!r}")
-            setattr(self, name, value)
-        return self
-
-    def config(self) -> SolverConfig:
-        return SolverConfig(**self.get_params())
-
-    def solve(
-        self,
-        e1: Ellipsoid,
-        e2: Ellipsoid,
-        init: tuple[SurfaceParam, SurfaceParam] | None = None,
-    ) -> DistanceResult:
-        return solve(e1, e2, init, self.config())

@@ -6,6 +6,8 @@ import math
 import pytest
 
 from surfslide.cli import main
+from surfslide.scenarios import builtin_scenario, scenario_to_dict
+from surfslide.slider import SolverConfig, solve
 
 PI = math.pi
 
@@ -96,6 +98,46 @@ def test_solve_writes_trace_csv(tmp_path, capsys):
         assert len(fields) == 11
         int(fields[0])
         assert fields[10] in ("0", "1")
+
+
+def test_solve_revert_mode_trace_is_monotone(tmp_path, capsys):
+    trace = tmp_path / "t.csv"
+    assert main(["solve", "system-I", "--mode", "revert", "--trace", str(trace)]) == 0
+    record = json.loads(capsys.readouterr().out)
+    distances = [float(row.split(",")[5]) for row in trace.read_text().splitlines()[1:]]
+    assert all(b - a <= 1e-15 for a, b in zip(distances, distances[1:]))
+    sc = builtin_scenario("system-I")
+    config = SolverConfig(lambda0=0.05, overshoot_mode="revert-and-retry")
+    assert record["iterations"] == solve(sc.e1, sc.e2, sc.init, config).iterations
+
+
+def test_solve_flags_override_scenario_keys(tmp_path, capsys):
+    doc = scenario_to_dict(builtin_scenario("system-I"))
+    doc["name"] = "system-I-copy"
+    doc["lambda0"] = 0.5
+    path = tmp_path / "copy.json"
+    path.write_text(json.dumps(doc))
+    assert main(["solve", str(path), "--lambda0", "0.05"]) == 0
+    copy = json.loads(capsys.readouterr().out)
+    assert main(["solve", "system-I"]) == 0
+    builtin = json.loads(capsys.readouterr().out)
+    for record in (copy, builtin):
+        del record["scenario"], record["wall_time_s"]
+    assert copy == builtin
+
+
+def test_solve_tangent_spheres_exit_contact(tmp_path, capsys):
+    doc = {
+        "name": "tangent",
+        "e1": {"semi_axes": [1, 1, 1], "center": [0, 0, 0], "euler": [0, 0, 0]},
+        "e2": {"semi_axes": [1, 1, 1], "center": [2, 0, 0], "euler": [0, 0, 0]},
+    }
+    path = tmp_path / "tangent.json"
+    path.write_text(json.dumps(doc))
+    assert main(["solve", str(path)]) == 6
+    record = json.loads(capsys.readouterr().out)
+    assert record["contact_kind"] == "in-contact"
+    assert abs(record["contact_value"]) < 1e-6
 
 
 def test_solve_verify_includes_oracle(capsys):

@@ -20,7 +20,6 @@ from surfslide.slider import (
     CHART_POLE_MARGIN,
     ZERO_PROJECTION_FACTOR,
     SolverConfig,
-    SurfaceSlider,
     advance_param,
     apply_overshoot_schedule,
     convergence_metrics,
@@ -376,7 +375,7 @@ def test_warm_start_beats_cold_after_small_rotation():
 
 
 # ---------------------------------------------------------------------------
-# configuration and estimator shell
+# configuration
 
 
 def test_solver_config_validation():
@@ -387,16 +386,4 @@ def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(overshoot_mode="bogus")
     with pytest.raises(ValueError):
-        SolverConfig(lambda_floor=0.1, lambda0=0.05)
-
-
-def test_surface_slider_params_round_trip():
-    s = SurfaceSlider(lambda0=0.1, tol_n=1e-9)
-    params = s.get_params()
-    assert params["lambda0"] == 0.1
-    s.set_params(lambda0=0.02)
-    assert s.get_params()["lambda0"] == 0.02
-    e1, e2 = _spheres(1.0, (0, 0, 0), 1.0, (3, 0, 0))
-    res = s.solve(e1, e2)
-    assert res.status == "converged"
-    assert res.distance == pytest.approx(1.0, abs=1e-8)
+        SolverConfig(lambda0=1e-13)
