@@ -31,7 +31,7 @@ import time
 from dataclasses import replace
 
 from .contact import analyze as contact_analyze, interpenetrating
-from .geometry import SurfaceParam
+from .geometry import NoIntersectionError, SurfaceParam
 from .oracle import OverlapSuspectedError, oracle_min_distance
 from .scenarios import (
     Scenario,
@@ -417,10 +417,8 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except CliError as exc:
-        print(f"surfslide: error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
+    except (CliError, OSError, NoIntersectionError) as exc:
+        # NoIntersectionError: a concentric pair has no center line to start from
         print(f"surfslide: error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -140,6 +140,20 @@ def test_solve_tangent_spheres_exit_contact(tmp_path, capsys):
     assert abs(record["contact_value"]) < 1e-6
 
 
+def test_solve_concentric_pair_is_input_error(tmp_path, capsys):
+    doc = {
+        "name": "concentric",
+        "e1": {"semi_axes": [1, 0.5, 0.4], "center": [0, 0, 0], "euler": [0, 0, 0]},
+        "e2": {"semi_axes": [2, 1.5, 1.2], "center": [0, 0, 0], "euler": [0, 0, 0]},
+    }
+    path = tmp_path / "concentric.json"
+    path.write_text(json.dumps(doc))
+    assert main(["solve", str(path), "--verify"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "surfslide: error: concentric bodies have no center line\n"
+
+
 def test_solve_verify_includes_oracle(capsys):
     assert main(["solve", "system-II-aligned", "--verify"]) == 0
     record = json.loads(capsys.readouterr().out)
