@@ -16,8 +16,9 @@ bench
 list
     Print the builtin scenarios.
 
-Exit codes: 0 converged, 2 max-iter, 3 lambda-floor, 4 input error,
-5 overlap during bench, 6 contact, 7 overlap.
+Exit codes: 0 converged, 2 max-iter (of the solve or of the depth
+continuation), 3 lambda-floor, 4 input error, 5 overlap during bench,
+6 contact, 7 overlap.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import sys
 import time
 from dataclasses import replace
 
-from .contact import analyze as contact_analyze, interpenetrating
+from .contact import analyze as contact_analyze, separated
 from .geometry import NoIntersectionError, SurfaceParam
 from .oracle import OverlapSuspectedError, oracle_min_distance
 from .scenarios import (
@@ -212,7 +213,7 @@ def cmd_solve(args) -> int:
         write_trace(args.trace, res.trace)
     record = _record(sc.name, res, wall)
     exit_code = _STATUS_EXIT[res.status]
-    if not _separated(sc.e1, sc.e2, res):
+    if not separated(sc.e1, sc.e2, res):
         report = contact_analyze(sc.e1, sc.e2, config, sc.init)
         signed = report.distance_or_depth
         if report.kind == "overlapping":
@@ -220,6 +221,8 @@ def cmd_solve(args) -> int:
             exit_code = EXIT_OVERLAP
         elif report.kind == "in-contact":
             exit_code = EXIT_CONTACT
+        elif report.kind == "max-iter":  # the depth continuation failed
+            exit_code = EXIT_MAX_ITER
         record["contact_kind"] = report.kind
         record["contact_value"] = signed
     if args.verify:
@@ -306,15 +309,6 @@ def cmd_sweep(args) -> int:
     return worst
 
 
-def _separated(e1, e2, res) -> bool:
-    """True when a solve result describes a genuinely separated pair.
-    Converged states can still interpenetrate (spurious stationary pairs on
-    overlapping bodies), so interiority counts as well as the status."""
-    if res.status in ("contact", "overlap"):
-        return False
-    return not interpenetrating(e1, e2, *res.closest_points)
-
-
 def _perturbed(e2, rng: random.Random, magnitude: float):
     center = tuple(c + rng.uniform(-magnitude, magnitude) for c in e2.center)
     euler = tuple(a + rng.uniform(-magnitude, magnitude) for a in e2.euler)
@@ -341,7 +335,7 @@ def cmd_bench(args) -> int:
 
     rng = random.Random(args.seed)
     base = solve(sc.e1, sc.e2, sc.init, config)
-    if not _separated(sc.e1, sc.e2, base):
+    if not separated(sc.e1, sc.e2, base):
         print("bench: initial configuration is not separated", file=sys.stderr)
         return EXIT_BENCH_OVERLAP
     warm_init = base.params
@@ -361,7 +355,7 @@ def cmd_bench(args) -> int:
         warm = solve(sc.e1, e2, warm_init, config)
         warm_time += time.perf_counter() - t0
 
-        if not (_separated(sc.e1, e2, cold) and _separated(sc.e1, e2, warm)):
+        if not (separated(sc.e1, e2, cold) and separated(sc.e1, e2, warm)):
             print(
                 f"bench: perturbation drove the pair into contact/overlap "
                 f"at step {step}",

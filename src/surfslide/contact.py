@@ -25,7 +25,6 @@ from .slider import (
     _halved,
     _project,
     advance_param,
-    initial_state,
     step_increments,
 )
 
@@ -35,10 +34,13 @@ ALIGN_TOL = 1e-6
 
 @dataclass(frozen=True)
 class ContactReport:
-    """kind is 'separated', 'in-contact', or 'overlapping'.
+    """kind is 'separated', 'in-contact', 'overlapping', or 'max-iter'
+    when the depth continuation ran out of iterations.
 
     distance_or_depth is positive separation, ~0 at tangency, and the
-    penetration magnitude (reported positive, flagged by kind) for overlap.
+    penetration magnitude (reported positive, flagged by kind) for overlap;
+    for 'max-iter' it is the witness distance where the continuation
+    stopped.
     """
 
     kind: str
@@ -50,6 +52,15 @@ class ContactReport:
 def interpenetrating(e1: Ellipsoid, e2: Ellipsoid, P1, P2) -> bool:
     """Whether each witness point lies strictly inside the other body."""
     return implicit_value(e2, P1) < 0.0 and implicit_value(e1, P2) < 0.0
+
+
+def separated(e1: Ellipsoid, e2: Ellipsoid, result) -> bool:
+    """True when a solve result describes a genuinely separated pair.
+    Converged states can still interpenetrate (spurious stationary pairs on
+    overlapping bodies), so interiority counts as well as the status."""
+    if result.status in ("contact", "overlap"):
+        return False
+    return not interpenetrating(e1, e2, *result.closest_points)
 
 
 def classify(
@@ -85,10 +96,11 @@ def _report(kind: str, distance: float, params, normals) -> ContactReport:
 def penetration_depth(
     e1: Ellipsoid,
     e2: Ellipsoid,
-    entry_state: SolverState,
+    entry_params: tuple[SurfaceParam, SurfaceParam],
     config: SolverConfig = SolverConfig(),
 ) -> ContactReport:
-    """Continue an overlapping search to the maximum-overlap pair.
+    """Continue an overlapping search from the witness params
+    ``entry_params`` to the maximum-overlap pair.
 
     While the witness points interpenetrate (or sit within sigma), each is
     pushed along the negated normal of the other body, re-read every step;
@@ -97,14 +109,7 @@ def penetration_depth(
     point against its own outward normal, and its length is the depth.
     """
     sigma = config.resolve_sigma(e1, e2)
-    if (
-        entry_state.distance < sigma
-        and classify(entry_state, e1, e2, sigma) == "in-contact"
-    ):
-        return _report(
-            "in-contact", entry_state.distance, entry_state.params, entry_state.normals
-        )
-    p1, p2 = entry_state.params
+    p1, p2 = entry_params
     f1, f2, d12, dist = _evaluate(e1, e2, p1, p2)
     lam1 = lam2 = config.lambda0
     toggle = 0
@@ -166,24 +171,13 @@ def analyze(
     config: SolverConfig = SolverConfig(),
     init: tuple[SurfaceParam, SurfaceParam] | None = None,
 ) -> ContactReport:
-    """Full pipeline: run the sliding search, then classify, continuing to
-    the penetration depth when the pair overlaps."""
+    """Full pipeline: run the sliding search, which decides contact, and
+    continue to the penetration depth when the pair is not separated."""
     from .slider import solve
 
     result = solve(e1, e2, init, config)
-    sigma = config.resolve_sigma(e1, e2)
     if result.status == "contact":
         return _report("in-contact", result.distance, result.params, result.normals)
-    entry = initial_state(e1, e2, result.params, config)
-    # a converged state can still be interpenetrating: overlapping bodies
-    # admit spurious stationary pairs (anti-aligned normals at the
-    # maximum-overlap points), so interiority decides, not alignment
-    if result.status == "overlap" or interpenetrating(e1, e2, *result.closest_points):
-        return penetration_depth(e1, e2, entry, config)
-    if result.distance < sigma:
-        kind = classify(entry, e1, e2, sigma)
-        if kind == "in-contact":
-            return _report("in-contact", result.distance, result.params, result.normals)
-        if kind == "overlapping":
-            return penetration_depth(e1, e2, entry, config)
-    return _report("separated", result.distance, result.params, result.normals)
+    if separated(e1, e2, result):
+        return _report("separated", result.distance, result.params, result.normals)
+    return penetration_depth(e1, e2, result.params, config)

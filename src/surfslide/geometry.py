@@ -100,7 +100,6 @@ class SurfaceFrame:
     normal: np.ndarray
     tangent_theta: np.ndarray | None
     tangent_phi: np.ndarray
-    frame: str  # "local" or "global"
 
 
 @dataclass(frozen=True)
@@ -230,23 +229,18 @@ def surface_point_global(e: Ellipsoid, p: SurfaceParam) -> np.ndarray:
     return to_global_point(e, surface_point_local(e, p))
 
 
-def surface_frame(e: Ellipsoid, p: SurfaceParam, frame: str = "global") -> SurfaceFrame:
-    """Surface point with its unit normal and unit tangents.
+def surface_frame(e: Ellipsoid, p: SurfaceParam) -> SurfaceFrame:
+    """Global-frame surface point with its unit normal and unit tangents.
 
     ``tangent_theta`` is None at the poles, where its defining direction
     vanishes; that degeneracy is represented, never raised.
     """
-    if frame not in ("local", "global"):
-        raise ValueError(f"frame must be 'local' or 'global', got {frame!r}")
-    if frame == "local":  # the body's own axes: unrotated, at the origin
-        e = Ellipsoid(e.semi_axes, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
     pos, n, et, ep = _frame_fast(e, p.theta, p.phi)
     return SurfaceFrame(
         np.array(pos),
         np.array(n),
         None if et is None else np.array(et),
         np.array(ep),
-        frame,
     )
 
 

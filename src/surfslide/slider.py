@@ -149,8 +149,6 @@ def project_tension(frame_i: SurfaceFrame, d_ij) -> tuple[float, float]:
     """Tangential projections of the connecting segment at one surface
     point, as the solver computes them. The theta projection is zero at a
     pole."""
-    if frame_i.frame != "global":
-        raise ValueError("projection expects a global-frame SurfaceFrame")
     dth, dph = _project((None, None, frame_i.tangent_theta, frame_i.tangent_phi), d_ij)
     return float(dth), float(dph)
 
@@ -408,16 +406,15 @@ def solve(
     Any one of eps_d < tol_d, eps_n < tol_n, eps_lambda < tol_lambda ends
     the search as converged; hitting max_iter or the lambda floor is
     reported as a status, not an exception. Separations below the contact
-    threshold hand off to the contact classifier. Without ``init``, a pair
-    where a center lies inside the other body overlaps for certain: it is
-    reported as ``overlap`` at k = 0, its witnesses where the rays between
-    the centers leave the bodies, for the contact continuation to start
-    from (concentric pairs raise NoIntersectionError). A witness within
+    threshold, the start's included, hand off to the contact classifier
+    before any stop test. Without ``init``, a pair where a center lies
+    inside the other body overlaps for certain: it is reported as
+    ``overlap`` at k = 0, its witnesses where the rays between the centers
+    leave the bodies, for the contact continuation to start from
+    (concentric pairs raise NoIntersectionError). A witness within
     CHART_POLE_MARGIN of a pole of its chart carries on in another chart;
     ``params`` and the trace rows are always in the canonical chart.
     """
-    from .contact import classify  # local import; contact depends on us
-
     sigma = config.resolve_sigma(e1, e2)
     bodies = (e1, e2)
     charts = (_chart(e1, 0), _chart(e2, 0))
@@ -427,21 +424,19 @@ def solve(
     state = initial_state(e1, e2, init, config)
     trace: list[StepRecord] | None = [] if config.record_trace else None
 
-    # a warm start (or an already-optimal init) may need no iteration at all
-    _, eps_n0, eps_l0 = convergence_metrics(state)
+    eps = convergence_metrics(state)
     if trace is not None:
-        trace.append(_step_record(state, charts, math.nan, eps_n0))
+        trace.append(_step_record(state, charts, math.nan, eps[1]))
     if certain_overlap:
-        return _result("overlap", state, charts, (None, eps_n0, eps_l0), trace, ())
-    if eps_n0 < config.tol_n:
-        return _result("converged", state, charts, (None, eps_n0, eps_l0), trace, ("eps_n",))
-    if state.distance < sigma:
-        kind = classify(state, e1, e2, sigma)
-        if kind != "separated":
-            status = "contact" if kind == "in-contact" else "overlap"
-            return _result(status, state, charts, (None, eps_n0, eps_l0), trace, ())
+        return _result("overlap", state, charts, eps, trace, ())
+    # the contact hand-off comes first, at k = 0 as in the loop
+    status = _contact_status(state, e1, e2, sigma)
+    if status is not None:
+        return _result(status, state, charts, eps, trace, ())
+    # a warm start (or an already-optimal init) may need no iteration at all
+    if eps[1] < config.tol_n:
+        return _result("converged", state, charts, eps, trace, ("eps_n",))
 
-    eps = (None, eps_n0, eps_l0)
     status = "max-iter"
     criteria: tuple[str, ...] = ()
     for _ in range(config.max_iter):
@@ -454,12 +449,10 @@ def solve(
         if trace is not None:
             eps_d = eps[0] if eps[0] is not None else math.nan
             trace.append(_step_record(state, charts, eps_d, eps[1]))
-        if state.distance < sigma:
-            kind = classify(state, e1, e2, sigma)
-            if kind != "separated":
-                status = "contact" if kind == "in-contact" else "overlap"
-                criteria = ()
-                break
+        contact = _contact_status(state, e1, e2, sigma)
+        if contact is not None:
+            status = contact
+            break
         met = []
         if eps[0] is not None and eps[0] < config.tol_d:
             met.append("eps_d")
@@ -475,6 +468,19 @@ def solve(
             status = "lambda-floor"
             break
     return _result(status, state, charts, eps, trace, criteria)
+
+
+def _contact_status(state, e1, e2, sigma) -> str | None:
+    """``contact`` or ``overlap`` for a state below the contact threshold
+    that the classifier does not call separated; None otherwise."""
+    if not state.distance < sigma:
+        return None
+    from .contact import classify  # local import; contact depends on us
+
+    kind = classify(state, e1, e2, sigma)
+    if kind == "separated":
+        return None
+    return "contact" if kind == "in-contact" else "overlap"
 
 
 def _step_record(state, charts, eps_d, eps_n) -> StepRecord:

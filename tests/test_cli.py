@@ -126,11 +126,13 @@ def test_solve_flags_override_scenario_keys(tmp_path, capsys):
     assert copy == builtin
 
 
-def test_solve_tangent_spheres_exit_contact(tmp_path, capsys):
+@pytest.mark.parametrize("gap", [0.0, 1e-7])
+def test_solve_tangent_spheres_exit_contact(gap, tmp_path, capsys):
+    # a start below the contact threshold (1e-6 here) is contact, not converged
     doc = {
         "name": "tangent",
         "e1": {"semi_axes": [1, 1, 1], "center": [0, 0, 0], "euler": [0, 0, 0]},
-        "e2": {"semi_axes": [1, 1, 1], "center": [2, 0, 0], "euler": [0, 0, 0]},
+        "e2": {"semi_axes": [1, 1, 1], "center": [2 + gap, 0, 0], "euler": [0, 0, 0]},
     }
     path = tmp_path / "tangent.json"
     path.write_text(json.dumps(doc))
@@ -174,6 +176,22 @@ def test_solve_overlap_exit_code_and_contact_record(tmp_path, capsys):
     assert record["contact_kind"] == "overlapping"
     # signed value: negative magnitude = penetration depth
     assert record["contact_value"] == pytest.approx(-0.8, abs=1e-4)
+
+
+def test_solve_failed_depth_continuation_exits_max_iter(tmp_path, capsys):
+    # a contained sphere overlaps for certain; two continuation steps cannot
+    # reach the depth, so the run reports max-iter, not an overlap
+    doc = {
+        "name": "contained",
+        "e1": {"semi_axes": [1, 1, 1], "center": [0, 0, 0], "euler": [0, 0, 0]},
+        "e2": {"semi_axes": [0.3, 0.3, 0.3], "center": [0.5, 0, 0], "euler": [0, 0, 0]},
+    }
+    path = tmp_path / "contained.json"
+    path.write_text(json.dumps(doc))
+    assert main(["solve", str(path), "--max-iter", "2"]) == 2
+    record = json.loads(capsys.readouterr().out)
+    assert record["status"] == "overlap"
+    assert record["contact_kind"] == "max-iter"
 
 
 def test_solve_center_inside_other_body_exits_overlap(tmp_path, capsys):

@@ -61,6 +61,14 @@ def test_unit_spheres_one_apart_depth():
     assert report.distance_or_depth == pytest.approx(1.0, abs=1e-4)
 
 
+def test_penetration_depth_from_solve_params():
+    e1 = _sphere(1.0, (0, 0, 0))
+    e2 = _sphere(1.0, (1, 0, 0))
+    report = penetration_depth(e1, e2, solve(e1, e2).params)
+    assert report.kind == "overlapping"
+    assert report.distance_or_depth == pytest.approx(1.0, abs=1e-4)
+
+
 def test_centers_inside_each_other_depth():
     # each center lies inside the other sphere, which proves the overlap;
     # the continuation starts where the center rays leave the spheres

@@ -163,13 +163,13 @@ def test_local_global_round_trip():
 
 def test_sphere_normal_is_radial():
     e = Ellipsoid((0.8, 0.8, 0.8), (0, 0, 0), (0, 0, 0))
-    f = surface_frame(e, SurfaceParam(1.1, 0.9), frame="local")
+    f = surface_frame(e, SurfaceParam(1.1, 0.9))
     assert np.allclose(f.normal, np.asarray(f.position) / 0.8, atol=1e-12)
 
 
 def test_frame_at_equator_front_point():
     e = Ellipsoid((1.0, 0.6, 0.4), (0, 0, 0), (0, 0, 0))
-    f = surface_frame(e, SurfaceParam(0.0, PI / 2), frame="local")
+    f = surface_frame(e, SurfaceParam(0.0, PI / 2))
     assert np.allclose(f.normal, [1, 0, 0], atol=1e-12)
     assert np.allclose(f.tangent_theta, [0, 1, 0], atol=1e-12)
     assert np.allclose(f.tangent_phi, [0, 0, -1], atol=1e-12)
@@ -178,32 +178,9 @@ def test_frame_at_equator_front_point():
 def test_frame_pole_has_no_theta_tangent():
     e = Ellipsoid((1.0, 0.6, 0.4), (0, 0, 0), (0, 0, 0))
     for phi in (0.0, PI):
-        f = surface_frame(e, SurfaceParam(0.7, phi), frame="local")
+        f = surface_frame(e, SurfaceParam(0.7, phi))
         assert f.tangent_theta is None
         assert np.allclose(f.normal, [0, 0, 1 if phi == 0.0 else -1], atol=1e-12)
-
-
-def test_local_frame_is_global_frame_of_unmoved_body():
-    # both frames come from one kernel: at the origin with zero Euler angles
-    # they must agree, poles included
-    e = Ellipsoid((1.3, 0.5, 0.9), (0, 0, 0), (0, 0, 0))
-    rng = np.random.default_rng(9)
-    params = [SurfaceParam(rng.uniform(0, 2 * PI), rng.uniform(0, PI)) for _ in range(50)]
-    params += [SurfaceParam(0.7, 0.0), SurfaceParam(0.7, PI)]
-    for p in params:
-        loc = surface_frame(e, p, frame="local")
-        glob = surface_frame(e, p, frame="global")
-        assert loc.frame == "local" and glob.frame == "global"
-        for u, v in (
-            (loc.position, glob.position),
-            (loc.normal, glob.normal),
-            (loc.tangent_phi, glob.tangent_phi),
-        ):
-            assert np.max(np.abs(u - v)) <= 1e-15
-        if p.phi in (0.0, PI):
-            assert loc.tangent_theta is None and glob.tangent_theta is None
-        else:
-            assert np.max(np.abs(loc.tangent_theta - glob.tangent_theta)) <= 1e-15
 
 
 def test_frame_unit_and_orthogonal():
@@ -211,7 +188,7 @@ def test_frame_unit_and_orthogonal():
     e = Ellipsoid((1.3, 0.5, 0.9), (1, -2, 0.5), (0.2, -0.6, 1.9))
     for _ in range(100):
         p = SurfaceParam(rng.uniform(0, 2 * PI), rng.uniform(0.05, PI - 0.05))
-        f = surface_frame(e, p, frame="global")
+        f = surface_frame(e, p)
         n = np.asarray(f.normal)
         et = np.asarray(f.tangent_theta)
         ep = np.asarray(f.tangent_phi)
@@ -228,7 +205,7 @@ def test_normal_is_outward():
     a, b, c = e.semi_axes
     for _ in range(100):
         p = SurfaceParam(rng.uniform(0, 2 * PI), rng.uniform(0.05, PI - 0.05))
-        f = surface_frame(e, p, frame="local")
+        f = surface_frame(e, p)
         x, y, z = f.position
         grad = np.array([2 * x / a**2, 2 * y / b**2, 2 * z / c**2])
         assert np.asarray(f.normal) @ grad > 0.0

@@ -249,6 +249,15 @@ def test_contained_body_is_not_a_separated_pair():
         assert solve(e1, e2).status == "overlap"
 
 
+def test_start_below_contact_threshold_is_contact():
+    # the center-line start is already optimal, 1e-7 apart, below sigma =
+    # 1e-6: the contact hand-off precedes the eps_n stop, cold and warm
+    e1, e2 = _spheres(1.0, (0, 0, 0), 1.0, (2 + 1e-7, 0, 0))
+    cold = solve(e1, e2)
+    assert cold.status == "contact" and cold.iterations == 0
+    assert solve(e1, e2, cold.params).status == "contact"
+
+
 def test_concentric_bodies_have_no_center_line_start():
     e1, e2 = _spheres(1.0, (0, 0, 0), 0.5, (0, 0, 0))
     with pytest.raises(NoIntersectionError):
