@@ -110,7 +110,7 @@ def penetration_depth(
     """
     sigma = config.resolve_sigma(e1, e2)
     p1, p2 = entry_params
-    f1, f2, d12, dist = _evaluate(e1, e2, p1, p2)
+    f1, f2, d12, dist = _evaluate(e1, e2, p1.theta, p1.phi, p2.theta, p2.phi)
     lam1 = lam2 = config.lambda0
     toggle = 0
     prev_dist = math.nan
@@ -158,7 +158,7 @@ def penetration_depth(
 
         q1 = advance_param(p1, dth1, dph1)
         q2 = advance_param(p2, dth2, dph2)
-        nf1, nf2, nd12, ndist = _evaluate(e1, e2, q1, q2)
+        nf1, nf2, nd12, ndist = _evaluate(e1, e2, q1.theta, q1.phi, q2.theta, q2.phi)
         prev_dist, prev_push = dist, push
         p1, p2, f1, f2, d12, dist = q1, q2, nf1, nf2, nd12, ndist
 

@@ -54,6 +54,22 @@ def euler_from_rotation(R: np.ndarray) -> tuple[float, float, float]:
     return alpha, beta, gamma
 
 
+def _canonical(theta: float, phi: float) -> tuple[float, float]:
+    """The float kernel of :meth:`SurfaceParam.canonical`."""
+    phi = math.fmod(phi, TWO_PI)
+    if phi < 0.0:
+        phi += TWO_PI
+    if phi > math.pi:
+        phi = TWO_PI - phi
+        theta += math.pi
+    theta = math.fmod(theta, TWO_PI)
+    if theta < 0.0:
+        theta += TWO_PI
+        if theta == TWO_PI:  # -tiny + 2*pi rounds up to 2*pi
+            theta = 0.0
+    return theta, phi
+
+
 @dataclass(frozen=True)
 class SurfaceParam:
     """A (theta, phi) pair locating a point on an ellipsoid surface.
@@ -71,18 +87,7 @@ class SurfaceParam:
         Stepping past a pole reflects phi and shifts theta by pi, which keeps
         the point on the same continuous surface path.
         """
-        phi = math.fmod(phi, TWO_PI)
-        if phi < 0.0:
-            phi += TWO_PI
-        if phi > math.pi:
-            phi = TWO_PI - phi
-            theta += math.pi
-        theta = math.fmod(theta, TWO_PI)
-        if theta < 0.0:
-            theta += TWO_PI
-            if theta == TWO_PI:  # -tiny + 2*pi rounds up to 2*pi
-                theta = 0.0
-        return SurfaceParam(theta, phi)
+        return SurfaceParam(*_canonical(theta, phi))
 
     def is_canonical(self) -> bool:
         return 0.0 <= self.theta < TWO_PI and 0.0 <= self.phi <= math.pi
@@ -128,8 +133,8 @@ class Ellipsoid:
         object.__setattr__(self, "semi_axes", axes)
         object.__setattr__(self, "center", ctr)
         object.__setattr__(self, "euler", ang)
-        R = rotation_matrix(*ang)
-        object.__setattr__(self, "_rows", tuple(tuple(row) for row in R))
+        # plain floats, not numpy scalars: the frame kernel multiplies them
+        object.__setattr__(self, "_rows", tuple(map(tuple, rotation_matrix(*ang).tolist())))
 
     @property
     def rotation(self) -> np.ndarray:
@@ -150,24 +155,6 @@ def _local_point(a, b, c, theta, phi):
     return a * sp * ct, b * sp * st, c * cp
 
 
-def _rotate(rows, v):
-    x, y, z = v
-    r0, r1, r2 = rows
-    return (
-        r0[0] * x + r0[1] * y + r0[2] * z,
-        r1[0] * x + r1[1] * y + r1[2] * z,
-        r2[0] * x + r2[1] * y + r2[2] * z,
-    )
-
-
-def _norm3(v):
-    return math.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
-
-
-def _unit3(v, n):
-    return (v[0] / n, v[1] / n, v[2] / n)
-
-
 def _frame_fast(e: Ellipsoid, theta: float, phi: float):
     """Global-frame (position, normal, tangent_theta-or-None, tangent_phi)
     as plain float triples. Hot path shared by the solver and the public
@@ -175,27 +162,47 @@ def _frame_fast(e: Ellipsoid, theta: float, phi: float):
     a, b, c = e.semi_axes
     sp, cp = math.sin(phi), math.cos(phi)
     st, ct = math.sin(theta), math.cos(theta)
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = e._rows
 
-    p_loc = (a * sp * ct, b * sp * st, c * cp)
-    n_loc = (b * c * sp * ct, a * c * sp * st, a * b * cp)
-    rt_loc = (-a * sp * st, b * sp * ct, 0.0)
-    rp_loc = (a * cp * ct, b * cp * st, -c * sp)
+    # body-frame position, normal and tangents; the last three made unit.
+    # The theta tangent's zero z stays in the sums, so that every product
+    # rounds (signed zeros included) as in a full 3x3 rotation.
+    px, py, pz = a * sp * ct, b * sp * st, c * cp
+    nx, ny, nz = b * c * sp * ct, a * c * sp * st, a * b * cp
+    n = math.sqrt(nx * nx + ny * ny + nz * nz)
+    nx, ny, nz = nx / n, ny / n, nz / n
+    tx, ty, tz = -a * sp * st, b * sp * ct, 0.0
+    t = math.sqrt(tx * tx + ty * ty + tz * tz)
+    qx, qy, qz = a * cp * ct, b * cp * st, -c * sp
+    q = math.sqrt(qx * qx + qy * qy + qz * qz)
+    qx, qy, qz = qx / q, qy / q, qz / q
 
-    n_loc = _unit3(n_loc, _norm3(n_loc))
-    rt_norm = _norm3(rt_loc)
-    et_loc = None if rt_norm < POLE_TOL * max(a, b) else _unit3(rt_loc, rt_norm)
-    ep_loc = _unit3(rp_loc, _norm3(rp_loc))
-
-    rows = e._rows
     cx, cy, cz = e.center
-    px, py, pz = _rotate(rows, p_loc)
-    pos = (px + cx, py + cy, pz + cz)
-    return (
-        pos,
-        _rotate(rows, n_loc),
-        None if et_loc is None else _rotate(rows, et_loc),
-        _rotate(rows, ep_loc),
+    pos = (
+        (r00 * px + r01 * py + r02 * pz) + cx,
+        (r10 * px + r11 * py + r12 * pz) + cy,
+        (r20 * px + r21 * py + r22 * pz) + cz,
     )
+    normal = (
+        r00 * nx + r01 * ny + r02 * nz,
+        r10 * nx + r11 * ny + r12 * nz,
+        r20 * nx + r21 * ny + r22 * nz,
+    )
+    if t < POLE_TOL * max(a, b):
+        et = None
+    else:
+        tx, ty, tz = tx / t, ty / t, tz / t
+        et = (
+            r00 * tx + r01 * ty + r02 * tz,
+            r10 * tx + r11 * ty + r12 * tz,
+            r20 * tx + r21 * ty + r22 * tz,
+        )
+    ep = (
+        r00 * qx + r01 * qy + r02 * qz,
+        r10 * qx + r11 * qy + r12 * qz,
+        r20 * qx + r21 * qy + r22 * qz,
+    )
+    return pos, normal, et, ep
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from .geometry import (
     SurfaceFrame,
     NoIntersectionError,
     SurfaceParam,
+    _canonical,
     _frame_fast,
     implicit_value,
     line_surface_entry,
@@ -170,6 +171,26 @@ def advance_param(p: SurfaceParam, d_theta: float, d_phi: float) -> SurfaceParam
     return SurfaceParam.canonical(p.theta + d_theta, p.phi + d_phi)
 
 
+def _metrics(dist, d_1, d_2, d12, n1, n2, lam1, lam2):
+    """(eps_d, eps_n, eps_lambda) of witnesses at distance ``dist`` apart,
+    joined by ``d12``, with normals ``n1`` and ``n2``. ``d_1`` is the
+    distance one step back and ``d_2`` the one before it, each NaN while it
+    does not exist yet. Coincident witnesses (``dist`` zero) give no
+    direction to compare: their eps_d and eps_n are NaN."""
+    if dist == 0.0:
+        return (None if math.isnan(d_1) else math.nan), math.nan, max(lam1, lam2)
+    eps_d = None
+    if not math.isnan(d_1):
+        change = abs(dist - d_1)
+        if not math.isnan(d_2):
+            change = max(change, abs(d_1 - d_2))
+        eps_d = change / dist
+    dx, dy, dz = d12
+    dot1 = (dx * n1[0] + dy * n1[1] + dz * n1[2]) / dist
+    dot2 = (dx * n2[0] + dy * n2[1] + dz * n2[2]) / dist
+    return eps_d, max(1.0 - dot1, 1.0 + dot2), max(lam1, lam2)
+
+
 def convergence_metrics(
     state: SolverState, prev_state: SolverState | None = None
 ) -> tuple[float | None, float, float]:
@@ -179,24 +200,16 @@ def convergence_metrics(
     exists, and given ``prev_state`` the larger of the last two one-step
     changes, so two values of an oscillation that happen to agree do not
     read as a distance that has stopped changing. eps_n is the worse of the
-    two normal/segment misalignments; eps_lambda the larger step.
+    two normal/segment misalignments; eps_lambda the larger step. Both are
+    NaN when the witnesses coincide.
     """
-    prev_d = prev_state.distance if prev_state is not None else state.prev_distance
-    if math.isnan(prev_d):
-        eps_d = None
+    if prev_state is None:
+        d_1, d_2 = state.prev_distance, math.nan
     else:
-        change = abs(state.distance - prev_d)
-        if prev_state is not None and not math.isnan(prev_state.prev_distance):
-            change = max(change, abs(prev_d - prev_state.prev_distance))
-        eps_d = change / state.distance
-    dx, dy, dz = state.d12
-    dist = state.distance
+        d_1, d_2 = prev_state.distance, prev_state.prev_distance
     f1, f2 = state.frames
-    n1, n2 = f1[1], f2[1]
-    dot1 = (dx * n1[0] + dy * n1[1] + dz * n1[2]) / dist
-    dot2 = (dx * n2[0] + dy * n2[1] + dz * n2[2]) / dist
-    eps_n = max(1.0 - dot1, 1.0 + dot2)
-    return eps_d, eps_n, max(state.lambdas)
+    lam1, lam2 = state.lambdas
+    return _metrics(state.distance, d_1, d_2, state.d12, f1[1], f2[1], lam1, lam2)
 
 
 def _halved(lam1: float, lam2: float, toggle: int) -> tuple[float, float, int]:
@@ -245,44 +258,43 @@ def _chart(e: Ellipsoid, shift: int) -> _Chart:
     )
 
 
-def _unit_point(p: SurfaceParam, shift: int) -> list[float]:
+def _unit_point(theta: float, phi: float, shift: int) -> list[float]:
     """Body-axis unit coordinates (x/a, y/b, z/c) of a point given by its
     parameters in the chart with ``shift``."""
-    sp = math.sin(p.phi)
-    w = (sp * math.cos(p.theta), sp * math.sin(p.theta), math.cos(p.phi))
+    sp = math.sin(phi)
+    w = (sp * math.cos(theta), sp * math.sin(theta), math.cos(phi))
     return [w[(i - shift) % 3] for i in range(3)]
 
 
-def _param_in_chart(u, shift: int) -> SurfaceParam:
-    """Canonical parameters, in the chart with ``shift``, of the point with
-    body-axis unit coordinates ``u``."""
+def _param_in_chart(u, shift: int) -> tuple[float, float]:
+    """Canonical (theta, phi), in the chart with ``shift``, of the point
+    with body-axis unit coordinates ``u``."""
     x, y, z = (u[(shift + j) % 3] for j in range(3))
-    return SurfaceParam.canonical(math.atan2(y, x), math.atan2(math.hypot(x, y), z))
+    return _canonical(math.atan2(y, x), math.atan2(math.hypot(x, y), z))
 
 
-def _near_pole(p: SurfaceParam) -> bool:
-    return p.phi < CHART_POLE_MARGIN or p.phi > math.pi - CHART_POLE_MARGIN
+def _near_pole(phi: float) -> bool:
+    return phi < CHART_POLE_MARGIN or phi > math.pi - CHART_POLE_MARGIN
 
 
-def _recharted(state: SolverState, charts, bodies):
-    """Move every witness that sits near a pole of its chart to the chart
-    whose poles are farthest from it; re-evaluate the state there."""
-    charts = list(charts)
-    params = list(state.params)
+def _recharted(charts, bodies, params):
+    """Move every witness (theta, phi) in ``params`` that sits near a pole
+    of its chart to the chart whose poles are farthest from it."""
+    charts, params = list(charts), list(params)
     for i in (0, 1):
-        if _near_pole(params[i]):
-            u = _unit_point(params[i], charts[i].shift)
+        theta, phi = params[i]
+        if _near_pole(phi):
+            u = _unit_point(theta, phi, charts[i].shift)
             axis = min(range(3), key=lambda j: abs(u[j]))
             charts[i] = _chart(bodies[i], (axis + 1) % 3)
             params[i] = _param_in_chart(u, charts[i].shift)
-    f1, f2, d12, dist = _evaluate(charts[0], charts[1], params[0], params[1])
-    state = replace(state, params=tuple(params), d12=d12, distance=dist, frames=(f1, f2))
-    return state, tuple(charts)
+    return tuple(charts), params
 
 
 def _canonical_params(params, charts) -> tuple[SurfaceParam, SurfaceParam]:
     return tuple(
-        p if c.shift == 0 else _param_in_chart(_unit_point(p, c.shift), 0)
+        p if c.shift == 0
+        else SurfaceParam(*_param_in_chart(_unit_point(p.theta, p.phi, c.shift), 0))
         for p, c in zip(params, charts)
     )
 
@@ -290,9 +302,11 @@ def _canonical_params(params, charts) -> tuple[SurfaceParam, SurfaceParam]:
 # ---------------------------------------------------------------------------
 # iteration engine
 
-def _evaluate(e1, e2, p1: SurfaceParam, p2: SurfaceParam):
-    f1 = _frame_fast(e1, p1.theta, p1.phi)
-    f2 = _frame_fast(e2, p2.theta, p2.phi)
+def _evaluate(e1, e2, t1: float, h1: float, t2: float, h2: float):
+    """Both witnesses' frames at (theta, phi) = (t1, h1) and (t2, h2), the
+    segment from the first point to the second, and its length."""
+    f1 = _frame_fast(e1, t1, h1)
+    f2 = _frame_fast(e2, t2, h2)
     P1, P2 = f1[0], f2[0]
     d12 = (P2[0] - P1[0], P2[1] - P1[1], P2[2] - P1[2])
     dist = math.sqrt(d12[0] ** 2 + d12[1] ** 2 + d12[2] ** 2)
@@ -334,7 +348,7 @@ def initial_state(
         p1, p2 = init
         if not (p1.is_canonical() and p2.is_canonical()):
             raise ValueError("initial surface parameters must be canonical")
-    f1, f2, d12, dist = _evaluate(e1, e2, p1, p2)
+    f1, f2, d12, dist = _evaluate(e1, e2, p1.theta, p1.phi, p2.theta, p2.phi)
     return SolverState(
         k=0,
         params=(p1, p2),
@@ -347,6 +361,37 @@ def initial_state(
     )
 
 
+def _round(c1, c2, t1, h1, t2, h2, f1, f2, d12, dist, lam1, lam2, toggle, revert):
+    """One round from the iteration-k witnesses (t1, h1) on ``c1`` and
+    (t2, h2) on ``c2``: project the tension at both points, scale the
+    steps to the lambdas, advance both parameter pairs simultaneously and
+    re-evaluate. When the distance grows, ``revert`` halves a step and
+    retries (down to LAMBDA_FLOOR); otherwise the step stands and a lambda
+    is halved for the next round. Returns the new (t1, h1, t2, h2, f1, f2,
+    d12, dist, lam1, lam2, toggle, overshoot); a stationary pair, whose
+    tension has no tangential component anywhere, comes back unchanged."""
+    guard = ZERO_PROJECTION_FACTOR * dist
+    # a retry changes only the lambdas, not the frames or the segment
+    th1, ph1 = _project(f1, d12)
+    th2, ph2 = _project(f2, (-d12[0], -d12[1], -d12[2]))
+    l1, l2, tog = lam1, lam2, toggle
+    while True:
+        dth1, dph1 = step_increments(th1, ph1, l1, guard)
+        dth2, dph2 = step_increments(th2, ph2, l2, guard)
+        if dth1 == 0.0 and dph1 == 0.0 and dth2 == 0.0 and dph2 == 0.0:
+            return t1, h1, t2, h2, f1, f2, d12, dist, lam1, lam2, toggle, False
+        u1, v1 = _canonical(t1 + dth1, h1 + dph1)
+        u2, v2 = _canonical(t2 + dth2, h2 + dph2)
+        g1, g2, nd12, ndist = _evaluate(c1, c2, u1, v1, u2, v2)
+        if ndist > dist and revert and max(l1, l2) > LAMBDA_FLOOR:
+            l1, l2, tog = _halved(l1, l2, tog)
+            continue
+        overshoot = ndist > dist and not revert
+        if overshoot:
+            l1, l2, tog = _halved(l1, l2, tog)
+        return u1, v1, u2, v2, g1, g2, nd12, ndist, l1, l2, tog, overshoot
+
+
 def iterate_once(
     state: SolverState,
     config: SolverConfig,
@@ -354,45 +399,26 @@ def iterate_once(
 ) -> SolverState:
     """One full round: project the tension at both iteration-k points,
     advance both parameter pairs simultaneously, re-evaluate, and apply the
-    overshoot schedule."""
+    overshoot schedule. A step-at-a-time view of the round ``solve`` runs."""
     e1, e2 = ellipsoids
     p1, p2 = state.params
     f1, f2 = state.frames
-    d12 = state.d12
-    dist = state.distance
     lam1, lam2 = state.lambdas
-    toggle = state.halve_toggle
-    guard = ZERO_PROJECTION_FACTOR * dist
-    revert = config.overshoot_mode == "revert-and-retry"
-    # a retry changes only the lambdas, not the frames or the segment
-    th1, ph1 = _project(f1, d12)
-    th2, ph2 = _project(f2, (-d12[0], -d12[1], -d12[2]))
-
-    while True:
-        dth1, dph1 = step_increments(th1, ph1, lam1, guard)
-        dth2, dph2 = step_increments(th2, ph2, lam2, guard)
-        if dth1 == 0.0 and dph1 == 0.0 and dth2 == 0.0 and dph2 == 0.0:
-            # stationary: tension has no tangential component anywhere
-            return replace(state, k=state.k + 1, prev_distance=dist, overshoot=False)
-        q1 = advance_param(p1, dth1, dph1)
-        q2 = advance_param(p2, dth2, dph2)
-        g1, g2, nd12, ndist = _evaluate(e1, e2, q1, q2)
-        if ndist > dist and revert and max(lam1, lam2) > LAMBDA_FLOOR:
-            lam1, lam2, toggle = _halved(lam1, lam2, toggle)
-            continue
-        new = SolverState(
-            k=state.k + 1,
-            params=(q1, q2),
-            d12=nd12,
-            distance=ndist,
-            lambdas=(lam1, lam2),
-            prev_distance=dist,
-            halve_toggle=toggle,
-            frames=(g1, g2),
-        )
-        if not revert:
-            new = apply_overshoot_schedule(new, config)
-        return new
+    t1, h1, t2, h2, f1, f2, d12, dist, lam1, lam2, toggle, overshoot = _round(
+        e1, e2, p1.theta, p1.phi, p2.theta, p2.phi, f1, f2, state.d12, state.distance,
+        lam1, lam2, state.halve_toggle, config.overshoot_mode == "revert-and-retry",
+    )
+    return SolverState(
+        k=state.k + 1,
+        params=(SurfaceParam(t1, h1), SurfaceParam(t2, h2)),
+        d12=d12,
+        distance=dist,
+        lambdas=(lam1, lam2),
+        prev_distance=state.distance,
+        halve_toggle=toggle,
+        frames=(f1, f2),
+        overshoot=overshoot,
+    )
 
 
 def solve(
@@ -437,36 +463,60 @@ def solve(
     if eps[1] < config.tol_n:
         return _result("converged", state, charts, eps, trace, ("eps_n",))
 
+    # the loop runs on plain locals; a SolverState is built only to hand
+    # over to the trace, the contact classifier and the result
+    (p1, p2), (f1, f2) = state.params, state.frames
+    t1, h1, t2, h2 = p1.theta, p1.phi, p2.theta, p2.phi
+    d12, dist = state.d12, state.distance
+    lam1, lam2 = state.lambdas
+    toggle, overshoot = state.halve_toggle, False
+    d_1 = state.prev_distance  # the distance one step back; d_2 two steps
+    c1, c2 = charts
+    revert = config.overshoot_mode == "revert-and-retry"
+    tol_d, tol_n, tol_lambda = config.tol_d, config.tol_n, config.tol_lambda
     status = "max-iter"
     criteria: tuple[str, ...] = ()
-    for _ in range(config.max_iter):
-        p1, p2 = state.params
-        if _near_pole(p1) or _near_pole(p2):
-            state, charts = _recharted(state, charts, bodies)
-        prev = state
-        state = iterate_once(prev, config, charts)
-        eps = convergence_metrics(state, prev)
-        if trace is not None:
-            eps_d = eps[0] if eps[0] is not None else math.nan
-            trace.append(_step_record(state, charts, eps_d, eps[1]))
-        contact = _contact_status(state, e1, e2, sigma)
-        if contact is not None:
-            status = contact
-            break
+    for k in range(1, config.max_iter + 1):
+        if _near_pole(h1) or _near_pole(h2):
+            charts, ((t1, h1), (t2, h2)) = _recharted(charts, bodies, ((t1, h1), (t2, h2)))
+            c1, c2 = charts
+            f1, f2, d12, dist = _evaluate(c1, c2, t1, h1, t2, h2)
+        d_2, d_1 = d_1, dist
+        t1, h1, t2, h2, f1, f2, d12, dist, lam1, lam2, toggle, overshoot = _round(
+            c1, c2, t1, h1, t2, h2, f1, f2, d12, dist, lam1, lam2, toggle, revert
+        )
+        eps = _metrics(dist, d_1, d_2, d12, f1[1], f2[1], lam1, lam2)
+        if trace is not None or dist < sigma:
+            state = SolverState(
+                k, (SurfaceParam(t1, h1), SurfaceParam(t2, h2)), d12, dist,
+                (lam1, lam2), d_1, toggle, (f1, f2), overshoot,
+            )
+            if trace is not None:
+                eps_d = eps[0] if eps[0] is not None else math.nan
+                trace.append(_step_record(state, charts, eps_d, eps[1]))
+            contact = _contact_status(state, e1, e2, sigma)
+            if contact is not None:
+                status = contact
+                break
+        eps_d, eps_n, eps_lambda = eps
         met = []
-        if eps[0] is not None and eps[0] < config.tol_d:
+        if eps_d is not None and eps_d < tol_d:
             met.append("eps_d")
-        if eps[1] < config.tol_n:
+        if eps_n < tol_n:
             met.append("eps_n")
-        if eps[2] < config.tol_lambda:
+        if eps_lambda < tol_lambda:
             met.append("eps_lambda")
         if met:
             status = "converged"
             criteria = tuple(met)
             break
-        if max(state.lambdas) < LAMBDA_FLOOR:
+        if eps_lambda < LAMBDA_FLOOR:
             status = "lambda-floor"
             break
+    state = SolverState(
+        k, (SurfaceParam(t1, h1), SurfaceParam(t2, h2)), d12, dist,
+        (lam1, lam2), d_1, toggle, (f1, f2), overshoot,
+    )
     return _result(status, state, charts, eps, trace, criteria)
 
 

@@ -6,7 +6,7 @@ import math
 import pytest
 
 from surfslide.cli import main
-from surfslide.scenarios import builtin_scenario, scenario_to_dict
+from surfslide.scenarios import builtin_scenario, load_scenario, scenario_to_dict
 from surfslide.slider import SolverConfig, solve
 
 PI = math.pi
@@ -140,6 +140,24 @@ def test_solve_tangent_spheres_exit_contact(gap, tmp_path, capsys):
     record = json.loads(capsys.readouterr().out)
     assert record["contact_kind"] == "in-contact"
     assert abs(record["contact_value"]) < 1e-6
+
+
+@pytest.mark.filterwarnings("error")
+def test_coincident_start_witnesses_are_contact(tmp_path, capsys):
+    # the center-line start puts both witnesses on the same point, 0 apart:
+    # contact, with nothing divided by the zero distance
+    doc = {
+        "name": "coincident",
+        "e1": {"semi_axes": [0.5, 0.5, 0.5], "center": [0, 0, 0], "euler": [0, 0, 0]},
+        "e2": {"semi_axes": [0.5, 0.5, 0.5], "center": [0, 1, 0], "euler": [PI, 0, 0]},
+    }
+    path = tmp_path / "coincident.json"
+    path.write_text(json.dumps(doc))
+    sc = load_scenario(str(path))
+    res = solve(sc.e1, sc.e2)
+    assert res.status == "contact" and res.distance == 0.0
+    assert main(["solve", str(path)]) == 6
+    assert json.loads(capsys.readouterr().out)["contact_kind"] == "in-contact"
 
 
 def test_solve_concentric_pair_is_input_error(tmp_path, capsys):

@@ -133,6 +133,14 @@ def test_metrics_perfect_alignment_gives_zero_eps_n():
     assert eps_n < 1e-12
 
 
+def test_metrics_coincident_witnesses_are_nan_without_dividing():
+    s = _state_for_metrics(prev_distance=1.0, distance=0.0)
+    eps_d, eps_n, _ = convergence_metrics(s)
+    assert math.isnan(eps_d) and math.isnan(eps_n)
+    eps_d, eps_n, _ = convergence_metrics(_state_for_metrics(distance=0.0))
+    assert eps_d is None and math.isnan(eps_n)
+
+
 def test_metrics_eps_lambda_is_max():
     s = _state_for_metrics(lambdas=(0.05, 0.00625))
     _, _, eps_l = convergence_metrics(s)
@@ -176,6 +184,47 @@ def test_iterate_once_decreases_system_i_distance():
     s0 = initial_state(sc.e1, sc.e2, sc.init, cfg)
     s1 = iterate_once(s0, cfg, (sc.e1, sc.e2))
     assert s1.distance < s0.distance
+
+
+def _bits(*values):
+    return tuple(math.nan.hex() if v is None else float(v).hex() for v in values)
+
+
+@pytest.mark.parametrize("mode", ["accept-and-continue", "revert-and-retry"])
+def test_step_views_reproduce_the_solve_trace(mode):
+    # iterate_once and convergence_metrics are views of the kernels solve
+    # loops on: driven by hand they give its trace rows bit for bit
+    rng = np.random.default_rng(2024)
+    cfg = SolverConfig(overshoot_mode=mode, record_trace=True)
+    checked = 0
+    while checked < 10:
+        e1, e2 = random_separated_pair(rng)
+        res = solve(e1, e2, None, cfg)
+        phis = [r.phi1 for r in res.trace] + [r.phi2 for r in res.trace]
+        if min(min(phi, PI - phi) for phi in phis) < CHART_POLE_MARGIN:
+            continue  # a re-charted path is not a plain chain of rounds
+        checked += 1
+        state, prev = initial_state(e1, e2, None, cfg), None
+        for row in res.trace:
+            eps_d, eps_n, _ = convergence_metrics(state, prev)
+            p1, p2 = state.params
+            assert (state.k, state.overshoot) == (row.k, row.overshoot_flag)
+            assert _bits(
+                p1.theta, p1.phi, p2.theta, p2.phi, state.distance,
+                *state.lambdas, eps_d, eps_n,
+            ) == _bits(
+                row.theta1, row.phi1, row.theta2, row.phi2, row.distance,
+                row.lambda1, row.lambda2, row.eps_d, row.eps_n,
+            ), f"step {row.k}"
+            state, prev = iterate_once(state, cfg, (e1, e2)), state
+
+
+def test_results_and_rows_hold_plain_floats():
+    e1, e2 = random_separated_pair(np.random.default_rng(2024))
+    assert all(type(v) is float for row in e1._rows for v in row)
+    res = solve(e1, e2, config=SolverConfig(record_trace=True))
+    assert all(type(v) is float for v in res.final_eps)
+    assert all(type(r.eps_n) is float for r in res.trace)
 
 
 def test_revert_mode_distance_is_monotone():
