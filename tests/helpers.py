@@ -39,3 +39,17 @@ def random_separated_pair(rng, lo=0.02, hi=2.0, max_aspect=30.0):
 
 def random_param(rng) -> SurfaceParam:
     return SurfaceParam(rng.uniform(0.0, 2.0 * PI), rng.uniform(0.0, PI))
+
+
+def random_overlap_pair(rng, frac):
+    """Semi-axes log-uniform in [0.2, 1], aspect ratio at most 5, both
+    bodies centered at the origin; then e2's center moves to
+    frac * (max a1 + max a2) in a random direction. Small fracs put one
+    center inside the other body. The benchmark's overlap-analyze workload
+    draws its pairs with the same recipe and RNG calls."""
+    e1 = random_ellipsoid(rng, lo=0.2, hi=1.0, max_aspect=5.0)
+    e2 = random_ellipsoid(rng, lo=0.2, hi=1.0, max_aspect=5.0)
+    u = rng.normal(size=3)
+    u /= np.linalg.norm(u)
+    c2 = frac * (max(e1.semi_axes) + max(e2.semi_axes)) * u
+    return e1, Ellipsoid(e2.semi_axes, tuple(c2), e2.euler)

@@ -1,12 +1,15 @@
 """Byte-identity of the builtin scenarios' trace CSVs and of the random
-set's answers.
+and overlap sets' answers.
 
 ``tests/golden/<name>.csv`` holds the output of
 ``surfslide solve <name> --trace tests/golden/<name>.csv`` (default mode).
 ``tests/golden/random-2024.txt`` fingerprints the 200 random separated
 pairs of seed 2024 in both overshoot modes, each solve followed by a warm
-re-solve from its own params;
-``PYTHONPATH=src python tests/test_golden.py`` rewrites it.
+re-solve from its own params. ``tests/golden/overlap-2024.txt``
+fingerprints ``contact.analyze`` on 60 overlapping pairs of seed 2024
+(the benchmark's overlap-analyze recipe, fracs cycling 0.3/0.6/0.9);
+it pins today's verdicts, the wrong ones included.
+``PYTHONPATH=src python tests/test_golden.py`` rewrites both.
 A change meant to keep every answer must leave these files matching; a
 change that moves answers regenerates them and lists what moved.
 """
@@ -16,13 +19,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import random_separated_pair
+from helpers import random_overlap_pair, random_separated_pair
 from surfslide.cli import main
+from surfslide.contact import analyze
 from surfslide.scenarios import builtin_scenarios
 from surfslide.slider import SolverConfig, solve
 
 GOLDEN = Path(__file__).parent / "golden"
 RANDOM_SET = GOLDEN / "random-2024.txt"
+OVERLAP_SET = GOLDEN / "overlap-2024.txt"
+OVERLAP_FRACS = (0.3, 0.6, 0.9)
 
 
 @pytest.mark.parametrize("name", [sc.name for sc in builtin_scenarios()])
@@ -80,5 +86,36 @@ def test_random_set_matches_golden():
     assert len(got) == len(want), f"{len(got)} solves, golden {len(want)}"
 
 
+
+def overlap_set_fingerprint() -> list[str]:
+    """One line per ``contact.analyze`` call: case, frac, then the report's
+    kind, depth and witness params as ``float.hex``, or the name of the
+    exception it raised."""
+    rng = np.random.default_rng(2024)
+    lines = []
+    for case in range(60):
+        frac = OVERLAP_FRACS[case % len(OVERLAP_FRACS)]
+        e1, e2 = random_overlap_pair(rng, frac)
+        head = f"{case:03d} {frac}"
+        try:
+            rep = analyze(e1, e2)
+        except Exception as exc:
+            lines.append(f"{head} {type(exc).__name__}")
+            continue
+        p1, p2 = rep.witness_params
+        values = (rep.distance_or_depth, p1.theta, p1.phi, p2.theta, p2.phi)
+        lines.append(" ".join([head, rep.kind, *(v.hex() for v in values)]))
+    return lines
+
+
+def test_overlap_set_matches_golden():
+    got = overlap_set_fingerprint()
+    want = OVERLAP_SET.read_text().splitlines()
+    for g, w in zip(got, want):
+        assert g == w, f"overlap-2024.txt differs:\n  got  {g}\n  want {w}"
+    assert len(got) == len(want), f"{len(got)} reports, golden {len(want)}"
+
+
 if __name__ == "__main__":
     RANDOM_SET.write_text("\n".join(random_set_fingerprint()) + "\n")
+    OVERLAP_SET.write_text("\n".join(overlap_set_fingerprint()) + "\n")
