@@ -24,6 +24,7 @@ continuation), 3 lambda-floor, 4 input error, 5 overlap during bench,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import random
@@ -135,7 +136,10 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mode", choices=("accept", "revert"), default=None)
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument parser, built once per process: parse_args fills a new
+    namespace on every call, so no flag carries over between calls."""
     parser = _Parser(prog="surfslide", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -253,10 +253,22 @@ def surface_frame(e: Ellipsoid, p: SurfaceParam) -> SurfaceFrame:
 
 def implicit_value(e: Ellipsoid, X_global) -> float:
     """(x/a)^2 + (y/b)^2 + (z/c)^2 - 1 for the local coordinates of the
-    point: negative inside, zero on the surface, positive outside."""
+    point: negative inside, zero on the surface, positive outside.
+
+    Plain floats over the cached rotation rows, so ``X_global`` may be any
+    3-sequence of numbers. Squares are products, not powers: a point so far
+    out that one overflows gives ``inf``, and a NaN coordinate gives NaN.
+    """
     a, b, c = e.semi_axes
-    x, y, z = to_local_point(e, X_global)
-    return (x / a) ** 2 + (y / b) ** 2 + (z / c) ** 2 - 1.0
+    cx, cy, cz = e.center
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = e._rows
+    X, Y, Z = X_global
+    dx, dy, dz = float(X) - cx, float(Y) - cy, float(Z) - cz
+    # rotate back into the body frame with the transposed rows
+    x = (r00 * dx + r10 * dy + r20 * dz) / a
+    y = (r01 * dx + r11 * dy + r21 * dz) / b
+    z = (r02 * dx + r12 * dy + r22 * dz) / c
+    return x * x + y * y + z * z - 1.0
 
 
 def param_from_local_point(e: Ellipsoid, x_local) -> SurfaceParam:

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from surfslide.cli import main
+from surfslide.cli import build_parser, main
 from surfslide.scenarios import builtin_scenario, load_scenario, scenario_to_dict
 from surfslide.slider import SolverConfig, solve
 
@@ -109,6 +109,16 @@ def test_solve_revert_mode_trace_is_monotone(tmp_path, capsys):
     sc = builtin_scenario("system-I")
     config = SolverConfig(lambda0=0.05, overshoot_mode="revert-and-retry")
     assert record["iterations"] == solve(sc.e1, sc.e2, sc.init, config).iterations
+
+
+def test_parser_is_reused_without_leaking_flags(capsys):
+    # main parses with one parser per process; a flag given in one call
+    # must not carry over into the next
+    assert build_parser() is build_parser()
+    assert main(["solve", "system-I", "--mode", "revert"]) == 0
+    assert json.loads(capsys.readouterr().out)["iterations"] == 102
+    assert main(["solve", "system-I"]) == 0
+    assert json.loads(capsys.readouterr().out)["iterations"] == 133
 
 
 def test_solve_flags_override_scenario_keys(tmp_path, capsys):

@@ -224,6 +224,10 @@ def test_implicit_value_examples():
     assert math.isclose(implicit_value(e, e.center), -1.0, abs_tol=1e-15)
     P = surface_point_global(e, SurfaceParam(2.3, 1.1))
     assert abs(implicit_value(e, P)) < 1e-12
+    # past overflow the value is inf, with no warning and no OverflowError
+    for X in ((1e200, 0, 0), [0.0, -1e300, 1e300], np.array([1e160, 1e160, 0.0])):
+        assert implicit_value(e, X) == math.inf
+    assert math.isnan(implicit_value(e, (math.nan, 0.0, 0.0)))
 
 
 # ---------------------------------------------------------------------------

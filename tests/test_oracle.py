@@ -148,11 +148,11 @@ def test_foot_point_solve_raises_at_pass_cap(monkeypatch):
         oracle_min_distance(e, Ellipsoid((1, 1, 1), (5, 0, 0), (0, 0, 0)))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_point_projection_rejects_non_finite_points():
+    # 1e200 out, the implicit value overflows to inf, which is rejected
     e = Ellipsoid((1.2, 0.5, 0.8), (0, 0, 0), (0, 0, 0))
-    for Q in ([math.nan, 3.0, 0.0], [math.inf, 0.0, 0.0]):
-        with pytest.raises(ValueError):
+    for Q in ([math.nan, 3.0, 0.0], [math.inf, 0.0, 0.0], [1e200, 0.0, 0.0]):
+        with pytest.raises(ValueError, match="not a finite point"):
             point_to_ellipsoid(e, Q)
 
 

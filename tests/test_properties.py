@@ -50,6 +50,30 @@ def run_on_surface_closure(n=1000, seed=101):
         assert abs(val) < 1e-12, f"case {case}: implicit value {val:.3e}"
 
 
+def run_implicit_value_matches_array_formula(n=2000, seed=109):
+    """The float kernel against the array formula
+    sum(((R^T (X - c)) / axes)^2) - 1: within 16 ulp of 1 + |v|, the same
+    sign wherever |v| > 1e-12, and the same value for a tuple, a list and
+    an ndarray. Points lie in the body's bounding box or near its surface."""
+    rng = np.random.default_rng(seed)
+    for case in range(n):
+        e = random_ellipsoid(rng, center_box=2.0)
+        if case % 2:
+            X = np.asarray(e.center) + rng.uniform(-1.5, 1.5, 3) * e.max_semi_axis
+        else:
+            P = to_global_point(e, surface_point_local(e, random_param(rng)))
+            X = np.asarray(e.center) + (P - np.asarray(e.center)) * rng.uniform(0.99, 1.01)
+        v = implicit_value(e, X)
+        local = e.rotation.T @ (X - np.asarray(e.center))
+        ref = float(np.sum((local / np.asarray(e.semi_axes)) ** 2) - 1.0)
+        ulps = abs(v - ref) / math.ulp(1.0 + abs(ref))
+        assert ulps <= 16.0, f"case {case}: {v!r} vs {ref!r}, {ulps:.1f} ulp"
+        if abs(ref) > 1e-12:
+            assert (v < 0.0) == (ref < 0.0), f"case {case}: sign of {v!r} vs {ref!r}"
+        same = (implicit_value(e, tuple(X.tolist())), implicit_value(e, X.tolist()))
+        assert same == (v, v), f"case {case}: {same} vs {v!r} by sequence type"
+
+
 def run_frame_orthogonality(n=500, seed=102):
     rng = np.random.default_rng(seed)
     done = 0
@@ -287,6 +311,10 @@ def run_warm_start_idempotence(n=500, seed=108):
 
 def test_on_surface_closure(property_outcome):
     property_outcome(run_on_surface_closure)
+
+
+def test_implicit_value_matches_array_formula(property_outcome):
+    property_outcome(run_implicit_value_matches_array_formula)
 
 
 def test_frame_orthogonality(property_outcome):
