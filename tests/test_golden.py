@@ -9,11 +9,14 @@ re-solve from its own params. ``tests/golden/overlap-2024.txt``
 fingerprints ``contact.analyze`` on 60 overlapping pairs of seed 2024
 (the benchmark's overlap-analyze recipe, fracs cycling 0.3/0.6/0.9);
 it pins today's verdicts, the wrong ones included.
-``PYTHONPATH=src python tests/test_golden.py`` rewrites both.
+``PYTHONPATH=src python tests/test_golden.py`` rewrites all of them and
+prints, per file, how far the answers moved (see ``move_summary``).
 A change meant to keep every answer must leave these files matching; a
 change that moves answers regenerates them and lists what moved.
 """
 
+import contextlib
+import io
 from pathlib import Path
 
 import numpy as np
@@ -86,7 +89,6 @@ def test_random_set_matches_golden():
     assert len(got) == len(want), f"{len(got)} solves, golden {len(want)}"
 
 
-
 def overlap_set_fingerprint() -> list[str]:
     """One line per ``contact.analyze`` call: case, frac, then the report's
     kind, depth and witness params as ``float.hex``, or the name of the
@@ -116,6 +118,60 @@ def test_overlap_set_matches_golden():
     assert len(got) == len(want), f"{len(got)} reports, golden {len(want)}"
 
 
+def _answers(name: str, lines: list[str]) -> dict:
+    """Per line of a golden file: key -> (line, status or kind, iterations,
+    distance). A trace CSV row has no status, and its file's iteration
+    count is its row count."""
+    out = {}
+    for line in lines:
+        if name.endswith(".csv"):
+            f = line.split(",")
+            if f[0] != "k":
+                out[f[0]] = (line, None, None, float(f[5]))
+        elif name == RANDOM_SET.name:
+            f = line.split()
+            out[tuple(f[:3])] = (line, f[3], int(f[4]), float.fromhex(f[6]))
+        else:
+            f = line.split()
+            out[f[0]] = (line, f[2], None, float.fromhex(f[3]) if len(f) > 3 else None)
+    return out
+
+
+def move_summary(name: str, old: list[str], new: list[str]) -> str:
+    """One line: how many lines moved, how many statuses (or kinds) and
+    iteration counts changed, and the worst relative distance move over
+    the lines both versions have."""
+    a, b = _answers(name, old), _answers(name, new)
+    moved = sum(a.get(k, (None,))[0] != b.get(k, (None,))[0] for k in a.keys() | b.keys())
+    both = [(a[k], b[k]) for k in a.keys() & b.keys()]
+    labels = sum(x[1] != y[1] for x, y in both)
+    if name.endswith(".csv"):
+        iterations = f"rows {len(old)} -> {len(new)}"
+    else:
+        iterations = f"{sum(x[2] != y[2] for x, y in both)} iteration changes"
+    worst = max(
+        (abs(y[3] - x[3]) / abs(x[3]) for x, y in both
+         if x[3] is not None and y[3] is not None and x[3] != 0.0),
+        default=0.0,
+    )
+    return (
+        f"{name}: {moved} of {len(b)} lines moved, {labels} status/kind changes, "
+        f"{iterations}, worst relative distance move {worst:.2g}"
+    )
+
+
+def _rewrite(path: Path, lines: list[str]) -> None:
+    old = path.read_text().splitlines() if path.exists() else []
+    path.write_text("\n".join(lines) + "\n")
+    print(move_summary(path.name, old, lines))
+
+
 if __name__ == "__main__":
-    RANDOM_SET.write_text("\n".join(random_set_fingerprint()) + "\n")
-    OVERLAP_SET.write_text("\n".join(overlap_set_fingerprint()) + "\n")
+    for sc in builtin_scenarios():
+        path = GOLDEN / f"{sc.name}.csv"
+        old = path.read_text().splitlines()
+        with contextlib.redirect_stdout(io.StringIO()):
+            main(["solve", sc.name, "--trace", str(path)])
+        print(move_summary(path.name, old, path.read_text().splitlines()))
+    _rewrite(RANDOM_SET, random_set_fingerprint())
+    _rewrite(OVERLAP_SET, overlap_set_fingerprint())
