@@ -70,6 +70,14 @@ def _canonical(theta: float, phi: float) -> tuple[float, float]:
     return theta, phi
 
 
+def _unit_param(x: float, y: float, z: float) -> tuple[float, float]:
+    """Canonical (theta, phi) of the surface point with body-axis unit
+    coordinates (x/a, y/b, z/c). phi comes from atan2, which keeps full
+    relative precision at the poles, where acos(z) would round phi to a
+    multiple of about 1.5e-8."""
+    return _canonical(math.atan2(y, x), math.atan2(math.hypot(x, y), z))
+
+
 @dataclass(frozen=True)
 class SurfaceParam:
     """A (theta, phi) pair locating a point on an ellipsoid surface.
@@ -274,8 +282,8 @@ def implicit_value(e: Ellipsoid, X_global) -> float:
 def param_from_local_point(e: Ellipsoid, x_local) -> SurfaceParam:
     """Invert the parametric map for a point on the surface.
 
-    phi = arccos(z/c) with clamping against round-off; theta = atan2(y/b, x/a)
-    wrapped into [0, 2*pi). Poles report theta = 0.
+    phi = atan2(hypot(x/a, y/b), z/c) and theta = atan2(y/b, x/a) wrapped
+    into [0, 2*pi). Poles report theta = 0.
     """
     x, y, z = (float(v) for v in x_local)
     a, b, c = e.semi_axes
@@ -285,10 +293,10 @@ def param_from_local_point(e: Ellipsoid, x_local) -> SurfaceParam:
             f"point is off the surface (implicit value {resid:.3e} exceeds "
             f"{ON_SURFACE_TOL:.0e})"
         )
-    phi = math.acos(min(1.0, max(-1.0, z / c)))
+    theta, phi = _unit_param(x / a, y / b, z / c)
     if math.hypot(x / a, y / b) < 1e-12:
         return SurfaceParam(0.0, phi)  # pole convention
-    return SurfaceParam.canonical(math.atan2(y / b, x / a), phi)
+    return SurfaceParam(theta, phi)
 
 
 def line_surface_entry(e: Ellipsoid, A, B) -> SurfaceParam:

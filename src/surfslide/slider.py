@@ -26,6 +26,7 @@ from .geometry import (
     SurfaceParam,
     _canonical,
     _frame_fast,
+    _unit_param,
     implicit_value,
     line_surface_entry,
 )
@@ -269,8 +270,7 @@ def _unit_point(theta: float, phi: float, shift: int) -> list[float]:
 def _param_in_chart(u, shift: int) -> tuple[float, float]:
     """Canonical (theta, phi), in the chart with ``shift``, of the point
     with body-axis unit coordinates ``u``."""
-    x, y, z = (u[(shift + j) % 3] for j in range(3))
-    return _canonical(math.atan2(y, x), math.atan2(math.hypot(x, y), z))
+    return _unit_param(*(u[(shift + j) % 3] for j in range(3)))
 
 
 def _near_pole(phi: float) -> bool:

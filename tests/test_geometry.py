@@ -258,6 +258,19 @@ def test_param_round_trip():
         assert np.allclose(surface_point_local(e, q), x, atol=1e-10 * scale)
 
 
+@pytest.mark.parametrize("phi", [1e-9, 5e-9, 2e-8, 1e-6])
+def test_param_round_trip_keeps_precision_at_the_poles(phi):
+    # acos(z/c) reads these as 0, 0, 2.107e-8 and 1.0000444e-6
+    e = Ellipsoid((1.0, 0.7, 0.5), (0, 0, 0), (0, 0, 0))
+    for theta in (0.0, 0.7, 2.5, 4.0):
+        q = param_from_local_point(e, surface_point_local(e, SurfaceParam(theta, phi)))
+        assert abs(q.theta - theta) <= 1e-15 * theta
+        assert abs(q.phi - phi) <= 1e-15 * phi, (theta, q.phi)
+        # near the south pole phi itself is stored only to pi's ulp
+        q = param_from_local_point(e, surface_point_local(e, SurfaceParam(theta, PI - phi)))
+        assert abs(q.phi - (PI - phi)) <= 4.5e-16, (theta, q.phi)
+
+
 def test_param_rejects_off_surface_points():
     e = Ellipsoid((1, 1, 1), (0, 0, 0), (0, 0, 0))
     with pytest.raises(ValueError):
