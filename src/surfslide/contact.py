@@ -16,14 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Ellipsoid, SurfaceParam, implicit_value
+from .geometry import Ellipsoid, SurfaceParam, _frame_fast, implicit_value
 from .slider import (
     ZERO_PROJECTION_FACTOR,
     SolverConfig,
     SolverState,
-    _evaluate,
     _halved,
-    _project,
     advance_param,
     step_increments,
 )
@@ -82,6 +80,28 @@ def classify(
     if interpenetrating(e1, e2, *state.points_global):
         return "overlapping"
     return "separated"
+
+
+def _evaluate(e1, e2, t1: float, h1: float, t2: float, h2: float):
+    """Both witnesses' global frames at (theta, phi) = (t1, h1) and
+    (t2, h2), the segment from the first point to the second, and its
+    length."""
+    f1 = _frame_fast(e1, t1, h1)
+    f2 = _frame_fast(e2, t2, h2)
+    P1, P2 = f1[0], f2[0]
+    d12 = (P2[0] - P1[0], P2[1] - P1[1], P2[2] - P1[2])
+    dist = math.sqrt(d12[0] ** 2 + d12[1] ** 2 + d12[2] ** 2)
+    return f1, f2, d12, dist
+
+
+def _project(frame, goal) -> tuple[float, float]:
+    """Components of the goal vector along the two unit tangents of a
+    global frame (position, normal, tangent_theta, tangent_phi). The theta
+    component is zero at a pole."""
+    _, _, et, ep = frame
+    gx, gy, gz = goal
+    dth = 0.0 if et is None else gx * et[0] + gy * et[1] + gz * et[2]
+    return dth, gx * ep[0] + gy * ep[1] + gz * ep[2]
 
 
 def _report(kind: str, distance: float, params, normals) -> ContactReport:

@@ -56,6 +56,8 @@ def euler_from_rotation(R: np.ndarray) -> tuple[float, float, float]:
 
 def _canonical(theta: float, phi: float) -> tuple[float, float]:
     """The float kernel of :meth:`SurfaceParam.canonical`."""
+    if 0.0 <= theta < TWO_PI and 0.0 <= phi <= math.pi:
+        return theta, phi  # already canonical; fmod would return it unchanged
     phi = math.fmod(phi, TWO_PI)
     if phi < 0.0:
         phi += TWO_PI

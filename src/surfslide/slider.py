@@ -20,8 +20,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .geometry import (
+    POLE_TOL,
     Ellipsoid,
-    SurfaceFrame,
     NoIntersectionError,
     SurfaceParam,
     _canonical,
@@ -81,9 +81,11 @@ class SolverConfig:
 class SolverState:
     """Snapshot of the iteration after step ``k``.
 
-    ``frames`` holds both witnesses' (position, normal, tangent_theta,
-    tangent_phi) float triples, as the frame kernel returns them;
-    ``points_global`` and ``normals`` read from it."""
+    ``params`` are (theta, phi) in ``charts``. ``pulls`` holds each
+    witness's (d_theta, d_phi, d_n), its tension projected onto its unit
+    tangents and normal by the pull kernel: the next step reads the first
+    two, eps_n the third. The global ``frames``, and the ``points_global``
+    and ``normals`` read from them, are computed on demand."""
 
     k: int
     params: tuple[SurfaceParam, SurfaceParam]
@@ -92,8 +94,14 @@ class SolverState:
     lambdas: tuple[float, float]
     prev_distance: float  # nan before the first iteration
     halve_toggle: int  # index of the lambda halved on the next overshoot
-    frames: tuple
+    charts: tuple
+    pulls: tuple
     overshoot: bool = False
+
+    @property
+    def frames(self) -> tuple:
+        """Both witnesses' (position, normal, tangent_theta, tangent_phi)."""
+        return tuple(_frame_fast(c, p.theta, p.phi) for c, p in zip(self.charts, self.params))
 
     @property
     def points_global(self) -> tuple[tuple, tuple]:
@@ -137,24 +145,6 @@ class DistanceResult:
 # ---------------------------------------------------------------------------
 # elementary operations
 
-def _project(frame, goal) -> tuple[float, float]:
-    """Components of the goal vector along the two unit tangents of a
-    float-tuple frame (position, normal, tangent_theta, tangent_phi). The
-    theta component is zero at a pole."""
-    _, _, et, ep = frame
-    gx, gy, gz = goal
-    dth = 0.0 if et is None else gx * et[0] + gy * et[1] + gz * et[2]
-    return dth, gx * ep[0] + gy * ep[1] + gz * ep[2]
-
-
-def project_tension(frame_i: SurfaceFrame, d_ij) -> tuple[float, float]:
-    """Tangential projections of the connecting segment at one surface
-    point, as the solver computes them. The theta projection is zero at a
-    pole."""
-    dth, dph = _project((None, None, frame_i.tangent_theta, frame_i.tangent_phi), d_ij)
-    return float(dth), float(dph)
-
-
 def step_increments(
     delta_theta: float, delta_phi: float, lambda_i: float, guard: float = 0.0
 ) -> tuple[float, float]:
@@ -172,24 +162,28 @@ def advance_param(p: SurfaceParam, d_theta: float, d_phi: float) -> SurfaceParam
     return SurfaceParam.canonical(p.theta + d_theta, p.phi + d_phi)
 
 
-def _metrics(dist, d_1, d_2, d12, n1, n2, lam1, lam2):
+def _metrics(dist, d_1, d_2, dn1, dn2, lam1, lam2):
     """(eps_d, eps_n, eps_lambda) of witnesses at distance ``dist`` apart,
-    joined by ``d12``, with normals ``n1`` and ``n2``. ``d_1`` is the
+    whose tensions (the segment toward the other witness) have components
+    ``dn1`` and ``dn2`` along their outward normals. ``d_1`` is the
     distance one step back and ``d_2`` the one before it, each NaN while it
     does not exist yet. Coincident witnesses (``dist`` zero) give no
     direction to compare: their eps_d and eps_n are NaN."""
+    # ``x != x`` tests for NaN, and ``b if b > a else a`` is max(a, b),
+    # NaNs included, without the calls
+    eps_lambda = lam2 if lam2 > lam1 else lam1
     if dist == 0.0:
-        return (None if math.isnan(d_1) else math.nan), math.nan, max(lam1, lam2)
+        return (None if d_1 != d_1 else math.nan), math.nan, eps_lambda
     eps_d = None
-    if not math.isnan(d_1):
+    if d_1 == d_1:
         change = abs(dist - d_1)
-        if not math.isnan(d_2):
-            change = max(change, abs(d_1 - d_2))
+        if d_2 == d_2:
+            older = abs(d_1 - d_2)
+            if older > change:
+                change = older
         eps_d = change / dist
-    dx, dy, dz = d12
-    dot1 = (dx * n1[0] + dy * n1[1] + dz * n1[2]) / dist
-    dot2 = (dx * n2[0] + dy * n2[1] + dz * n2[2]) / dist
-    return eps_d, max(1.0 - dot1, 1.0 + dot2), max(lam1, lam2)
+    e1, e2 = 1.0 - dn1 / dist, 1.0 - dn2 / dist
+    return eps_d, (e2 if e2 > e1 else e1), eps_lambda
 
 
 def convergence_metrics(
@@ -208,9 +202,9 @@ def convergence_metrics(
         d_1, d_2 = state.prev_distance, math.nan
     else:
         d_1, d_2 = prev_state.distance, prev_state.prev_distance
-    f1, f2 = state.frames
+    w1, w2 = state.pulls
     lam1, lam2 = state.lambdas
-    return _metrics(state.distance, d_1, d_2, state.d12, f1[1], f2[1], lam1, lam2)
+    return _metrics(state.distance, d_1, d_2, w1[2], w2[2], lam1, lam2)
 
 
 def _halved(lam1: float, lam2: float, toggle: int) -> tuple[float, float, int]:
@@ -240,23 +234,36 @@ class _Chart:
     """A body re-expressed with its semi-axes cyclically shifted by
     ``shift`` and its rotation's columns shifted to match: the same surface,
     with the parametrization poles on body axis z (shift 0), x (1) or y (2).
-    Carries the fields the frame kernel reads, copied exactly, so shift 0
-    evaluates bit for bit like the body itself."""
 
-    semi_axes: tuple
-    center: tuple
-    _rows: tuple
+    ``flat`` holds the semi-axes, the three rotation rows and the center
+    as 15 floats, the layout the point and pull kernels unpack. They are
+    copied exactly, so shift 0 evaluates bit for bit like the body itself;
+    ``semi_axes``, ``_rows`` and ``center`` read them for ``_frame_fast``."""
+
+    flat: tuple
     shift: int
+
+    @property
+    def semi_axes(self) -> tuple:
+        return self.flat[:3]
+
+    @property
+    def _rows(self) -> tuple:
+        f = self.flat
+        return f[3:6], f[6:9], f[9:12]
+
+    @property
+    def center(self) -> tuple:
+        return self.flat[12:]
 
 
 def _chart(e: Ellipsoid, shift: int) -> _Chart:
-    order = [(shift + j) % 3 for j in range(3)]
-    return _Chart(
-        tuple(e.semi_axes[i] for i in order),
-        e.center,
-        tuple(tuple(row[i] for i in order) for row in e._rows),
-        shift,
-    )
+    i, j, k = shift, (shift + 1) % 3, (shift + 2) % 3
+    a = e.semi_axes
+    flat = (a[i], a[j], a[k])
+    for row in e._rows:
+        flat += (row[i], row[j], row[k])
+    return _Chart(flat + e.center, shift)
 
 
 def _unit_point(theta: float, phi: float, shift: int) -> list[float]:
@@ -291,26 +298,74 @@ def _recharted(charts, bodies, params):
     return tuple(charts), params
 
 
-def _canonical_params(params, charts) -> tuple[SurfaceParam, SurfaceParam]:
-    return tuple(
-        p if c.shift == 0
-        else SurfaceParam(*_param_in_chart(_unit_point(p.theta, p.phi, c.shift), 0))
-        for p, c in zip(params, charts)
-    )
+def _canonical_param(theta: float, phi: float, chart: _Chart) -> tuple[float, float]:
+    """(theta, phi) of a point of ``chart`` in the canonical chart."""
+    if chart.shift == 0:
+        return theta, phi
+    return _param_in_chart(_unit_point(theta, phi, chart.shift), 0)
 
 
 # ---------------------------------------------------------------------------
 # iteration engine
 
-def _evaluate(e1, e2, t1: float, h1: float, t2: float, h2: float):
-    """Both witnesses' frames at (theta, phi) = (t1, h1) and (t2, h2), the
-    segment from the first point to the second, and its length."""
-    f1 = _frame_fast(e1, t1, h1)
-    f2 = _frame_fast(e2, t2, h2)
-    P1, P2 = f1[0], f2[0]
-    d12 = (P2[0] - P1[0], P2[1] - P1[1], P2[2] - P1[2])
-    dist = math.sqrt(d12[0] ** 2 + d12[1] ** 2 + d12[2] ** 2)
-    return f1, f2, d12, dist
+def _point(K, theta: float, phi: float):
+    """Global position of the point at (theta, phi) on the chart with flat
+    layout ``K`` (one forward rotation, rounded as in ``_frame_fast``), and
+    the (sin phi, cos phi, sin theta, cos theta) the pull kernel reuses."""
+    a, b, c, r00, r01, r02, r10, r11, r12, r20, r21, r22, cx, cy, cz = K
+    sp, cp = math.sin(phi), math.cos(phi)
+    st, ct = math.sin(theta), math.cos(theta)
+    px, py, pz = a * sp * ct, b * sp * st, c * cp
+    pos = (
+        (r00 * px + r01 * py + r02 * pz) + cx,
+        (r10 * px + r11 * py + r12 * pz) + cy,
+        (r20 * px + r21 * py + r22 * pz) + cz,
+    )
+    return pos, (sp, cp, st, ct)
+
+
+def _pull(K, trig, goal) -> tuple[float, float, float]:
+    """(d_theta, d_phi, d_n): the global vector ``goal`` rotated into the
+    body (one transposed rotation) and projected onto the unit theta
+    tangent, the unit phi tangent and the outward unit normal at the chart
+    point whose sines and cosines ``_point`` returned as ``trig``. d_theta
+    is 0 exactly where ``_frame_fast`` has no theta tangent."""
+    a, b, c, r00, r01, r02, r10, r11, r12, r20, r21, r22, _, _, _ = K
+    sp, cp, st, ct = trig
+    gx, gy, gz = goal
+    x = r00 * gx + r10 * gy + r20 * gz
+    y = r01 * gx + r11 * gy + r21 * gz
+    z = r02 * gx + r12 * gy + r22 * gz
+    # the body-frame unit vectors of _frame_fast, normalised in its order
+    tx, ty = -a * sp * st, b * sp * ct
+    t = math.sqrt(tx * tx + ty * ty)
+    dth = 0.0 if t < POLE_TOL * (a if a > b else b) else x * (tx / t) + y * (ty / t)
+    qx, qy, qz = a * cp * ct, b * cp * st, -c * sp
+    q = math.sqrt(qx * qx + qy * qy + qz * qz)
+    nx, ny, nz = b * c * sp * ct, a * c * sp * st, a * b * cp
+    n = math.sqrt(nx * nx + ny * ny + nz * nz)
+    return (
+        dth,
+        x * (qx / q) + y * (qy / q) + z * (qz / q),
+        x * (nx / n) + y * (ny / n) + z * (nz / n),
+    )
+
+
+def _segment(K1, K2, t1: float, h1: float, t2: float, h2: float):
+    """The segment from the point (t1, h1) of chart K1 to the point
+    (t2, h2) of chart K2, its length, and both points' trig tuples."""
+    (x1, y1, z1), s1 = _point(K1, t1, h1)
+    (x2, y2, z2), s2 = _point(K2, t2, h2)
+    dx, dy, dz = x2 - x1, y2 - y1, z2 - z1
+    return (dx, dy, dz), math.sqrt(dx * dx + dy * dy + dz * dz), s1, s2
+
+
+def _evaluate(K1, K2, t1: float, h1: float, t2: float, h2: float):
+    """The segment, its length and both witnesses' pulls (each toward the
+    other witness) at (theta, phi) = (t1, h1) and (t2, h2)."""
+    d12, dist, s1, s2 = _segment(K1, K2, t1, h1, t2, h2)
+    neg = (-d12[0], -d12[1], -d12[2])
+    return d12, dist, _pull(K1, s1, d12), _pull(K2, s2, neg)
 
 
 def _center_inside(e1: Ellipsoid, e2: Ellipsoid) -> bool:
@@ -348,7 +403,8 @@ def initial_state(
         p1, p2 = init
         if not (p1.is_canonical() and p2.is_canonical()):
             raise ValueError("initial surface parameters must be canonical")
-    f1, f2, d12, dist = _evaluate(e1, e2, p1.theta, p1.phi, p2.theta, p2.phi)
+    c1, c2 = _chart(e1, 0), _chart(e2, 0)
+    d12, dist, w1, w2 = _evaluate(c1.flat, c2.flat, p1.theta, p1.phi, p2.theta, p2.phi)
     return SolverState(
         k=0,
         params=(p1, p2),
@@ -357,39 +413,43 @@ def initial_state(
         lambdas=(config.lambda0, config.lambda0),
         prev_distance=math.nan,
         halve_toggle=0,
-        frames=(f1, f2),
+        charts=(c1, c2),
+        pulls=(w1, w2),
     )
 
 
-def _round(c1, c2, t1, h1, t2, h2, f1, f2, d12, dist, lam1, lam2, toggle, revert):
-    """One round from the iteration-k witnesses (t1, h1) on ``c1`` and
-    (t2, h2) on ``c2``: project the tension at both points, scale the
-    steps to the lambdas, advance both parameter pairs simultaneously and
-    re-evaluate. When the distance grows, ``revert`` halves a step and
-    retries (down to LAMBDA_FLOOR); otherwise the step stands and a lambda
-    is halved for the next round. Returns the new (t1, h1, t2, h2, f1, f2,
-    d12, dist, lam1, lam2, toggle, overshoot); a stationary pair, whose
-    tension has no tangential component anywhere, comes back unchanged."""
+def _round(K1, K2, t1, h1, t2, h2, d12, dist, w1, w2, lam1, lam2, toggle, revert):
+    """One round from the iteration-k witnesses (t1, h1) on chart ``K1``
+    and (t2, h2) on ``K2``, joined by ``d12`` of length ``dist``, with
+    pulls ``w1`` and ``w2``: scale the pulls' tangential parts to the
+    lambdas, advance both parameter pairs simultaneously and re-evaluate.
+    When the distance grows, ``revert`` halves a step and retries (down to
+    LAMBDA_FLOOR); otherwise the step stands and a lambda is halved for the
+    next round. Returns the new (t1, h1, t2, h2, d12, dist, w1, w2, lam1,
+    lam2, toggle, overshoot); a stationary pair, whose tension has no
+    tangential component anywhere, comes back unchanged."""
     guard = ZERO_PROJECTION_FACTOR * dist
-    # a retry changes only the lambdas, not the frames or the segment
-    th1, ph1 = _project(f1, d12)
-    th2, ph2 = _project(f2, (-d12[0], -d12[1], -d12[2]))
     l1, l2, tog = lam1, lam2, toggle
     while True:
-        dth1, dph1 = step_increments(th1, ph1, l1, guard)
-        dth2, dph2 = step_increments(th2, ph2, l2, guard)
+        dth1, dph1 = step_increments(w1[0], w1[1], l1, guard)
+        dth2, dph2 = step_increments(w2[0], w2[1], l2, guard)
         if dth1 == 0.0 and dph1 == 0.0 and dth2 == 0.0 and dph2 == 0.0:
-            return t1, h1, t2, h2, f1, f2, d12, dist, lam1, lam2, toggle, False
+            return t1, h1, t2, h2, d12, dist, w1, w2, lam1, lam2, toggle, False
         u1, v1 = _canonical(t1 + dth1, h1 + dph1)
         u2, v2 = _canonical(t2 + dth2, h2 + dph2)
-        g1, g2, nd12, ndist = _evaluate(c1, c2, u1, v1, u2, v2)
+        nd12, ndist, s1, s2 = _segment(K1, K2, u1, v1, u2, v2)
         if ndist > dist and revert and max(l1, l2) > LAMBDA_FLOOR:
             l1, l2, tog = _halved(l1, l2, tog)
             continue
         overshoot = ndist > dist and not revert
         if overshoot:
             l1, l2, tog = _halved(l1, l2, tog)
-        return u1, v1, u2, v2, g1, g2, nd12, ndist, l1, l2, tog, overshoot
+        # the pulls at the accepted points drive the next round and eps_n
+        neg = (-nd12[0], -nd12[1], -nd12[2])
+        return (
+            u1, v1, u2, v2, nd12, ndist, _pull(K1, s1, nd12), _pull(K2, s2, neg),
+            l1, l2, tog, overshoot,
+        )
 
 
 def iterate_once(
@@ -397,16 +457,18 @@ def iterate_once(
     config: SolverConfig,
     ellipsoids: tuple[Ellipsoid, Ellipsoid],
 ) -> SolverState:
-    """One full round: project the tension at both iteration-k points,
-    advance both parameter pairs simultaneously, re-evaluate, and apply the
-    overshoot schedule. A step-at-a-time view of the round ``solve`` runs."""
-    e1, e2 = ellipsoids
+    """One full round: step both iteration-k points along their pulls
+    simultaneously, re-evaluate, and apply the overshoot schedule. A
+    step-at-a-time view of the round ``solve`` runs, on the canonical
+    charts of ``ellipsoids``."""
+    charts = (_chart(ellipsoids[0], 0), _chart(ellipsoids[1], 0))
     p1, p2 = state.params
-    f1, f2 = state.frames
+    w1, w2 = state.pulls
     lam1, lam2 = state.lambdas
-    t1, h1, t2, h2, f1, f2, d12, dist, lam1, lam2, toggle, overshoot = _round(
-        e1, e2, p1.theta, p1.phi, p2.theta, p2.phi, f1, f2, state.d12, state.distance,
-        lam1, lam2, state.halve_toggle, config.overshoot_mode == "revert-and-retry",
+    t1, h1, t2, h2, d12, dist, w1, w2, lam1, lam2, toggle, overshoot = _round(
+        charts[0].flat, charts[1].flat, p1.theta, p1.phi, p2.theta, p2.phi,
+        state.d12, state.distance, w1, w2, lam1, lam2, state.halve_toggle,
+        config.overshoot_mode == "revert-and-retry",
     )
     return SolverState(
         k=state.k + 1,
@@ -416,7 +478,8 @@ def iterate_once(
         lambdas=(lam1, lam2),
         prev_distance=state.distance,
         halve_toggle=toggle,
-        frames=(f1, f2),
+        charts=charts,
+        pulls=(w1, w2),
         overshoot=overshoot,
     )
 
@@ -442,8 +505,6 @@ def solve(
     ``params`` and the trace rows are always in the canonical chart.
     """
     sigma = config.resolve_sigma(e1, e2)
-    bodies = (e1, e2)
-    charts = (_chart(e1, 0), _chart(e2, 0))
     certain_overlap = init is None and _center_inside(e1, e2)
     if certain_overlap:
         init = (_ray_exit(e1, e2.center), _ray_exit(e2, e1.center))
@@ -452,53 +513,58 @@ def solve(
 
     eps = convergence_metrics(state)
     if trace is not None:
-        trace.append(_step_record(state, charts, math.nan, eps[1]))
+        (p1, p2), lams = state.params, state.lambdas
+        params = ((p1.theta, p1.phi), (p2.theta, p2.phi))
+        trace.append(_step_record(0, state.charts, params, state.distance, lams, eps, False))
     if certain_overlap:
-        return _result("overlap", state, charts, eps, trace, ())
+        return _result("overlap", state, eps, trace, ())
     # the contact hand-off comes first, at k = 0 as in the loop
     status = _contact_status(state, e1, e2, sigma)
     if status is not None:
-        return _result(status, state, charts, eps, trace, ())
+        return _result(status, state, eps, trace, ())
     # a warm start (or an already-optimal init) may need no iteration at all
     if eps[1] < config.tol_n:
-        return _result("converged", state, charts, eps, trace, ("eps_n",))
+        return _result("converged", state, eps, trace, ("eps_n",))
 
-    # the loop runs on plain locals; a SolverState is built only to hand
-    # over to the trace, the contact classifier and the result
-    (p1, p2), (f1, f2) = state.params, state.frames
+    # the loop runs on plain locals; a SolverState is built only for the
+    # contact hand-off and the result
+    charts = state.charts
+    K1, K2 = charts[0].flat, charts[1].flat
+    (p1, p2), (w1, w2) = state.params, state.pulls
     t1, h1, t2, h2 = p1.theta, p1.phi, p2.theta, p2.phi
     d12, dist = state.d12, state.distance
     lam1, lam2 = state.lambdas
     toggle, overshoot = state.halve_toggle, False
     d_1 = state.prev_distance  # the distance one step back; d_2 two steps
-    c1, c2 = charts
     revert = config.overshoot_mode == "revert-and-retry"
     tol_d, tol_n, tol_lambda = config.tol_d, config.tol_n, config.tol_lambda
     status = "max-iter"
     criteria: tuple[str, ...] = ()
+    near, far = CHART_POLE_MARGIN, math.pi - CHART_POLE_MARGIN  # _near_pole, inlined
     for k in range(1, config.max_iter + 1):
-        if _near_pole(h1) or _near_pole(h2):
-            charts, ((t1, h1), (t2, h2)) = _recharted(charts, bodies, ((t1, h1), (t2, h2)))
-            c1, c2 = charts
-            f1, f2, d12, dist = _evaluate(c1, c2, t1, h1, t2, h2)
+        if h1 < near or h1 > far or h2 < near or h2 > far:
+            charts, ((t1, h1), (t2, h2)) = _recharted(charts, (e1, e2), ((t1, h1), (t2, h2)))
+            K1, K2 = charts[0].flat, charts[1].flat
+            d12, dist, w1, w2 = _evaluate(K1, K2, t1, h1, t2, h2)
         d_2, d_1 = d_1, dist
-        t1, h1, t2, h2, f1, f2, d12, dist, lam1, lam2, toggle, overshoot = _round(
-            c1, c2, t1, h1, t2, h2, f1, f2, d12, dist, lam1, lam2, toggle, revert
+        t1, h1, t2, h2, d12, dist, w1, w2, lam1, lam2, toggle, overshoot = _round(
+            K1, K2, t1, h1, t2, h2, d12, dist, w1, w2, lam1, lam2, toggle, revert
         )
-        eps = _metrics(dist, d_1, d_2, d12, f1[1], f2[1], lam1, lam2)
-        if trace is not None or dist < sigma:
+        eps_d, eps_n, eps_lambda = _metrics(dist, d_1, d_2, w1[2], w2[2], lam1, lam2)
+        if trace is not None:
+            trace.append(_step_record(
+                k, charts, ((t1, h1), (t2, h2)), dist, (lam1, lam2),
+                (eps_d, eps_n, eps_lambda), overshoot,
+            ))
+        if dist < sigma:
             state = SolverState(
                 k, (SurfaceParam(t1, h1), SurfaceParam(t2, h2)), d12, dist,
-                (lam1, lam2), d_1, toggle, (f1, f2), overshoot,
+                (lam1, lam2), d_1, toggle, charts, (w1, w2), overshoot,
             )
-            if trace is not None:
-                eps_d = eps[0] if eps[0] is not None else math.nan
-                trace.append(_step_record(state, charts, eps_d, eps[1]))
             contact = _contact_status(state, e1, e2, sigma)
             if contact is not None:
                 status = contact
                 break
-        eps_d, eps_n, eps_lambda = eps
         met = []
         if eps_d is not None and eps_d < tol_d:
             met.append("eps_d")
@@ -515,9 +581,9 @@ def solve(
             break
     state = SolverState(
         k, (SurfaceParam(t1, h1), SurfaceParam(t2, h2)), d12, dist,
-        (lam1, lam2), d_1, toggle, (f1, f2), overshoot,
+        (lam1, lam2), d_1, toggle, charts, (w1, w2), overshoot,
     )
-    return _result(status, state, charts, eps, trace, criteria)
+    return _result(status, state, (eps_d, eps_n, eps_lambda), trace, criteria)
 
 
 def _contact_status(state, e1, e2, sigma) -> str | None:
@@ -533,29 +599,26 @@ def _contact_status(state, e1, e2, sigma) -> str | None:
     return "contact" if kind == "in-contact" else "overlap"
 
 
-def _step_record(state, charts, eps_d, eps_n) -> StepRecord:
-    p1, p2 = _canonical_params(state.params, charts)
-    return StepRecord(
-        state.k,
-        p1.theta,
-        p1.phi,
-        p2.theta,
-        p2.phi,
-        state.distance,
-        state.lambdas[0],
-        state.lambdas[1],
-        eps_d,
-        eps_n,
-        state.overshoot,
-    )
+def _step_record(k, charts, params, dist, lambdas, eps, overshoot) -> StepRecord:
+    """The trace row of the (theta, phi) pairs ``params`` on ``charts``;
+    no eps_d (None) is written as NaN."""
+    (t1, h1), (t2, h2) = (_canonical_param(t, h, c) for (t, h), c in zip(params, charts))
+    eps_d, eps_n, _ = eps
+    eps_d = math.nan if eps_d is None else eps_d
+    return StepRecord(k, t1, h1, t2, h2, dist, *lambdas, eps_d, eps_n, overshoot)
 
 
-def _result(status, state, charts, eps, trace, criteria) -> DistanceResult:
+def _result(status, state, eps, trace, criteria) -> DistanceResult:
+    """The result for ``state``; its global points and normals are the
+    only frames the solve computes."""
     f1, f2 = state.frames
     return DistanceResult(
         status=status,
         distance=state.distance,
-        params=_canonical_params(state.params, charts),
+        params=tuple(
+            SurfaceParam(*_canonical_param(p.theta, p.phi, c))
+            for p, c in zip(state.params, state.charts)
+        ),
         closest_points=(np.array(f1[0]), np.array(f2[0])),
         normals=(np.array(f1[1]), np.array(f2[1])),
         iterations=state.k,
@@ -563,4 +626,3 @@ def _result(status, state, charts, eps, trace, criteria) -> DistanceResult:
         trace=trace,
         stop_criteria=criteria,
     )
-

@@ -6,6 +6,7 @@ import math
 import numpy as np
 
 from surfslide.geometry import Ellipsoid, SurfaceParam
+from surfslide.slider import _chart, _point, _pull
 
 PI = math.pi
 
@@ -35,6 +36,13 @@ def random_separated_pair(rng, lo=0.02, hi=2.0, max_aspect=30.0):
     e1 = Ellipsoid(e1.semi_axes, tuple(c1), e1.euler)
     e2 = Ellipsoid(e2.semi_axes, tuple(c2), e2.euler)
     return e1, e2
+
+
+def pull(e, p, goal):
+    """The solver's pull kernel at ``p`` on the canonical chart of ``e``:
+    (d_theta, d_phi, d_n) of the global vector ``goal``."""
+    K = _chart(e, 0).flat
+    return _pull(K, _point(K, p.theta, p.phi)[1], tuple(float(v) for v in goal))
 
 
 def random_param(rng) -> SurfaceParam:

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import random_separated_pair
+from helpers import pull, random_separated_pair
 from surfslide.geometry import (
     Ellipsoid,
     NoIntersectionError,
@@ -25,7 +25,6 @@ from surfslide.slider import (
     convergence_metrics,
     initial_state,
     iterate_once,
-    project_tension,
     solve,
     step_increments,
 )
@@ -44,15 +43,16 @@ def _spheres(r1, c1, r2, c2):
 # elementary operations
 
 
-def test_project_tension_at_pole_has_no_theta_component():
+def test_pull_at_pole_has_no_theta_component():
     e = Ellipsoid((1.0, 0.6, 0.4), (0, 0, 0), (0, 0, 0))
-    f = surface_frame(e, SurfaceParam(0.3, 0.0))
-    dth, dph = project_tension(f, [0.7, -0.2, 0.5])
+    assert surface_frame(e, SurfaceParam(0.3, 0.0)).tangent_theta is None
+    dth, dph, dn = pull(e, SurfaceParam(0.3, 0.0), [0.7, -0.2, 0.5])
     assert dth == 0.0
 
 
-def test_project_tension_and_step_increments_give_the_solver_step():
-    # the public projection and step rule must not drift from the solver's
+def test_pull_and_step_increments_give_the_solver_step():
+    # the pull kernel and the public step rule must not drift from the
+    # solver's round
     rng = np.random.default_rng(12)
     e1, e2 = random_separated_pair(rng)
     cfg = SolverConfig()
@@ -63,7 +63,8 @@ def test_project_tension_and_step_increments_give_the_solver_step():
     d12 = np.asarray(s0.d12)
     guard = ZERO_PROJECTION_FACTOR * s0.distance
     for e, p, moved, d in zip((e1, e2), s0.params, s1.params, (d12, -d12)):
-        step = step_increments(*project_tension(surface_frame(e, p), d), cfg.lambda0, guard)
+        dth, dph, _ = pull(e, p, d)
+        step = step_increments(dth, dph, cfg.lambda0, guard)
         assert math.hypot(*step) == pytest.approx(cfg.lambda0, rel=1e-12)
         expected = advance_param(p, *step)
         assert abs(moved.theta - expected.theta) <= 1e-15
