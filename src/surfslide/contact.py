@@ -82,7 +82,7 @@ def classify(
     return "separated"
 
 
-def _evaluate(e1, e2, t1: float, h1: float, t2: float, h2: float):
+def _global_frames(e1, e2, t1: float, h1: float, t2: float, h2: float):
     """Both witnesses' global frames at (theta, phi) = (t1, h1) and
     (t2, h2), the segment from the first point to the second, and its
     length."""
@@ -130,7 +130,7 @@ def penetration_depth(
     """
     sigma = config.resolve_sigma(e1, e2)
     p1, p2 = entry_params
-    f1, f2, d12, dist = _evaluate(e1, e2, p1.theta, p1.phi, p2.theta, p2.phi)
+    f1, f2, d12, dist = _global_frames(e1, e2, p1.theta, p1.phi, p2.theta, p2.phi)
     lam1 = lam2 = config.lambda0
     toggle = 0
     prev_dist = math.nan
@@ -178,7 +178,7 @@ def penetration_depth(
 
         q1 = advance_param(p1, dth1, dph1)
         q2 = advance_param(p2, dth2, dph2)
-        nf1, nf2, nd12, ndist = _evaluate(e1, e2, q1.theta, q1.phi, q2.theta, q2.phi)
+        nf1, nf2, nd12, ndist = _global_frames(e1, e2, q1.theta, q1.phi, q2.theta, q2.phi)
         prev_dist, prev_push = dist, push
         p1, p2, f1, f2, d12, dist = q1, q2, nf1, nf2, nd12, ndist
 

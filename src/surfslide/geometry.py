@@ -157,7 +157,7 @@ class Ellipsoid:
 
 
 # ---------------------------------------------------------------------------
-# scalar kernels (plain floats; the solver's inner loop lives on these)
+# scalar kernels (plain floats)
 
 def _local_point(a, b, c, theta, phi):
     sp, cp = math.sin(phi), math.cos(phi)
@@ -167,8 +167,9 @@ def _local_point(a, b, c, theta, phi):
 
 def _frame_fast(e: Ellipsoid, theta: float, phi: float):
     """Global-frame (position, normal, tangent_theta-or-None, tangent_phi)
-    as plain float triples. Hot path shared by the solver and the public
-    :func:`surface_frame`."""
+    as plain float triples, behind :func:`surface_frame`. ``solve`` calls
+    it only for its contact hand-off and result; the depth continuation on
+    every step. Reads only ``semi_axes``, ``_rows`` and ``center``."""
     a, b, c = e.semi_axes
     sp, cp = math.sin(phi), math.cos(phi)
     st, ct = math.sin(theta), math.cos(theta)

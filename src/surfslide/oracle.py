@@ -7,7 +7,8 @@ needs no bracket) and a coarse-to-fine lattice search run over both
 surfaces. The lattice limits the resolution by design. Each lattice answer
 is the exact distance between two surface points, so it bounds the true
 distance from above, and the smaller of the two searches is kept. A call
-takes about 10 ms on a 2-core Xeon.
+takes 6-10 ms, median 9 ms, on a 2-core Xeon (best of three calls on each
+of 20 random separated pairs and the seven builtin scenarios).
 """
 
 from __future__ import annotations

@@ -4,7 +4,9 @@ Two points, one per ellipsoid, slide in their (theta, phi) parameter spaces
 under the pull of the segment connecting them. Both points step
 simultaneously from the iteration-k positions; an increase in separation is
 treated as overshoot and triggers alternating halving of the two angle
-increment steps.
+increment steps. A round rotates twice per body: each new point into the
+global frame, and the segment between the points back into the body,
+where its tangential parts give the next step and its normal part eps_n.
 
 A witness that comes near a pole of its parametrization carries on in
 another chart of the same body (its semi-axes cyclically shifted), whose
@@ -16,6 +18,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -84,8 +88,8 @@ class SolverState:
     ``params`` are (theta, phi) in ``charts``. ``pulls`` holds each
     witness's (d_theta, d_phi, d_n), its tension projected onto its unit
     tangents and normal by the pull kernel: the next step reads the first
-    two, eps_n the third. The global ``frames``, and the ``points_global``
-    and ``normals`` read from them, are computed on demand."""
+    two, eps_n the third. The global ``frames``, which ``points_global``
+    and ``normals`` read, are computed on first use."""
 
     k: int
     params: tuple[SurfaceParam, SurfaceParam]
@@ -98,7 +102,7 @@ class SolverState:
     pulls: tuple
     overshoot: bool = False
 
-    @property
+    @cached_property
     def frames(self) -> tuple:
         """Both witnesses' (position, normal, tangent_theta, tangent_phi)."""
         return tuple(_frame_fast(c, p.theta, p.phi) for c, p in zip(self.charts, self.params))
@@ -229,8 +233,7 @@ def apply_overshoot_schedule(state: SolverState, config: SolverConfig) -> Solver
 # ---------------------------------------------------------------------------
 # charts
 
-@dataclass(frozen=True)
-class _Chart:
+class _Chart(NamedTuple):
     """A body re-expressed with its semi-axes cyclically shifted by
     ``shift`` and its rotation's columns shifted to match: the same surface,
     with the parametrization poles on body axis z (shift 0), x (1) or y (2).
@@ -259,10 +262,8 @@ class _Chart:
 
 def _chart(e: Ellipsoid, shift: int) -> _Chart:
     i, j, k = shift, (shift + 1) % 3, (shift + 2) % 3
-    a = e.semi_axes
-    flat = (a[i], a[j], a[k])
-    for row in e._rows:
-        flat += (row[i], row[j], row[k])
+    a, (r0, r1, r2) = e.semi_axes, e._rows
+    flat = (a[i], a[j], a[k], r0[i], r0[j], r0[k], r1[i], r1[j], r1[k], r2[i], r2[j], r2[k])
     return _Chart(flat + e.center, shift)
 
 
@@ -540,9 +541,8 @@ def solve(
     tol_d, tol_n, tol_lambda = config.tol_d, config.tol_n, config.tol_lambda
     status = "max-iter"
     criteria: tuple[str, ...] = ()
-    near, far = CHART_POLE_MARGIN, math.pi - CHART_POLE_MARGIN  # _near_pole, inlined
     for k in range(1, config.max_iter + 1):
-        if h1 < near or h1 > far or h2 < near or h2 > far:
+        if _near_pole(h1) or _near_pole(h2):
             charts, ((t1, h1), (t2, h2)) = _recharted(charts, (e1, e2), ((t1, h1), (t2, h2)))
             K1, K2 = charts[0].flat, charts[1].flat
             d12, dist, w1, w2 = _evaluate(K1, K2, t1, h1, t2, h2)
