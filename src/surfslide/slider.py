@@ -361,12 +361,17 @@ def _segment(K1, K2, t1: float, h1: float, t2: float, h2: float):
     return (dx, dy, dz), math.sqrt(dx * dx + dy * dy + dz * dz), s1, s2
 
 
+def _pulls(K1, K2, s1, s2, d12):
+    """Both witnesses' pulls, each toward the other witness, given their
+    trig tuples and the segment ``d12`` from the first to the second."""
+    return _pull(K1, s1, d12), _pull(K2, s2, (-d12[0], -d12[1], -d12[2]))
+
+
 def _evaluate(K1, K2, t1: float, h1: float, t2: float, h2: float):
-    """The segment, its length and both witnesses' pulls (each toward the
-    other witness) at (theta, phi) = (t1, h1) and (t2, h2)."""
+    """The segment, its length and both witnesses' pulls at (theta, phi) =
+    (t1, h1) and (t2, h2)."""
     d12, dist, s1, s2 = _segment(K1, K2, t1, h1, t2, h2)
-    neg = (-d12[0], -d12[1], -d12[2])
-    return d12, dist, _pull(K1, s1, d12), _pull(K2, s2, neg)
+    return (d12, dist, *_pulls(K1, K2, s1, s2, d12))
 
 
 def _center_inside(e1: Ellipsoid, e2: Ellipsoid) -> bool:
@@ -446,11 +451,8 @@ def _round(K1, K2, t1, h1, t2, h2, d12, dist, w1, w2, lam1, lam2, toggle, revert
         if overshoot:
             l1, l2, tog = _halved(l1, l2, tog)
         # the pulls at the accepted points drive the next round and eps_n
-        neg = (-nd12[0], -nd12[1], -nd12[2])
-        return (
-            u1, v1, u2, v2, nd12, ndist, _pull(K1, s1, nd12), _pull(K2, s2, neg),
-            l1, l2, tog, overshoot,
-        )
+        w1, w2 = _pulls(K1, K2, s1, s2, nd12)
+        return u1, v1, u2, v2, nd12, ndist, w1, w2, l1, l2, tog, overshoot
 
 
 def iterate_once(
