@@ -10,13 +10,16 @@ fingerprints ``contact.analyze`` on 60 overlapping pairs of seed 2024
 (the benchmark's overlap-analyze recipe, fracs cycling 0.3/0.6/0.9);
 it pins today's verdicts, the wrong ones included.
 ``PYTHONPATH=src python tests/test_golden.py`` rewrites all of them and
-prints, per file, how far the answers moved (see ``move_summary``).
+prints, per file, how far the answers moved (see ``move_summary``); for
+the random set also the cold solves' iteration mean, max and bare-eps_d
+stops, old -> new.
 A change meant to keep every answer must leave these files matching; a
 change that moves answers regenerates them and lists what moved.
 """
 
 import contextlib
 import io
+import math
 from pathlib import Path
 
 import numpy as np
@@ -154,10 +157,29 @@ def move_summary(name: str, old: list[str], new: list[str]) -> str:
          if x[3] is not None and y[3] is not None and x[3] != 0.0),
         default=0.0,
     )
-    return (
+    summary = (
         f"{name}: {moved} of {len(b)} lines moved, {labels} status/kind changes, "
         f"{iterations}, worst relative distance move {worst:.2g}"
     )
+    if name == RANDOM_SET.name:
+        (m0, x0, b0), (m1, x1, b1) = _cold_stats(old), _cold_stats(new)
+        summary += (
+            f"; default-mode cold solves: mean iterations {m0:.1f} -> {m1:.1f}, "
+            f"max {x0} -> {x1}, bare eps_d stops {b0} -> {b1}"
+        )
+    return summary
+
+
+def _cold_stats(lines: list[str]) -> tuple[float, int, int]:
+    """Mean and max iterations, and the number of stops on eps_d alone,
+    over the random set's cold solves in the default overshoot mode."""
+    mode = SolverConfig().overshoot_mode
+    cold = [f for f in map(str.split, lines) if f[0] == mode and f[2] == "cold"]
+    if not cold:
+        return math.nan, 0, 0
+    iterations = [int(f[4]) for f in cold]
+    bare = sum(f[5] == "eps_d" for f in cold)
+    return sum(iterations) / len(iterations), max(iterations), bare
 
 
 def _rewrite(path: Path, lines: list[str]) -> None:
