@@ -11,8 +11,10 @@ sweep
     initializations and report the distance spread.
 bench
     Drive a seeded random walk of small rigid perturbations of E2, solving
-    each step cold (center-line start) and warm (previous step's closest
-    points), and compare iteration counts.
+    each step cold (support points facing along the center line, or the
+    ray exits between the centers when that line does not separate the
+    bodies) and warm (previous step's closest points), and compare
+    iteration counts.
 list
     Print the builtin scenarios.
 

@@ -393,18 +393,55 @@ def _ray_exit(e: Ellipsoid, toward) -> SurfaceParam:
     return line_surface_entry(e, c + (2.0 * e.max_semi_axis / n) * d, c)
 
 
+def _support(e: Ellipsoid, ux: float, uy: float, uz: float):
+    """Body-axis unit coordinates w/|w| of e's support point in the unit
+    direction u, where e's outward normal is u, and |w| = |M^T u|, the
+    reach of e's support function beyond its center: w = diag(a) R^T u,
+    M = R diag(a)."""
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = e._rows
+    a, b, c = e.semi_axes
+    wx = a * (r00 * ux + r10 * uy + r20 * uz)
+    wy = b * (r01 * ux + r11 * uy + r21 * uz)
+    wz = c * (r02 * ux + r12 * uy + r22 * uz)
+    h = math.sqrt(wx * wx + wy * wy + wz * wz)
+    return (wx / h, wy / h, wz / h), h
+
+
+def _cold_start(e1: Ellipsoid, e2: Ellipsoid) -> tuple[SurfaceParam, SurfaceParam]:
+    """The start without ``init``. With r = c2 - c1 and u = r/|r|, the
+    support-function gap s(u) = |r| - |M1^T u| - |M2^T u| bounds the
+    distance from below; when it is positive, u separates the bodies and
+    each witness starts at its body's support point facing the other
+    (outward normals u and -u). Otherwise each witness starts where the
+    ray from its center toward the other center leaves its surface
+    (concentric pairs raise NoIntersectionError)."""
+    (x1, y1, z1), (x2, y2, z2) = e1.center, e2.center
+    rx, ry, rz = x2 - x1, y2 - y1, z2 - z1
+    r = math.sqrt(rx * rx + ry * ry + rz * rz)
+    if r > 0.0:
+        u1, h1 = _support(e1, rx / r, ry / r, rz / r)
+        u2, h2 = _support(e2, -rx / r, -ry / r, -rz / r)
+        if r - h1 - h2 > 0.0:
+            return SurfaceParam(*_unit_param(*u1)), SurfaceParam(*_unit_param(*u2))
+    return _ray_exit(e1, e2.center), _ray_exit(e2, e1.center)
+
+
 def initial_state(
     e1: Ellipsoid,
     e2: Ellipsoid,
     init: tuple[SurfaceParam, SurfaceParam] | None,
     config: SolverConfig,
 ) -> SolverState:
-    """State at k = 0. Without explicit parameters, both points start at
-    the entry of the center-to-center segment into their own surface."""
+    """State at k = 0, from ``init`` or, without it, from ``_cold_start``:
+    the support points facing along the center direction when that
+    direction separates the bodies, the ray exits between the centers
+    otherwise. A pair with a center inside the other body overlaps for
+    certain and has no start to slide from: without ``init`` it raises
+    NoIntersectionError (``solve`` reports it as ``overlap``)."""
     if init is None:
-        A, B = e1.center, e2.center
-        p1 = line_surface_entry(e1, A, B)
-        p2 = line_surface_entry(e2, A, B)
+        if _center_inside(e1, e2):
+            raise NoIntersectionError("a center lies inside the other body")
+        p1, p2 = _cold_start(e1, e2)
     else:
         p1, p2 = init
         if not (p1.is_canonical() and p2.is_canonical()):
@@ -499,19 +536,20 @@ def solve(
     the search as converged; hitting max_iter or the lambda floor is
     reported as a status, not an exception. Separations below the contact
     threshold, the start's included, hand off to the contact classifier
-    before any stop test. Without ``init``, a pair where a center lies
+    before any stop test. Without ``init`` the search starts from
+    ``_cold_start``: at the support points facing along the center
+    direction when that direction separates the bodies, else where the
+    rays between the centers leave the bodies. A pair where a center lies
     inside the other body overlaps for certain: it is reported as
-    ``overlap`` at k = 0, its witnesses where the rays between the centers
-    leave the bodies, for the contact continuation to start from
-    (concentric pairs raise NoIntersectionError). A witness within
+    ``overlap`` at k = 0 from those ray exits, for the contact
+    continuation to start from (concentric pairs raise
+    NoIntersectionError). A witness within
     CHART_POLE_MARGIN of a pole of its chart carries on in another chart;
     ``params`` and the trace rows are always in the canonical chart.
     """
     sigma = config.resolve_sigma(e1, e2)
     certain_overlap = init is None and _center_inside(e1, e2)
-    if certain_overlap:
-        init = (_ray_exit(e1, e2.center), _ray_exit(e2, e1.center))
-    state = initial_state(e1, e2, init, config)
+    state = initial_state(e1, e2, _cold_start(e1, e2) if init is None else init, config)
     trace: list[StepRecord] | None = [] if config.record_trace else None
 
     eps = convergence_metrics(state)

@@ -61,3 +61,15 @@ def random_overlap_pair(rng, frac):
     u /= np.linalg.norm(u)
     c2 = frac * (max(e1.semi_axes) + max(e2.semi_axes)) * u
     return e1, Ellipsoid(e2.semi_axes, tuple(c2), e2.euler)
+
+
+def disk_pair(rng):
+    """A (300, 300, 0.5) disk centered at the origin in the xy plane, and
+    a random body (semi-axes log-uniform in [1e-3, 1], aspect ratio at
+    most 30) whose center lies above the disk's top face, within 200 of
+    its axis and higher than the body reaches."""
+    disk = Ellipsoid((300.0, 300.0, 0.5), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
+    e = random_ellipsoid(rng, lo=1e-3, hi=1.0)
+    x, y = rng.uniform(-200.0, 200.0, 2)
+    z = 0.5 + max(e.semi_axes) * (1.05 + rng.uniform(0.0, 1.0))
+    return disk, Ellipsoid(e.semi_axes, (x, y, z), e.euler)

@@ -170,6 +170,25 @@ def test_coincident_start_witnesses_are_contact(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["contact_kind"] == "in-contact"
 
 
+def test_solve_small_body_above_wide_disk_prints_a_record(tmp_path, capsys):
+    # a 0.01 sphere 200 out over a (300, 300, 0.5) disk: the segment entry
+    # into the sphere, solved from the disk's center, landed 4e-8 off its
+    # surface and raised; the start now comes from each body's own center
+    doc = {
+        "name": "disk",
+        "e1": {"semi_axes": [300, 300, 0.5], "center": [0, 0, 0], "euler": [0, 0, 0]},
+        "e2": {"semi_axes": [0.01, 0.01, 0.01], "center": [200, 0, 0.52], "euler": [0, 0, 0]},
+    }
+    path = tmp_path / "disk.json"
+    path.write_text(json.dumps(doc))
+    code = main(["solve", str(path)])
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    record = json.loads(captured.out)
+    assert code in (0, 2, 3) and record["status"] in ("converged", "max-iter", "lambda-floor")
+    assert math.isfinite(record["distance"])
+
+
 def test_solve_concentric_pair_is_input_error(tmp_path, capsys):
     doc = {
         "name": "concentric",

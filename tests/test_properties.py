@@ -5,15 +5,26 @@ raising AssertionError with case context on the first violation, so the
 acceptance suite can grade the exact same checks. Pytest wrappers at the
 bottom invoke each runner with >= 500 cases, through the session fixture
 ``property_outcome`` (conftest.py), which runs each runner once for both.
+The extreme-aspect and disk-family runners, which the acceptance suite
+does not grade, run fewer and costlier cases and are called directly.
 """
 
 import math
 
 import numpy as np
+import pytest
 
-from helpers import pull, random_ellipsoid, random_param, random_separated_pair
+from helpers import (
+    disk_pair,
+    pull,
+    random_ellipsoid,
+    random_overlap_pair,
+    random_param,
+    random_separated_pair,
+)
 from surfslide.geometry import (
     Ellipsoid,
+    NoIntersectionError,
     SurfaceParam,
     euler_from_rotation,
     implicit_value,
@@ -24,8 +35,10 @@ from surfslide.geometry import (
     to_global_point,
     line_surface_entry,
 )
+from surfslide.oracle import point_to_ellipsoid
 from surfslide.slider import (
     SolverConfig,
+    _ray_exit,
     convergence_metrics,
     initial_state,
     iterate_once,
@@ -332,6 +345,119 @@ def run_warm_start_idempotence(n=500, seed=108):
             assert excess <= 1e-8 * scale, f"case {case}: got worse by {excess:.3e}"
 
 
+def _support(e: Ellipsoid, u: np.ndarray) -> tuple[float, np.ndarray]:
+    """|M^T u| and the support point c + M M^T u / |M^T u| of e in the unit
+    direction u, M = R diag(semi-axes)."""
+    M = e.rotation * np.asarray(e.semi_axes)
+    m = M.T @ u
+    h = float(np.linalg.norm(m))
+    return h, np.asarray(e.center) + M @ m / h
+
+
+def run_cold_start_points(n=500, seed=111):
+    """The start without init. Half the pairs are separated (aspect up to
+    30), half are random_overlap_pair pairs with fracs in [0.1, 1.5], so
+    every branch occurs. Where the support gap s(u) = |r| - |M1^T u| -
+    |M2^T u| of the center direction u = r/|r| is positive, each witness
+    starts on its surface at its body's support point in direction u, with
+    outward normal u on e1 and -u on e2, at least s apart. Elsewhere the
+    params are the ray exits between the centers, bit for bit: those of
+    the start state, or, where a center lies inside the other body and
+    ``initial_state`` has no start, those of ``solve``'s overlap verdict."""
+    rng = np.random.default_rng(seed)
+    cfg = SolverConfig()
+    branches = [0, 0, 0]  # ray exits, center inside, support points
+    for case in range(n):
+        if case % 2:
+            e1, e2 = random_overlap_pair(rng, rng.uniform(0.1, 1.5))
+        else:
+            e1, e2 = random_separated_pair(rng)
+        r = np.asarray(e2.center) - np.asarray(e1.center)
+        u = r / np.linalg.norm(r)
+        (h1, x1), (h2, x2) = _support(e1, u), _support(e2, -u)
+        gap = float(np.linalg.norm(r)) - h1 - h2
+        inside = implicit_value(e1, e2.center) < 0.0 or implicit_value(e2, e1.center) < 0.0
+        branches[2 if gap > 0.0 else int(inside)] += 1
+        if not gap > 0.0:
+            want = (_ray_exit(e1, e2.center), _ray_exit(e2, e1.center))
+            if inside:
+                with pytest.raises(NoIntersectionError):
+                    initial_state(e1, e2, None, cfg)
+                res = solve(e1, e2, None, cfg)
+                assert res.status == "overlap" and res.iterations == 0, f"case {case}"
+                got = res.params
+            else:
+                got = initial_state(e1, e2, None, cfg).params
+            assert got == want, f"case {case}: {got} vs {want}"
+            continue
+        state = initial_state(e1, e2, None, cfg)
+        scale = max(e1.max_semi_axis, e2.max_semi_axis, float(np.linalg.norm(r)))
+        for e, p, x, normal in ((e1, state.params[0], x1, u), (e2, state.params[1], x2, -u)):
+            fr = surface_frame(e, p)
+            val = implicit_value(e, fr.position)
+            assert abs(val) <= 1e-12, f"case {case}: implicit value {val:.3e}"
+            miss = float(np.abs(fr.normal - normal).max())
+            assert miss <= 1e-12, f"case {case}: normal off the center direction by {miss:.3e}"
+            miss = float(np.abs(fr.position - x).max())
+            assert miss <= 1e-12 * scale, f"case {case}: support point off by {miss:.3e}"
+        assert state.distance >= gap * (1.0 - 1e-12), f"case {case}: {state.distance} < s {gap}"
+    assert min(branches) > 0, f"branches (ray exits, center inside, support): {branches}"
+
+
+def run_extreme_aspect(seed, lo, hi, max_aspect, n=150):
+    """Cold solves of ``n`` separated pairs in both argument orders.
+    Returns the (case, order, status) of every solve that did not
+    converge, and two gaps, each as its worst over all converged solves
+    and over the certified ones (stopped on eps_n): the relative gap
+    between the distance and each witness's oracle foot-point distance to
+    the other body, and the relative gap between the two orders (certified
+    when both are)."""
+    rng = np.random.default_rng(seed)
+    unconverged = []
+    worst = {"oracle": 0.0, "oracle_certified": 0.0, "swap": 0.0, "swap_certified": 0.0}
+
+    def record(key, gap, certified):
+        worst[key] = max(worst[key], gap)
+        if certified:
+            worst[key + "_certified"] = max(worst[key + "_certified"], gap)
+
+    for case in range(n):
+        e1, e2 = random_separated_pair(rng, lo=lo, hi=hi, max_aspect=max_aspect)
+        runs = (solve(e1, e2), solve(e2, e1))
+        for order, (res, (mine, other)) in enumerate(zip(runs, ((e1, e2), (e2, e1)))):
+            if res.status != "converged":
+                unconverged.append((case, order, res.status))
+                continue
+            for body, point in ((other, res.closest_points[0]), (mine, res.closest_points[1])):
+                foot, _ = point_to_ellipsoid(body, point)
+                gap = abs(foot - res.distance) / res.distance
+                record("oracle", gap, "eps_n" in res.stop_criteria)
+        a, b = runs
+        if a.status == b.status == "converged":
+            gap = abs(a.distance - b.distance) / a.distance
+            record("swap", gap, "eps_n" in a.stop_criteria and "eps_n" in b.stop_criteria)
+    return {"unconverged": unconverged, **worst}
+
+
+def run_disk_family(n=300, solved=3, seed=114):
+    """Small bodies above a (300, 300, 0.5) disk, in both argument orders:
+    the cold start never raises and puts each witness on its surface, and
+    the first ``solved`` pairs' solves end with a status."""
+    rng = np.random.default_rng(seed)
+    cfg = SolverConfig()
+    for case in range(n):
+        disk, body = disk_pair(rng)
+        for e1, e2 in ((disk, body), (body, disk)):
+            state = initial_state(e1, e2, None, cfg)
+            for e, p in zip((e1, e2), state.params):
+                val = implicit_value(e, surface_frame(e, p).position)
+                assert abs(val) <= 1e-9, f"case {case}: start off the surface by {val:.3e}"
+            if case < solved:
+                res = solve(e1, e2, None, cfg)
+                assert res.status in ("converged", "max-iter", "lambda-floor"), f"case {case}"
+                assert math.isfinite(res.distance), f"case {case}"
+
+
 # ---------------------------------------------------------------------------
 # pytest wrappers
 
@@ -384,3 +510,34 @@ def test_scale_invariance(property_outcome):
 
 def test_warm_start_idempotence(property_outcome):
     property_outcome(run_warm_start_idempotence)
+
+
+def test_cold_start_points(property_outcome):
+    property_outcome(run_cold_start_points)
+
+
+def test_extreme_aspect_up_to_300():
+    stats = run_extreme_aspect(seed=112, lo=0.002, hi=2.0, max_aspect=300.0)
+    assert stats["unconverged"] == [], stats
+    assert stats["oracle"] <= 1e-9, stats
+    assert stats["swap"] <= 1e-9, stats
+
+
+def test_extreme_aspect_up_to_1000_over_six_decades():
+    # No solve raises (the segment-entry start raised on 32 of these 300
+    # starts). The set shows the slide's tail: solve(e2, e1) of case 91
+    # ends as max-iter after 10,000 rounds, pinned here so that any change
+    # to it shows, and 226 of the 300 solves stop on a bare eps_d plateau,
+    # which certifies nothing about stationarity (case 4 in the second
+    # order stops 1.6e-9 above its foot distance). Certified solves are
+    # graded at 1e-9, plateau stops at the lattice-oracle bound 1e-5.
+    stats = run_extreme_aspect(seed=113, lo=1e-3, hi=1e3, max_aspect=1000.0)
+    assert stats["unconverged"] == [(91, 1, "max-iter")], stats
+    assert stats["oracle_certified"] <= 1e-9, stats
+    assert stats["swap_certified"] <= 1e-9, stats
+    assert stats["oracle"] <= 1e-5, stats
+    assert stats["swap"] <= 1e-5, stats
+
+
+def test_disk_family_does_not_raise():
+    run_disk_family()
