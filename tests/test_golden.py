@@ -8,7 +8,8 @@ pairs of seed 2024 in both overshoot modes, each solve followed by a warm
 re-solve from its own params. ``tests/golden/overlap-2024.txt``
 fingerprints ``contact.analyze`` on 60 overlapping pairs of seed 2024
 (the benchmark's overlap-analyze recipe, fracs cycling 0.3/0.6/0.9);
-it pins today's verdicts, the wrong ones included.
+it pins today's verdicts, the wrong ones included, and every field of
+each report.
 ``PYTHONPATH=src python tests/test_golden.py`` rewrites all of them and
 prints, per file, how far the answers moved (see ``move_summary``); for
 the random set also the cold solves' iteration mean, max and bare-eps_d
@@ -94,8 +95,8 @@ def test_random_set_matches_golden():
 
 def overlap_set_fingerprint() -> list[str]:
     """One line per ``contact.analyze`` call: case, frac, then the report's
-    kind, depth and witness params as ``float.hex``, or the name of the
-    exception it raised."""
+    kind, and its depth, witness params and witness normals as
+    ``float.hex``, or the name of the exception it raised."""
     rng = np.random.default_rng(2024)
     lines = []
     for case in range(60):
@@ -108,7 +109,8 @@ def overlap_set_fingerprint() -> list[str]:
             lines.append(f"{head} {type(exc).__name__}")
             continue
         p1, p2 = rep.witness_params
-        values = (rep.distance_or_depth, p1.theta, p1.phi, p2.theta, p2.phi)
+        n1, n2 = rep.witness_normals
+        values = (rep.distance_or_depth, p1.theta, p1.phi, p2.theta, p2.phi, *n1, *n2)
         lines.append(" ".join([head, rep.kind, *(v.hex() for v in values)]))
     return lines
 
