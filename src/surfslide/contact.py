@@ -6,7 +6,8 @@ sigma, the configuration is either tangent (the two outward normals are
 anti-aligned) or interpenetrating (each witness point sits inside the other
 ellipsoid). For the overlap case the same stepping machinery is reused with
 the pull replaced by a push along the other body's negated normal, which
-drives the pair to the maximum-overlap points.
+drives the pair to the maximum-overlap points. Like ``solve``, that
+continuation keeps its state in plain float locals.
 """
 
 from __future__ import annotations
@@ -16,15 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Ellipsoid, SurfaceParam, _frame_fast, implicit_value
-from .slider import (
-    ZERO_PROJECTION_FACTOR,
-    SolverConfig,
-    SolverState,
-    _halved,
-    advance_param,
-    step_increments,
-)
+from .geometry import Ellipsoid, SurfaceParam, _canonical, _frame_fast, implicit_value
+from .slider import ZERO_PROJECTION_FACTOR, SolverConfig, SolverState, _halved, step_increments
+from .slider import advance_param  # unused; perfbench/tracer.py wraps it by this name
 
 # tolerance on |n1 . n2 + 1| for calling a sub-sigma pair tangent
 ALIGN_TOL = 1e-6
@@ -82,28 +77,6 @@ def classify(
     return "separated"
 
 
-def _global_frames(e1, e2, t1: float, h1: float, t2: float, h2: float):
-    """Both witnesses' global frames at (theta, phi) = (t1, h1) and
-    (t2, h2), the segment from the first point to the second, and its
-    length."""
-    f1 = _frame_fast(e1, t1, h1)
-    f2 = _frame_fast(e2, t2, h2)
-    P1, P2 = f1[0], f2[0]
-    d12 = (P2[0] - P1[0], P2[1] - P1[1], P2[2] - P1[2])
-    dist = math.sqrt(d12[0] ** 2 + d12[1] ** 2 + d12[2] ** 2)
-    return f1, f2, d12, dist
-
-
-def _project(frame, goal) -> tuple[float, float]:
-    """Components of the goal vector along the two unit tangents of a
-    global frame (position, normal, tangent_theta, tangent_phi). The theta
-    component is zero at a pole."""
-    _, _, et, ep = frame
-    gx, gy, gz = goal
-    dth = 0.0 if et is None else gx * et[0] + gy * et[1] + gz * et[2]
-    return dth, gx * ep[0] + gy * ep[1] + gz * ep[2]
-
-
 def _report(kind: str, distance: float, params, normals) -> ContactReport:
     return ContactReport(
         kind=kind,
@@ -127,62 +100,73 @@ def penetration_depth(
     once both points pop outside beyond sigma, the regular tension pull
     resumes. At the fixed point the connecting segment leaves each witness
     point against its own outward normal, and its length is the depth.
+
+    The loop keeps (theta, phi), the segment and the lambdas in plain float
+    locals, as ``solve`` does: each step reads both global frames from
+    ``_frame_fast`` and advances (theta, phi) with ``_canonical``.
+    ``SurfaceParam``s are built only for the report.
     """
     sigma = config.resolve_sigma(e1, e2)
+    tol_d, tol_n, tol_lambda = config.tol_d, config.tol_n, config.tol_lambda
     p1, p2 = entry_params
-    f1, f2, d12, dist = _global_frames(e1, e2, p1.theta, p1.phi, p2.theta, p2.phi)
+    t1, h1, t2, h2 = p1.theta, p1.phi, p2.theta, p2.phi
     lam1 = lam2 = config.lambda0
     toggle = 0
-    prev_dist = math.nan
-    prev_push = None
+    prev_dist = math.nan  # NaN until the first step; ``x == x`` tests for it
+    prev_push = False
 
-    for _ in range(config.max_iter):
-        P1, P2 = f1[0], f2[0]
+    for k in range(config.max_iter + 1):
+        P1, n1, et1, ep1 = _frame_fast(e1, t1, h1)
+        P2, n2, et2, ep2 = _frame_fast(e2, t2, h2)
+        dx, dy, dz = P2[0] - P1[0], P2[1] - P1[1], P2[2] - P1[2]
+        dist = math.sqrt(dx ** 2 + dy ** 2 + dz ** 2)
+        if k == config.max_iter:
+            break
         inside1 = implicit_value(e2, P1) < 0.0
         inside2 = implicit_value(e1, P2) < 0.0
         push = dist < sigma or inside1 or inside2
 
         # overshoot = motion against the current goal; skip across mode flips
-        if prev_push is not None and push == prev_push and not math.isnan(prev_dist):
+        if push == prev_push and prev_dist == prev_dist:
             wrong_way = dist < prev_dist if push else dist > prev_dist
             if wrong_way:
                 lam1, lam2, toggle = _halved(lam1, lam2, toggle)
 
-        guard = ZERO_PROJECTION_FACTOR * max(dist, sigma)
-        if push:
-            g1 = (-f2[1][0], -f2[1][1], -f2[1][2])  # -n2 pushes the point on e1
-            g2 = (-f1[1][0], -f1[1][1], -f1[1][2])
+        guard = ZERO_PROJECTION_FACTOR * (sigma if sigma > dist else dist)
+        if push:  # -n2 pushes the point on e1, -n1 the point on e2
+            g1x, g1y, g1z = -n2[0], -n2[1], -n2[2]
+            g2x, g2y, g2z = -n1[0], -n1[1], -n1[2]
         else:
-            g1 = d12
-            g2 = (-d12[0], -d12[1], -d12[2])
-        th1, ph1 = _project(f1, g1)
-        th2, ph2 = _project(f2, g2)
+            g1x, g1y, g1z = dx, dy, dz
+            g2x, g2y, g2z = -dx, -dy, -dz
+        # the goals' components along the unit tangents; no theta tangent at a pole
+        th1 = 0.0 if et1 is None else g1x * et1[0] + g1y * et1[1] + g1z * et1[2]
+        th2 = 0.0 if et2 is None else g2x * et2[0] + g2y * et2[1] + g2z * et2[2]
+        ph1 = g1x * ep1[0] + g1y * ep1[1] + g1z * ep1[2]
+        ph2 = g2x * ep2[0] + g2y * ep2[1] + g2z * ep2[2]
         dth1, dph1 = step_increments(th1, ph1, lam1, guard)
         dth2, dph2 = step_increments(th2, ph2, lam2, guard)
 
-        stationary = dth1 == 0.0 and dph1 == 0.0 and dth2 == 0.0 and dph2 == 0.0
-        eps_d = None if math.isnan(prev_dist) else abs((dist - prev_dist) / dist) if dist > 0 else None
         if push and dist > 0.0:
             # at maximum overlap the segment runs against n1 and along n2
-            dot1 = (d12[0] * f1[1][0] + d12[1] * f1[1][1] + d12[2] * f1[1][2]) / dist
-            dot2 = (d12[0] * f2[1][0] + d12[1] * f2[1][1] + d12[2] * f2[1][2]) / dist
-            eps_align = max(1.0 + dot1, 1.0 - dot2)
+            dot1 = (dx * n1[0] + dy * n1[1] + dz * n1[2]) / dist
+            dot2 = (dx * n2[0] + dy * n2[1] + dz * n2[2]) / dist
+            align1, align2 = 1.0 + dot1, 1.0 - dot2
             done = (
-                stationary
-                or eps_align < config.tol_n
-                or (eps_d is not None and eps_d < config.tol_d)
-                or max(lam1, lam2) < config.tol_lambda
+                (dth1 == 0.0 and dph1 == 0.0 and dth2 == 0.0 and dph2 == 0.0)
+                or (align2 if align2 > align1 else align1) < tol_n
+                or (prev_dist == prev_dist and abs((dist - prev_dist) / dist) < tol_d)
+                or (lam2 if lam2 > lam1 else lam1) < tol_lambda
             )
             if done and inside1 and inside2 and dist > sigma:
-                return _report("overlapping", dist, (p1, p2), (f1[1], f2[1]))
+                break
 
-        q1 = advance_param(p1, dth1, dph1)
-        q2 = advance_param(p2, dth2, dph2)
-        nf1, nf2, nd12, ndist = _global_frames(e1, e2, q1.theta, q1.phi, q2.theta, q2.phi)
+        t1, h1 = _canonical(t1 + dth1, h1 + dph1)
+        t2, h2 = _canonical(t2 + dth2, h2 + dph2)
         prev_dist, prev_push = dist, push
-        p1, p2, f1, f2, d12, dist = q1, q2, nf1, nf2, nd12, ndist
 
-    return _report("max-iter", dist, (p1, p2), (f1[1], f2[1]))
+    kind = "overlapping" if k < config.max_iter else "max-iter"
+    return _report(kind, dist, (SurfaceParam(t1, h1), SurfaceParam(t2, h2)), (n1, n2))
 
 
 def analyze(
