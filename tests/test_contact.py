@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from surfslide.contact import analyze, classify, penetration_depth
-from surfslide.geometry import Ellipsoid, implicit_value
+from surfslide.geometry import Ellipsoid, SurfaceParam, implicit_value, surface_frame
 from surfslide.scenarios import builtin_scenario
 from surfslide.slider import SolverConfig, initial_state, solve
 
@@ -173,3 +173,40 @@ def test_penetration_depth_entry_from_overlap_status():
     report = analyze(e1, e2, cfg)
     assert report.kind == "overlapping"
     assert report.distance_or_depth == pytest.approx(0.8, abs=1e-4)
+
+
+def test_penetration_depth_from_pole_entries():
+    # the entry sits at phi = 0 on e1 and at phi = pi on e2, where neither
+    # witness has a theta tangent; the tilted e2 makes both steps leave the
+    # poles along phi alone
+    e1 = _sphere(1.0, (0, 0, 0))
+    e2 = Ellipsoid((1.0, 0.8, 0.6), (0.3, 0.1, 1.2), (0.3, 0.2, 0.0))
+    entry = (SurfaceParam(0.0, 0.0), SurfaceParam(0.0, math.pi))
+    report = penetration_depth(e1, e2, entry)
+    assert report.kind == "overlapping"
+    assert report.witness_params != entry
+    n1, n2 = report.witness_normals
+    assert abs(float(n1 @ n2) + 1.0) < 1e-6
+
+
+@pytest.mark.parametrize(
+    "e1, e2, config, kind",
+    [
+        (_sphere(1.0, (0, 0, 0)), _sphere(1.0, (1.3, 0, 0)), SolverConfig(), "overlapping"),
+        (
+            Ellipsoid((1.0, 0.6, 0.4), (0, 0, 0), (0.1, 0.2, 0.3)),
+            Ellipsoid((0.8, 0.5, 0.3), (0.9, 0.2, 0.1), (0.3, -0.1, 0.2)),
+            SolverConfig(),
+            "overlapping",
+        ),
+        (_sphere(1.0, (0, 0, 0)), _sphere(0.3, (0.5, 0, 0)), SolverConfig(max_iter=50), "max-iter"),
+    ],
+)
+def test_report_params_and_normals_agree(e1, e2, config, kind):
+    # the report's params are canonical, and its normals are the surface
+    # normals at those params, bit for bit, at either exit of the loop
+    report = analyze(e1, e2, config)
+    assert report.kind == kind
+    for e, p, n in zip((e1, e2), report.witness_params, report.witness_normals):
+        assert type(p) is SurfaceParam and p.is_canonical()
+        assert n.tolist() == surface_frame(e, p).normal.tolist()
