@@ -34,6 +34,7 @@ import sys
 import time
 from dataclasses import replace
 
+# perfbench/tracer.py wraps cli.contact_analyze by that name
 from .contact import analyze as contact_analyze, separated
 from .geometry import NoIntersectionError, SurfaceParam
 from .oracle import OverlapSuspectedError, oracle_min_distance
@@ -220,7 +221,8 @@ def cmd_solve(args) -> int:
     record = _record(sc.name, res, wall)
     exit_code = _STATUS_EXIT[res.status]
     if not separated(sc.e1, sc.e2, res):
-        report = contact_analyze(sc.e1, sc.e2, config, sc.init)
+        # the trace is the first solve's; the contact run records none
+        report = contact_analyze(sc.e1, sc.e2, replace(config, record_trace=False), sc.init)
         signed = report.distance_or_depth
         if report.kind == "overlapping":
             signed = -signed

@@ -2,10 +2,12 @@
 
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
-from surfslide.cli import build_parser, main
+from surfslide import cli
+from surfslide.cli import build_parser, main, write_trace
 from surfslide.scenarios import builtin_scenario, load_scenario, scenario_to_dict
 from surfslide.slider import SolverConfig, solve
 
@@ -223,6 +225,33 @@ def test_solve_overlap_exit_code_and_contact_record(tmp_path, capsys):
     assert record["contact_kind"] == "overlapping"
     # signed value: negative magnitude = penetration depth
     assert record["contact_value"] == pytest.approx(-0.8, abs=1e-4)
+
+
+def test_solve_overlap_trace_leaves_record_and_csv_unchanged(tmp_path, capsys, monkeypatch):
+    # the trace is the first solve's; the depth run gets a config without
+    # record_trace, and the record reads as it does untraced
+    path = _overlap_scenario_file(tmp_path)
+    traced_configs = []
+    analyze = cli.contact_analyze
+
+    def recording_analyze(e1, e2, config, init):
+        traced_configs.append(config.record_trace)
+        return analyze(e1, e2, config, init)
+
+    monkeypatch.setattr(cli, "contact_analyze", recording_analyze)
+    trace = tmp_path / "t.csv"
+    assert main(["solve", path, "--trace", str(trace)]) == 7
+    traced = json.loads(capsys.readouterr().out)
+    assert main(["solve", path]) == 7
+    plain = json.loads(capsys.readouterr().out)
+    assert traced_configs == [False, False]
+    traced.pop("wall_time_s")
+    plain.pop("wall_time_s")
+    assert traced == plain
+    sc = load_scenario(path)
+    res = solve(sc.e1, sc.e2, sc.init, replace(sc.config(), record_trace=True))
+    write_trace(str(tmp_path / "direct.csv"), res.trace)
+    assert trace.read_bytes() == (tmp_path / "direct.csv").read_bytes()
 
 
 def test_solve_failed_depth_continuation_exits_max_iter(tmp_path, capsys):
