@@ -192,7 +192,6 @@ def test_penetration_depth_from_pole_entries():
 @pytest.mark.parametrize(
     "e1, e2, config, kind",
     [
-        (_sphere(1.0, (0, 0, 0)), _sphere(1.0, (1.3, 0, 0)), SolverConfig(), "overlapping"),
         (
             Ellipsoid((1.0, 0.6, 0.4), (0, 0, 0), (0.1, 0.2, 0.3)),
             Ellipsoid((0.8, 0.5, 0.3), (0.9, 0.2, 0.1), (0.3, -0.1, 0.2)),
