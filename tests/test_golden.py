@@ -9,7 +9,9 @@ re-solve from its own params. ``tests/golden/overlap-2024.txt``
 fingerprints ``contact.analyze`` on 60 overlapping pairs of seed 2024
 (the benchmark's overlap-analyze recipe, fracs cycling 0.3/0.6/0.9);
 it pins today's verdicts, the wrong ones included, and every field of
-each report.
+each report. ``tests/golden/oracle-2024.txt`` fingerprints
+``oracle_min_distance`` on the seven builtin scenarios and 30 random
+separated pairs of seed 2024, each in both argument orders.
 ``PYTHONPATH=src python tests/test_golden.py`` rewrites all of them and
 prints, per file, how far the answers moved (see ``move_summary``); for
 the random set also the cold solves' iteration mean, max and bare-eps_d
@@ -29,12 +31,14 @@ import pytest
 from helpers import random_overlap_pair, random_separated_pair
 from surfslide.cli import main
 from surfslide.contact import analyze
+from surfslide.oracle import oracle_min_distance
 from surfslide.scenarios import builtin_scenarios
 from surfslide.slider import SolverConfig, solve
 
 GOLDEN = Path(__file__).parent / "golden"
 RANDOM_SET = GOLDEN / "random-2024.txt"
 OVERLAP_SET = GOLDEN / "overlap-2024.txt"
+ORACLE_SET = GOLDEN / "oracle-2024.txt"
 OVERLAP_FRACS = (0.3, 0.6, 0.9)
 
 
@@ -123,6 +127,35 @@ def test_overlap_set_matches_golden():
     assert len(got) == len(want), f"{len(got)} reports, golden {len(want)}"
 
 
+def oracle_set_fingerprint() -> list[str]:
+    """One line per ``oracle_min_distance`` call: the pair (scenario name
+    or case number), the argument order, then the distance and both params
+    as ``float.hex``, or the name of the exception it raised."""
+    rng = np.random.default_rng(2024)
+    pairs = [(sc.name, sc.e1, sc.e2) for sc in builtin_scenarios()]
+    pairs += [(f"{case:03d}", *random_separated_pair(rng)) for case in range(30)]
+    lines = []
+    for name, e1, e2 in pairs:
+        for order, (a, b) in (("12", (e1, e2)), ("21", (e2, e1))):
+            head = f"{name} {order}"
+            try:
+                dist, (p1, p2) = oracle_min_distance(a, b)
+            except Exception as exc:
+                lines.append(f"{head} {type(exc).__name__}")
+                continue
+            values = (dist, p1.theta, p1.phi, p2.theta, p2.phi)
+            lines.append(" ".join([head, *(v.hex() for v in values)]))
+    return lines
+
+
+def test_oracle_set_matches_golden():
+    got = oracle_set_fingerprint()
+    want = ORACLE_SET.read_text().splitlines()
+    for g, w in zip(got, want):
+        assert g == w, f"oracle-2024.txt differs:\n  got  {g}\n  want {w}"
+    assert len(got) == len(want), f"{len(got)} calls, golden {len(want)}"
+
+
 def _answers(name: str, lines: list[str]) -> dict:
     """Per line of a golden file: key -> (line, status or kind, iterations,
     distance). A trace CSV row has no status, and its file's iteration
@@ -136,6 +169,10 @@ def _answers(name: str, lines: list[str]) -> dict:
         elif name == RANDOM_SET.name:
             f = line.split()
             out[tuple(f[:3])] = (line, f[3], int(f[4]), float.fromhex(f[6]))
+        elif name == ORACLE_SET.name:
+            f = line.split()
+            dist = float.fromhex(f[2]) if f[2].startswith(("0x", "-0x")) else None
+            out[tuple(f[:2])] = (line, None if dist is not None else f[2], None, dist)
         else:
             f = line.split()
             out[f[0]] = (line, f[2], None, float.fromhex(f[3]) if len(f) > 3 else None)
@@ -199,3 +236,4 @@ if __name__ == "__main__":
         print(move_summary(path.name, old, path.read_text().splitlines()))
     _rewrite(RANDOM_SET, random_set_fingerprint())
     _rewrite(OVERLAP_SET, overlap_set_fingerprint())
+    _rewrite(ORACLE_SET, oracle_set_fingerprint())
