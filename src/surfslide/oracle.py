@@ -61,9 +61,11 @@ class OracleConfig:
             raise ValueError("point_tol must be >= 0")
 
 
-def _foot_points_local(e: Ellipsoid, q: np.ndarray, point_tol: float) -> np.ndarray:
+def _foot_points_local(axes: np.ndarray, q: np.ndarray, point_tol: float) -> np.ndarray:
     """Feet of the normals dropped from exterior local points ``q``, given
-    as 3 rows of n coordinates; the feet come back in the same layout.
+    as (..., 3, m) arrays of m points, onto bodies with semi-axes ``axes``
+    (broadcast against ``q``, so each column may have its own); the feet
+    come back in the layout of ``q``.
 
     The foot satisfies x_i = a_i^2 q_i / (a_i^2 + t) with t > 0 the unique
     root of f(t) = sum_i (a_i q_i / (a_i^2 + t))^2 - 1, solved by Newton's
@@ -75,21 +77,28 @@ def _foot_points_local(e: Ellipsoid, q: np.ndarray, point_tol: float) -> np.ndar
     ``point_tol * t`` (a step too small to change t counts as stopped), and
     raises RuntimeError after NEWTON_MAX_PASSES passes.
     """
-    # rows, not an (n, 3) array: reductions over 3 contiguous rows are
-    # cheaper than over a short last axis
-    axes = np.asarray(e.semi_axes)[:, None]
+    # coordinates on axis -2: reductions over 3 contiguous rows are cheaper
+    # than over a short last axis
     a2 = axes * axes
     aq = axes * q
-    t = np.maximum(0.0, np.max(np.abs(aq) - a2, axis=0))
+    t = np.maximum(0.0, np.max(np.abs(aq) - a2, axis=-2, keepdims=True))
+    d, r2 = np.empty_like(aq), np.empty_like(aq)
+    done = np.zeros(t.shape[:-1] + (1,), dtype=bool)
     for _ in range(NEWTON_MAX_PASSES):
-        d = a2 + t
-        r2 = (aq / d) ** 2
+        np.add(a2, t, out=d)
+        np.divide(aq, d, out=r2)
+        np.square(r2, out=r2)
+        f = r2.sum(axis=-2, keepdims=True) - 1.0
         # f / -f'(t), with -f'(t) = 2 sum_i (a_i q_i)^2 / (a_i^2 + t)^3
-        step = np.maximum(0.0, (r2.sum(axis=0) - 1.0) / (2.0 * (r2 / d).sum(axis=0)))
+        s = np.divide(r2, d, out=r2).sum(axis=-2, keepdims=True)
+        step = np.maximum(0.0, f / (2.0 * s))
         t_next = t + step
-        if np.all(t_next - t <= point_tol * t_next):
-            return a2 * q / (a2 + t_next)
-        t = t_next
+        # a block's t freezes once its steps all stop, as if solved alone
+        stop = (t_next - t <= point_tol * t_next).all(axis=-1, keepdims=True)
+        t = np.where(done, t, t_next)
+        done |= stop
+        if done.all():
+            return a2 * q / (a2 + t)
     raise RuntimeError(
         f"foot-point Newton solve did not converge in {NEWTON_MAX_PASSES} passes"
     )
@@ -103,84 +112,80 @@ def point_to_ellipsoid(
     if not 0.0 < implicit_value(e, Q) < math.inf:
         raise ValueError("point is not a finite point strictly outside the ellipsoid")
     q = to_local_point(e, Q).reshape(3, 1)
-    foot = _foot_points_local(e, q, point_tol)[:, 0]
+    foot = _foot_points_local(np.asarray(e.semi_axes)[:, None], q, point_tol)[:, 0]
     dist = float(np.linalg.norm(q[:, 0] - foot))
     return dist, param_from_local_point(e, foot)
-
-
-def _surface_points_local(e: Ellipsoid, thetas: np.ndarray, phis: np.ndarray):
-    """Lattice of local surface points as 3 rows, flattened theta-major so
-    that np.argmin tie-breaks to the lowest (theta, phi) pair."""
-    a, b, c = e.semi_axes
-    th = thetas[:, None]
-    ph = phis[None, :]
-    x = a * np.sin(ph) * np.cos(th)
-    y = b * np.sin(ph) * np.sin(th)
-    z = c * np.cos(ph) * np.ones_like(th)
-    pts = np.stack([x.ravel(), y.ravel(), z.ravel()])
-    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
-    return pts, tt.ravel(), pp.ravel()
-
-
-def _lattice_search(
-    e1: Ellipsoid, e2: Ellipsoid, cfg: OracleConfig
-) -> tuple[float, SurfaceParam, SurfaceParam]:
-    """One-way search: project a refined lattice of points on e1 onto e2
-    and keep the best pair, returned as (distance, param on e1, param on
-    e2)."""
-    R12 = e2.rotation.T @ e1.rotation  # e1 local -> e2 local
-    t12 = to_local_point(e2, np.asarray(e1.center))[:, None]
-    axes2 = np.asarray(e2.semi_axes)[:, None]
-
-    theta_c, theta_hw = math.pi, math.pi
-    phi_c, phi_hw = math.pi / 2.0, math.pi / 2.0
-
-    best = None  # (distance, theta1, phi1, foot_local2)
-    for level in range(cfg.refine_levels + 1):
-        thetas = np.linspace(
-            theta_c - theta_hw, theta_c + theta_hw, cfg.grid_theta, endpoint=False
-        )
-        lo = max(0.0, phi_c - phi_hw)
-        hi = min(math.pi, phi_c + phi_hw)
-        phis = np.linspace(lo, hi, cfg.grid_phi)
-
-        pts1, tt, pp = _surface_points_local(e1, thetas, phis)
-        q = R12 @ pts1 + t12  # points of e1 in e2's local frame
-        if np.any(np.sum((q / axes2) ** 2, axis=0) <= 1.0):
-            raise OverlapSuspectedError(
-                "a sampled surface point of one body lies inside the other"
-            )
-        feet = _foot_points_local(e2, q, cfg.point_tol)
-        dists = np.sqrt(np.sum((q - feet) ** 2, axis=0))
-        i = int(np.argmin(dists))
-        if best is None or dists[i] < best[0]:
-            best = (float(dists[i]), float(tt[i]), float(pp[i]), feet[:, i])
-
-        theta_c, phi_c = best[1], best[2]
-        theta_hw *= cfg.refine_shrink
-        phi_hw *= cfg.refine_shrink
-
-    dist, th1, ph1, foot2 = best
-    foot_global = e2.rotation @ foot2 + np.asarray(e2.center)
-    if implicit_value(e1, foot_global) <= 0.0:
-        raise OverlapSuspectedError("a closest point of one body lies inside the other")
-    return dist, SurfaceParam.canonical(th1, ph1), param_from_local_point(e2, foot2)
 
 
 def oracle_min_distance(
     e1: Ellipsoid, e2: Ellipsoid, cfg: OracleConfig = OracleConfig()
 ) -> tuple[float, tuple[SurfaceParam, SurfaceParam]]:
-    """Brute-force minimum distance: run the lattice search from e1 onto e2
-    and from e2 onto e1, and keep the closer pair, with the params in
-    (e1, e2) order. A lattice on one body alone can refine into the wrong
-    basin when that body is needle-like; the other body's lattice finds it.
+    """Brute-force minimum distance: search a refined lattice on e1 projected
+    onto e2 and one on e2 projected onto e1, and keep the closer pair, with
+    the params in (e1, e2) order. A lattice on one body alone can refine
+    into the wrong basin when that body is needle-like; the other body's
+    lattice finds it.
+
+    Both searches run as one array pass per level: block h of every array
+    holds body h's lattice, in the local frame of the other body. Each block
+    refines around its own best point; lattices are flattened theta-major,
+    so that np.argmin tie-breaks to the lowest (theta, phi) pair.
 
     Raises :class:`OverlapSuspectedError` when, in either search, a sampled
     point falls inside the other body or the best foot falls inside the
     lattice's own body.
     """
-    d12, p1, p2 = _lattice_search(e1, e2, cfg)
-    d21, q2, q1 = _lattice_search(e2, e1, cfg)
+    gt, gp = cfg.grid_theta, cfg.grid_phi
+    bodies, others = (e1, e2), (e2, e1)
+    own_axes = np.array([e1.semi_axes, e2.semi_axes])
+    # the semi-axes each block projects onto, per column: array ops with a
+    # stride-0 operand are slower
+    axes = np.repeat(own_axes[::-1, :, None], gt * gp, axis=2)
+    R = np.array([e2.rotation.T @ e1.rotation, e1.rotation.T @ e2.rotation])
+    T = np.array([to_local_point(e2, np.asarray(e1.center)),
+                  to_local_point(e1, np.asarray(e2.center))])[:, :, None]
+
+    theta_c = np.array([math.pi, math.pi])
+    phi_c = np.array([math.pi / 2.0, math.pi / 2.0])
+    theta_hw, phi_hw = math.pi, math.pi / 2.0
+    i_theta, i_phi = np.arange(gt, dtype=float), np.arange(gp, dtype=float)
+    pts = np.empty((2, 3, gt, gp))
+    best = [None, None]  # per block: (distance, theta, phi, foot on the other body)
+    for level in range(cfg.refine_levels + 1):
+        lo_t, hi_t = theta_c - theta_hw, theta_c + theta_hw
+        lo_p, hi_p = np.maximum(0.0, phi_c - phi_hw), np.minimum(math.pi, phi_c + phi_hw)
+        # np.linspace's arithmetic (endpoint=False for theta), without its overhead
+        thetas = i_theta * ((hi_t - lo_t) / gt)[:, None] + lo_t[:, None]
+        phis = i_phi * ((hi_p - lo_p) / (gp - 1))[:, None] + lo_p[:, None]
+        phis[:, -1] = hi_p
+        sin_ph = np.sin(phis)
+        np.multiply(np.cos(thetas)[:, :, None],
+                    (own_axes[:, 0, None] * sin_ph)[:, None, :], out=pts[:, 0])
+        np.multiply(np.sin(thetas)[:, :, None],
+                    (own_axes[:, 1, None] * sin_ph)[:, None, :], out=pts[:, 1])
+        pts[:, 2] = (own_axes[:, 2, None] * np.cos(phis))[:, None, :]
+        q = R @ pts.reshape(2, 3, gt * gp)
+        q += T
+        if np.any(np.sum((q / axes) ** 2, axis=1) <= 1.0):
+            raise OverlapSuspectedError(
+                "a sampled surface point of one body lies inside the other"
+            )
+        feet = _foot_points_local(axes, q, cfg.point_tol)
+        dists = np.sqrt(np.sum((q - feet) ** 2, axis=1))
+        for h, i in enumerate(np.argmin(dists, axis=1)):
+            if best[h] is None or dists[h, i] < best[h][0]:
+                best[h] = (float(dists[h, i]), float(thetas[h, i // gp]),
+                           float(phis[h, i % gp]), feet[h, :, i])
+            theta_c[h], phi_c[h] = best[h][1], best[h][2]
+        theta_hw *= cfg.refine_shrink
+        phi_hw *= cfg.refine_shrink
+
+    found = []
+    for body, other, (dist, th, ph, foot) in zip(bodies, others, best):
+        if implicit_value(body, other.rotation @ foot + np.asarray(other.center)) <= 0.0:
+            raise OverlapSuspectedError("a closest point of one body lies inside the other")
+        found.append((dist, SurfaceParam.canonical(th, ph), param_from_local_point(other, foot)))
+    (d12, p1, p2), (d21, q2, q1) = found
     if d21 < d12:
         return d21, (q1, q2)
     return d12, (p1, p2)
