@@ -20,7 +20,7 @@ from surfslide.oracle import (
     oracle_min_distance,
     point_to_ellipsoid,
 )
-from surfslide.scenarios import builtin_scenario
+from surfslide.scenarios import builtin_scenario, builtin_scenarios
 from surfslide.slider import solve
 
 PI = math.pi
@@ -148,6 +148,22 @@ def test_foot_point_solve_raises_at_pass_cap(monkeypatch):
         oracle_min_distance(e, Ellipsoid((1, 1, 1), (5, 0, 0), (0, 0, 0)))
 
 
+def test_sphere_foot_takes_one_newton_step(monkeypatch):
+    # on a sphere the solved function is linear in t: one step lands on the
+    # root, and the second pass only confirms it
+    monkeypatch.setattr(oracle, "NEWTON_MAX_PASSES", 2)
+    rng = np.random.default_rng(38)
+    for _ in range(50):
+        r = math.exp(rng.uniform(math.log(1e-2), math.log(1e2)))
+        c = rng.uniform(-10, 10, 3)
+        e = Ellipsoid((r, r, r), tuple(c), (0, 0, 0))
+        u = rng.normal(size=3)
+        u /= np.linalg.norm(u)
+        Q = c + r * math.exp(rng.uniform(math.log(1.1), math.log(100.0))) * u
+        dist, _ = point_to_ellipsoid(e, Q)
+        assert dist == pytest.approx(np.linalg.norm(Q - c) - r, rel=1e-12)
+
+
 def test_point_projection_rejects_non_finite_points():
     # 1e200 out, the implicit value overflows to inf, which is rejected
     e = Ellipsoid((1.2, 0.5, 0.8), (0, 0, 0), (0, 0, 0))
@@ -193,6 +209,16 @@ def test_oracle_detects_overlap():
         oracle_min_distance(e1, e2)
 
 
+def test_oracle_detects_a_contained_body_in_both_orders():
+    # only the inner body's lattice has samples inside the other body, so
+    # each order needs the interior test on its own half of the lattice
+    outer = Ellipsoid((3.0, 2.0, 2.5), (0.1, -0.2, 0.3), (0.3, 0.2, 0.1))
+    inner = Ellipsoid((0.5, 0.3, 0.4), (0.4, 0.1, 0.2), (-0.7, 0.4, 1.1))
+    for e1, e2 in ((outer, inner), (inner, outer)):
+        with pytest.raises(OverlapSuspectedError, match="sampled surface point"):
+            oracle_min_distance(e1, e2)
+
+
 def test_oracle_config_validation():
     with pytest.raises(ValueError):
         OracleConfig(grid_theta=4)
@@ -202,6 +228,14 @@ def test_oracle_config_validation():
         with pytest.raises(ValueError):
             OracleConfig(point_tol=tol)
     OracleConfig(point_tol=0.0)
+
+
+@pytest.mark.parametrize("sc", builtin_scenarios(), ids=lambda sc: sc.name)
+def test_oracle_zero_point_tol_terminates(sc):
+    # with no tolerance the foot solves stop only when a step no longer
+    # changes t or is clamped to 0
+    dist, _ = oracle_min_distance(sc.e1, sc.e2, OracleConfig(point_tol=0.0))
+    assert dist == pytest.approx(oracle_min_distance(sc.e1, sc.e2)[0], rel=1e-12)
 
 
 @pytest.mark.parametrize("seed, draw", [(0, 77), (10, 6)])
