@@ -96,27 +96,14 @@ def _record(name: str, res, wall: float) -> dict:
 
 
 def write_trace(path: str, trace) -> None:
-    lines = [TRACE_COLUMNS]
-    for r in trace:
-        lines.append(
-            ",".join(
-                (
-                    str(r.k),
-                    _g17(r.theta1),
-                    _g17(r.phi1),
-                    _g17(r.theta2),
-                    _g17(r.phi2),
-                    _g17(r.distance),
-                    _g17(r.lambda1),
-                    _g17(r.lambda2),
-                    _g17(r.eps_d),
-                    _g17(r.eps_n),
-                    "1" if r.overshoot_flag else "0",
-                )
-            )
-        )
+    rows = (
+        f"{r.k},{r.theta1:.17g},{r.phi1:.17g},{r.theta2:.17g},{r.phi2:.17g},"
+        f"{r.distance:.17g},{r.lambda1:.17g},{r.lambda2:.17g},{r.eps_d:.17g},"
+        f"{r.eps_n:.17g},{1 if r.overshoot_flag else 0}"
+        for r in trace
+    )
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join([TRACE_COLUMNS, *rows]) + "\n")
 
 
 # ---------------------------------------------------------------------------
