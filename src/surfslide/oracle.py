@@ -1,14 +1,15 @@
 """Reference solvers used to validate the sliding iteration.
 
 Two layers, numpy only and sharing no code with the slider: an exact
-point-to-ellipsoid projection (Newton's method on the foot-point equation in
-the body's axis frame, started from a lower bound of its root so that it
-needs no bracket) and a coarse-to-fine lattice search run over both
-surfaces. The lattice limits the resolution by design. Each lattice answer
-is the exact distance between two surface points, so it bounds the true
-distance from above, and the smaller of the two searches is kept. A call
-takes 6-10 ms, median 9 ms, on a 2-core Xeon (best of three calls on each
-of 20 random separated pairs and the seven builtin scenarios).
+point-to-ellipsoid projection (Newton's method on a concave form of the
+foot-point equation in the body's axis frame, started from a lower bound of
+its root so that it needs no bracket) and a coarse-to-fine lattice search
+run over both surfaces at once. The lattice limits the resolution by
+design. Each lattice answer is the exact distance between two surface
+points, so it bounds the true distance from above, and the smaller of the
+two searches is kept. A call takes 3-7 ms, median 5 ms, on a 2-core Xeon
+(best of three calls on each of 20 random separated pairs and the seven
+builtin scenarios).
 """
 
 from __future__ import annotations
@@ -73,14 +74,15 @@ def _foot_points_local(axes: np.ndarray, q: np.ndarray, point_tol: float) -> np.
     method runs on k(t) = F^(-1/2) - 1 from the lower bound
     t0 = max(0, max_k(a_k |q_k| - a_k^2)): term k alone reaches 1 at t0,
     so k(t0) <= 0. k + 1 = (sum_i h_i^-2)^(-1/2) with h_i = 1 / |r_i|
-    affine and increasing in t, and that power mean is concave and
-    increasing in each h_i, so k is concave and increasing: every tangent
-    step from the left lands at or before the root, and no bracket is
-    needed. For a sphere k is linear and one step is exact. The step is
-    -k/k' = F (sqrt(F) - 1) / S with S = sum_i r_i^2 / (a_i^2 + t); one
-    that round-off makes negative is clamped to 0. Stops once every step is
-    at most ``point_tol * t`` (a step too small to change t counts as
-    stopped), and raises RuntimeError after NEWTON_MAX_PASSES passes.
+    affine and increasing in t, and that power sum is concave and
+    increasing in each h_i > 0, so k is concave and increasing: its tangent
+    lies above it, every step from the left lands at or before the root,
+    and no bracket is needed. For a sphere k is linear and one step is
+    exact. The step is -k/k' = F (sqrt(F) - 1) / S with
+    S = sum_i r_i^2 / (a_i^2 + t); one that round-off makes negative is
+    clamped to 0. Stops once every step is at most ``point_tol * t`` (a
+    step too small to change t counts as stopped), and raises RuntimeError
+    after NEWTON_MAX_PASSES passes.
     """
     # coordinates on axis -2: reductions over 3 contiguous rows are cheaper
     # than over a short last axis

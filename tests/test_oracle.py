@@ -91,8 +91,8 @@ def _spy_feet(monkeypatch):
     feet = []
     solve_feet = oracle._foot_points_local
 
-    def spy(e, q, point_tol):
-        foot = solve_feet(e, q, point_tol)
+    def spy(axes, q, point_tol):
+        foot = solve_feet(axes, q, point_tol)
         feet.append(foot.reshape(3))
         return foot
 
