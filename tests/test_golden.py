@@ -171,8 +171,8 @@ def _answers(name: str, lines: list[str]) -> dict:
             out[tuple(f[:3])] = (line, f[3], int(f[4]), float.fromhex(f[6]))
         elif name == ORACLE_SET.name:
             f = line.split()
-            dist = float.fromhex(f[2]) if f[2].startswith(("0x", "-0x")) else None
-            out[tuple(f[:2])] = (line, None if dist is not None else f[2], None, dist)
+            error = f[2] if len(f) == 3 else None
+            out[tuple(f[:2])] = (line, error, None, None if error else float.fromhex(f[2]))
         else:
             f = line.split()
             out[f[0]] = (line, f[2], None, float.fromhex(f[3]) if len(f) > 3 else None)
