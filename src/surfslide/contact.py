@@ -4,10 +4,12 @@ penetration-depth continuation.
 When the sliding search drives the separation below the contact threshold
 sigma, the configuration is either tangent (the two outward normals are
 anti-aligned) or interpenetrating (each witness point sits inside the other
-ellipsoid). For the overlap case the same stepping machinery is reused with
-the pull replaced by a push along the other body's negated normal, which
-drives the pair to the maximum-overlap points. Like ``solve``, that
-continuation keeps its state in plain float locals.
+ellipsoid). For the overlap case a continuation pushes each witness along
+the other body's negated normal, which drives the pair to the
+maximum-overlap points. It has its own step, on global frames, and shares
+only the step scaling (``step_increments``) and the alternating halving
+(``_halved``) with ``solve``; like ``solve``, it keeps its state in plain
+float locals.
 """
 
 from __future__ import annotations
@@ -114,10 +116,11 @@ def penetration_depth(
     toggle = 0
     prev_dist = math.nan  # NaN until the first step; ``x == x`` tests for it
     prev_push = False
+    K1, K2 = e1._flat, e2._flat
 
     for k in range(config.max_iter + 1):
-        P1, n1, et1, ep1 = _frame_fast(e1, t1, h1)
-        P2, n2, et2, ep2 = _frame_fast(e2, t2, h2)
+        P1, n1, et1, ep1 = _frame_fast(K1, t1, h1)
+        P2, n2, et2, ep2 = _frame_fast(K2, t2, h2)
         dx, dy, dz = P2[0] - P1[0], P2[1] - P1[1], P2[2] - P1[2]
         dist = math.sqrt(dx ** 2 + dy ** 2 + dz ** 2)
         if k == config.max_iter:

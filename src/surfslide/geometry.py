@@ -126,8 +126,10 @@ class Ellipsoid:
     semi_axes: tuple[float, float, float]
     center: tuple[float, float, float]
     euler: tuple[float, float, float]
-    # derived, cached at construction; kept out of comparisons
-    _rows: tuple = field(init=False, repr=False, compare=False)
+    # derived, cached at construction; kept out of comparisons: the
+    # semi-axes, the three rotation rows and the center as 15 plain floats
+    # (not numpy scalars: the scalar kernels multiply them)
+    _flat: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         axes = tuple(float(v) for v in self.semi_axes)
@@ -143,13 +145,13 @@ class Ellipsoid:
         object.__setattr__(self, "semi_axes", axes)
         object.__setattr__(self, "center", ctr)
         object.__setattr__(self, "euler", ang)
-        # plain floats, not numpy scalars: the frame kernel multiplies them
-        object.__setattr__(self, "_rows", tuple(map(tuple, rotation_matrix(*ang).tolist())))
+        rows = rotation_matrix(*ang).ravel().tolist()
+        object.__setattr__(self, "_flat", axes + tuple(rows) + ctr)
 
     @property
     def rotation(self) -> np.ndarray:
         """The cached 3x3 body-to-global rotation matrix."""
-        return np.array(self._rows)
+        return np.array(self._flat[3:12]).reshape(3, 3)
 
     @property
     def max_semi_axis(self) -> float:
@@ -165,15 +167,15 @@ def _local_point(a, b, c, theta, phi):
     return a * sp * ct, b * sp * st, c * cp
 
 
-def _frame_fast(e: Ellipsoid, theta: float, phi: float):
+def _frame_fast(K, theta: float, phi: float):
     """Global-frame (position, normal, tangent_theta-or-None, tangent_phi)
-    as plain float triples, behind :func:`surface_frame`. ``solve`` calls
-    it only for its contact hand-off and result; the depth continuation on
-    every step. Reads only ``semi_axes``, ``_rows`` and ``center``."""
-    a, b, c = e.semi_axes
+    as plain float triples, behind :func:`surface_frame`, of the body with
+    the 15-float layout ``K`` of ``Ellipsoid._flat``. ``solve`` calls it
+    only for its contact hand-off and result; the depth continuation on
+    every step."""
+    a, b, c, r00, r01, r02, r10, r11, r12, r20, r21, r22, cx, cy, cz = K
     sp, cp = math.sin(phi), math.cos(phi)
     st, ct = math.sin(theta), math.cos(theta)
-    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = e._rows
 
     # body-frame position, normal and tangents; the last three made unit.
     # The theta tangent's zero z stays in the sums, so that every product
@@ -188,7 +190,6 @@ def _frame_fast(e: Ellipsoid, theta: float, phi: float):
     q = math.sqrt(qx * qx + qy * qy + qz * qz)
     qx, qy, qz = qx / q, qy / q, qz / q
 
-    cx, cy, cz = e.center
     pos = (
         (r00 * px + r01 * py + r02 * pz) + cx,
         (r10 * px + r11 * py + r12 * pz) + cy,
@@ -232,11 +233,6 @@ def to_global_point(e: Ellipsoid, x_local) -> np.ndarray:
     return e.rotation @ x + np.asarray(e.center)
 
 
-def to_global_vector(e: Ellipsoid, v_local) -> np.ndarray:
-    """Rotate a local direction into the global frame (no translation)."""
-    return e.rotation @ np.asarray(v_local, dtype=float)
-
-
 def to_local_point(e: Ellipsoid, X_global) -> np.ndarray:
     """Inverse of :func:`to_global_point`."""
     X = np.asarray(X_global, dtype=float) - np.asarray(e.center)
@@ -253,7 +249,7 @@ def surface_frame(e: Ellipsoid, p: SurfaceParam) -> SurfaceFrame:
     ``tangent_theta`` is None at the poles, where its defining direction
     vanishes; that degeneracy is represented, never raised.
     """
-    pos, n, et, ep = _frame_fast(e, p.theta, p.phi)
+    pos, n, et, ep = _frame_fast(e._flat, p.theta, p.phi)
     return SurfaceFrame(
         np.array(pos),
         np.array(n),
@@ -266,13 +262,11 @@ def implicit_value(e: Ellipsoid, X_global) -> float:
     """(x/a)^2 + (y/b)^2 + (z/c)^2 - 1 for the local coordinates of the
     point: negative inside, zero on the surface, positive outside.
 
-    Plain floats over the cached rotation rows, so ``X_global`` may be any
+    Plain floats over the cached ``_flat``, so ``X_global`` may be any
     3-sequence of numbers. Squares are products, not powers: a point so far
     out that one overflows gives ``inf``, and a NaN coordinate gives NaN.
     """
-    a, b, c = e.semi_axes
-    cx, cy, cz = e.center
-    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = e._rows
+    a, b, c, r00, r01, r02, r10, r11, r12, r20, r21, r22, cx, cy, cz = e._flat
     X, Y, Z = X_global
     dx, dy, dz = float(X) - cx, float(Y) - cy, float(Z) - cz
     # rotate back into the body frame with the transposed rows

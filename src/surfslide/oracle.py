@@ -15,7 +15,6 @@ builtin scenarios).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,35 +34,24 @@ from .geometry import (
 NEWTON_MAX_PASSES = 100
 
 
+# Each foot-point solve stops once the Newton step on the multiplier t
+# (units of length squared) has shrunk to at most POINT_TOL * t.
+POINT_TOL = 1e-12
+
+# The lattice of oracle_min_distance: GRID_THETA x GRID_PHI points per body,
+# re-laid REFINE_LEVELS times around the best point so far, each time over a
+# window REFINE_SHRINK times as wide.
+GRID_THETA = 64
+GRID_PHI = 32
+REFINE_LEVELS = 6
+REFINE_SHRINK = 0.25
+
+
 class OverlapSuspectedError(RuntimeError):
     """A sampled surface point of one ellipsoid lies inside the other."""
 
 
-@dataclass(frozen=True)
-class OracleConfig:
-    """Lattice size and refinement of :func:`oracle_min_distance`.
-
-    ``point_tol`` stops each foot-point solve: the Newton step on the
-    multiplier t (units of length squared) must shrink to at most
-    ``point_tol * t``.
-    """
-
-    grid_theta: int = 64
-    grid_phi: int = 32
-    refine_levels: int = 6
-    refine_shrink: float = 0.25
-    point_tol: float = 1e-12
-
-    def __post_init__(self):
-        if self.grid_theta < 8 or self.grid_phi < 8:
-            raise ValueError("grid counts must be >= 8")
-        if not 0.0 < self.refine_shrink < 1.0:
-            raise ValueError("refine_shrink must lie in (0, 1)")
-        if not self.point_tol >= 0.0:
-            raise ValueError("point_tol must be >= 0")
-
-
-def _foot_points_local(axes: np.ndarray, q: np.ndarray, point_tol: float) -> np.ndarray:
+def _foot_points_local(axes: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Feet of the normals dropped from exterior local points ``q``, given
     as (..., 3, m) arrays of m points, onto bodies with semi-axes ``axes``
     (broadcast against ``q``, so each column may have its own); the feet
@@ -80,7 +68,7 @@ def _foot_points_local(axes: np.ndarray, q: np.ndarray, point_tol: float) -> np.
     and no bracket is needed. For a sphere k is linear and one step is
     exact. The step is -k/k' = F (sqrt(F) - 1) / S with
     S = sum_i r_i^2 / (a_i^2 + t); one that round-off makes negative is
-    clamped to 0. Stops once every step is at most ``point_tol * t`` (a
+    clamped to 0. Stops once every step is at most ``POINT_TOL * t`` (a
     step too small to change t counts as stopped), and raises RuntimeError
     after NEWTON_MAX_PASSES passes.
     """
@@ -97,7 +85,7 @@ def _foot_points_local(axes: np.ndarray, q: np.ndarray, point_tol: float) -> np.
         f = r2.sum(axis=-2, keepdims=True)
         s = np.divide(r2, d, out=r2).sum(axis=-2, keepdims=True)
         t_next = t + np.maximum(0.0, f * (np.sqrt(f) - 1.0) / s)
-        if np.all(t_next - t <= point_tol * t_next):
+        if np.all(t_next - t <= POINT_TOL * t_next):
             return a2 * q / (a2 + t_next)
         t = t_next
     raise RuntimeError(
@@ -105,21 +93,19 @@ def _foot_points_local(axes: np.ndarray, q: np.ndarray, point_tol: float) -> np.
     )
 
 
-def point_to_ellipsoid(
-    e: Ellipsoid, Q, point_tol: float = 1e-12
-) -> tuple[float, SurfaceParam]:
+def point_to_ellipsoid(e: Ellipsoid, Q) -> tuple[float, SurfaceParam]:
     """Distance from a strictly exterior global point to the ellipsoid, and
     the surface parameters of the closest point."""
     if not 0.0 < implicit_value(e, Q) < math.inf:
         raise ValueError("point is not a finite point strictly outside the ellipsoid")
     q = to_local_point(e, Q).reshape(3, 1)
-    foot = _foot_points_local(np.asarray(e.semi_axes)[:, None], q, point_tol)[:, 0]
+    foot = _foot_points_local(np.asarray(e.semi_axes)[:, None], q)[:, 0]
     dist = float(np.linalg.norm(q[:, 0] - foot))
     return dist, param_from_local_point(e, foot)
 
 
 def oracle_min_distance(
-    e1: Ellipsoid, e2: Ellipsoid, cfg: OracleConfig = OracleConfig()
+    e1: Ellipsoid, e2: Ellipsoid
 ) -> tuple[float, tuple[SurfaceParam, SurfaceParam]]:
     """Brute-force minimum distance: search a refined lattice on e1 projected
     onto e2 and one on e2 projected onto e1, and keep the closer pair, with
@@ -136,7 +122,7 @@ def oracle_min_distance(
     point falls inside the other body or the best foot falls inside the
     lattice's own body.
     """
-    gt, gp = cfg.grid_theta, cfg.grid_phi
+    gt, gp = GRID_THETA, GRID_PHI
     bodies, others = (e1, e2), (e2, e1)
     own_axes = np.array([e1.semi_axes, e2.semi_axes])
     # the semi-axes each block projects onto, per column: array ops with a
@@ -152,7 +138,7 @@ def oracle_min_distance(
     i_theta, i_phi = np.arange(gt, dtype=float), np.arange(gp, dtype=float)
     pts = np.empty((2, 3, gt, gp))
     best = [None, None]  # per block: (distance, theta, phi, foot on the other body)
-    for level in range(cfg.refine_levels + 1):
+    for level in range(REFINE_LEVELS + 1):
         lo_t, hi_t = theta_c - theta_hw, theta_c + theta_hw
         lo_p, hi_p = np.maximum(0.0, phi_c - phi_hw), np.minimum(math.pi, phi_c + phi_hw)
         # np.linspace's arithmetic (endpoint=False for theta), without its overhead
@@ -171,15 +157,15 @@ def oracle_min_distance(
             raise OverlapSuspectedError(
                 "a sampled surface point of one body lies inside the other"
             )
-        feet = _foot_points_local(axes, q, cfg.point_tol)
+        feet = _foot_points_local(axes, q)
         dists = np.sqrt(np.sum((q - feet) ** 2, axis=1))
         for h, i in enumerate(np.argmin(dists, axis=1)):
             if best[h] is None or dists[h, i] < best[h][0]:
                 best[h] = (float(dists[h, i]), float(thetas[h, i // gp]),
                            float(phis[h, i % gp]), feet[h, :, i])
             theta_c[h], phi_c[h] = best[h][1], best[h][2]
-        theta_hw *= cfg.refine_shrink
-        phi_hw *= cfg.refine_shrink
+        theta_hw *= REFINE_SHRINK
+        phi_hw *= REFINE_SHRINK
 
     found = []
     for body, other, (dist, th, ph, foot) in zip(bodies, others, best):

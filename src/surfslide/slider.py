@@ -67,6 +67,8 @@ class SolverConfig:
     record_trace: bool = False
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.lambda0, self.tol_d, self.tol_n, self.tol_lambda))):
+            raise ValueError("lambda0 and the tolerances must be finite")
         if not self.lambda0 > LAMBDA_FLOOR:
             raise ValueError(f"lambda0 must exceed {LAMBDA_FLOOR:g}")
         if min(self.tol_d, self.tol_n, self.tol_lambda) <= 0.0:
@@ -105,7 +107,7 @@ class SolverState:
     @cached_property
     def frames(self) -> tuple:
         """Both witnesses' (position, normal, tangent_theta, tangent_phi)."""
-        return tuple(_frame_fast(c, p.theta, p.phi) for c, p in zip(self.charts, self.params))
+        return tuple(_frame_fast(c.flat, p.theta, p.phi) for c, p in zip(self.charts, self.params))
 
     @property
     def points_global(self) -> tuple[tuple, tuple]:
@@ -238,33 +240,21 @@ class _Chart(NamedTuple):
     ``shift`` and its rotation's columns shifted to match: the same surface,
     with the parametrization poles on body axis z (shift 0), x (1) or y (2).
 
-    ``flat`` holds the semi-axes, the three rotation rows and the center
-    as 15 floats, the layout the point and pull kernels unpack. They are
-    copied exactly, so shift 0 evaluates bit for bit like the body itself;
-    ``semi_axes``, ``_rows`` and ``center`` read them for ``_frame_fast``."""
+    ``flat`` has the 15-float layout of ``Ellipsoid._flat`` (semi-axes,
+    rotation rows, center), which the point, pull and frame kernels
+    unpack; the shift-0 chart's is the body's own."""
 
     flat: tuple
     shift: int
 
-    @property
-    def semi_axes(self) -> tuple:
-        return self.flat[:3]
-
-    @property
-    def _rows(self) -> tuple:
-        f = self.flat
-        return f[3:6], f[6:9], f[9:12]
-
-    @property
-    def center(self) -> tuple:
-        return self.flat[12:]
-
 
 def _chart(e: Ellipsoid, shift: int) -> _Chart:
-    i, j, k = shift, (shift + 1) % 3, (shift + 2) % 3
-    a, (r0, r1, r2) = e.semi_axes, e._rows
-    flat = (a[i], a[j], a[k], r0[i], r0[j], r0[k], r1[i], r1[j], r1[k], r2[i], r2[j], r2[k])
-    return _Chart(flat + e.center, shift)
+    if shift == 0:
+        return _Chart(e._flat, 0)
+    f, i, j, k = e._flat, shift, (shift + 1) % 3, (shift + 2) % 3
+    flat = (f[i], f[j], f[k], f[3 + i], f[3 + j], f[3 + k],
+            f[6 + i], f[6 + j], f[6 + k], f[9 + i], f[9 + j], f[9 + k])
+    return _Chart(flat + f[12:], shift)
 
 
 def _unit_point(theta: float, phi: float, shift: int) -> list[float]:
@@ -398,8 +388,7 @@ def _support(e: Ellipsoid, ux: float, uy: float, uz: float):
     direction u, where e's outward normal is u, and |w| = |M^T u|, the
     reach of e's support function beyond its center: w = diag(a) R^T u,
     M = R diag(a)."""
-    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = e._rows
-    a, b, c = e.semi_axes
+    a, b, c, r00, r01, r02, r10, r11, r12, r20, r21, r22, _, _, _ = e._flat
     wx = a * (r00 * ux + r10 * uy + r20 * uz)
     wy = b * (r01 * ux + r11 * uy + r21 * uz)
     wz = c * (r02 * ux + r12 * uy + r22 * uz)
@@ -407,14 +396,19 @@ def _support(e: Ellipsoid, ux: float, uy: float, uz: float):
     return (wx / h, wy / h, wz / h), h
 
 
-def _cold_start(e1: Ellipsoid, e2: Ellipsoid) -> tuple[SurfaceParam, SurfaceParam]:
-    """The start without ``init``. With r = c2 - c1 and u = r/|r|, the
-    support-function gap s(u) = |r| - |M1^T u| - |M2^T u| bounds the
-    distance from below; when it is positive, u separates the bodies and
-    each witness starts at its body's support point facing the other
-    (outward normals u and -u). Otherwise each witness starts where the
-    ray from its center toward the other center leaves its surface
-    (concentric pairs raise NoIntersectionError)."""
+def _start(e1: Ellipsoid, e2: Ellipsoid, init) -> tuple[SurfaceParam, SurfaceParam]:
+    """``init``, which must be canonical, or without it the cold start. With
+    r = c2 - c1 and u = r/|r|, the support-function gap
+    s(u) = |r| - |M1^T u| - |M2^T u| bounds the distance from below; when
+    it is positive, u separates the bodies and each witness starts at its
+    body's support point facing the other (outward normals u and -u).
+    Otherwise each witness starts where the ray from its center toward the
+    other center leaves its surface (concentric pairs raise
+    NoIntersectionError)."""
+    if init is not None:
+        if not (init[0].is_canonical() and init[1].is_canonical()):
+            raise ValueError("initial surface parameters must be canonical")
+        return init
     (x1, y1, z1), (x2, y2, z2) = e1.center, e2.center
     rx, ry, rz = x2 - x1, y2 - y1, z2 - z1
     r = math.sqrt(rx * rx + ry * ry + rz * rz)
@@ -432,20 +426,16 @@ def initial_state(
     init: tuple[SurfaceParam, SurfaceParam] | None,
     config: SolverConfig,
 ) -> SolverState:
-    """State at k = 0, from ``init`` or, without it, from ``_cold_start``:
-    the support points facing along the center direction when that
-    direction separates the bodies, the ray exits between the centers
-    otherwise. A pair with a center inside the other body overlaps for
-    certain and has no start to slide from: without ``init`` it raises
-    NoIntersectionError (``solve`` reports it as ``overlap``)."""
-    if init is None:
-        if _center_inside(e1, e2):
-            raise NoIntersectionError("a center lies inside the other body")
-        p1, p2 = _cold_start(e1, e2)
-    else:
-        p1, p2 = init
-        if not (p1.is_canonical() and p2.is_canonical()):
-            raise ValueError("initial surface parameters must be canonical")
+    """State at k = 0, from ``_start``: ``init`` or, without it, the support
+    points facing along the center direction when that direction separates
+    the bodies, the ray exits between the centers otherwise. A pair with a
+    center inside the other body overlaps for certain and has no start to
+    slide from: without ``init`` it raises NoIntersectionError (``solve``
+    reports it as ``overlap``). A step view of the first pass of
+    ``solve``'s loop."""
+    if init is None and _center_inside(e1, e2):
+        raise NoIntersectionError("a center lies inside the other body")
+    p1, p2 = _start(e1, e2, init)
     c1, c2 = _chart(e1, 0), _chart(e2, 0)
     d12, dist, w1, w2 = _evaluate(c1.flat, c2.flat, p1.theta, p1.phi, p2.theta, p2.phi)
     return SolverState(
@@ -532,85 +522,79 @@ def solve(
 ) -> DistanceResult:
     """Run the sliding search until a stopping criterion fires.
 
-    Any one of eps_d < tol_d, eps_n < tol_n, eps_lambda < tol_lambda ends
-    the search as converged; hitting max_iter or the lambda floor is
-    reported as a status, not an exception. Separations below the contact
-    threshold, the start's included, hand off to the contact classifier
-    before any stop test. Without ``init`` the search starts from
-    ``_cold_start``: at the support points facing along the center
-    direction when that direction separates the bodies, else where the
-    rays between the centers leave the bodies. A pair where a center lies
-    inside the other body overlaps for certain: it is reported as
-    ``overlap`` at k = 0 from those ray exits, for the contact
+    Pass k = 0 of the loop evaluates the start and pass k >= 1 runs round
+    k. Any one of eps_d < tol_d, eps_n < tol_n, eps_lambda < tol_lambda
+    ends the search as converged; the start has no eps_d and its
+    eps_lambda is lambda0, so it stops on eps_n alone. Hitting max_iter or
+    the lambda floor is reported as a status, not an exception.
+    Separations below the contact threshold, the start's included, hand
+    off to the contact classifier before any stop test. Without ``init``
+    the search starts from ``_start``: at the support points facing along
+    the center direction when that direction separates the bodies, else
+    where the rays between the centers leave the bodies. A pair where a
+    center lies inside the other body overlaps for certain: it is reported
+    as ``overlap`` at k = 0 from those ray exits, for the contact
     continuation to start from (concentric pairs raise
-    NoIntersectionError). A witness within
-    CHART_POLE_MARGIN of a pole of its chart carries on in another chart;
-    ``params`` and the trace rows are always in the canonical chart.
+    NoIntersectionError). A witness within CHART_POLE_MARGIN of a pole of
+    its chart carries on in another chart; ``params`` and the trace rows
+    are always in the canonical chart.
     """
     sigma = config.resolve_sigma(e1, e2)
     certain_overlap = init is None and _center_inside(e1, e2)
-    state = initial_state(e1, e2, _cold_start(e1, e2) if init is None else init, config)
+    p1, p2 = _start(e1, e2, init)
     trace: list[StepRecord] | None = [] if config.record_trace else None
 
-    eps = convergence_metrics(state)
-    if trace is not None:
-        (p1, p2), lams = state.params, state.lambdas
-        params = ((p1.theta, p1.phi), (p2.theta, p2.phi))
-        trace.append(_step_record(0, state.charts, params, state.distance, lams, eps, False))
-    if certain_overlap:
-        return _result("overlap", state, eps, trace, ())
-    # the contact hand-off comes first, at k = 0 as in the loop
-    status = _contact_status(state, e1, e2, sigma)
-    if status is not None:
-        return _result(status, state, eps, trace, ())
-    # a warm start (or an already-optimal init) may need no iteration at all
-    if eps[1] < config.tol_n:
-        return _result("converged", state, eps, trace, ("eps_n",))
-
     # the loop runs on plain locals; a SolverState is built only for the
-    # contact hand-off and the result
-    charts = state.charts
+    # contact hand-off
+    charts = (_chart(e1, 0), _chart(e2, 0))
     K1, K2 = charts[0].flat, charts[1].flat
-    (p1, p2), (w1, w2) = state.params, state.pulls
     t1, h1, t2, h2 = p1.theta, p1.phi, p2.theta, p2.phi
-    d12, dist = state.d12, state.distance
-    lam1, lam2 = state.lambdas
-    toggle, overshoot = state.halve_toggle, False
-    d_1 = state.prev_distance  # the distance one step back; d_2 two steps
+    d12, dist, w1, w2 = _evaluate(K1, K2, t1, h1, t2, h2)
+    lam1 = lam2 = config.lambda0
+    toggle, overshoot = 0, False
+    d_1 = d_2 = math.nan  # the distances one and two steps back
     revert = config.overshoot_mode == "revert-and-retry"
     tol_d, tol_n, tol_lambda = config.tol_d, config.tol_n, config.tol_lambda
     status = "max-iter"
     criteria: tuple[str, ...] = ()
-    for k in range(1, config.max_iter + 1):
-        if _near_pole(h1) or _near_pole(h2):
-            charts, ((t1, h1), (t2, h2)) = _recharted(charts, (e1, e2), ((t1, h1), (t2, h2)))
-            K1, K2 = charts[0].flat, charts[1].flat
-            d12, dist, w1, w2 = _evaluate(K1, K2, t1, h1, t2, h2)
-        d_2, d_1 = d_1, dist
-        t1, h1, t2, h2, d12, dist, w1, w2, lam1, lam2, toggle, overshoot = _round(
-            K1, K2, t1, h1, t2, h2, d12, dist, w1, w2, lam1, lam2, toggle, revert
-        )
+    for k in range(config.max_iter + 1):
+        if k:
+            if _near_pole(h1) or _near_pole(h2):
+                charts, ((t1, h1), (t2, h2)) = _recharted(charts, (e1, e2), ((t1, h1), (t2, h2)))
+                K1, K2 = charts[0].flat, charts[1].flat
+                d12, dist, w1, w2 = _evaluate(K1, K2, t1, h1, t2, h2)
+            d_2, d_1 = d_1, dist
+            t1, h1, t2, h2, d12, dist, w1, w2, lam1, lam2, toggle, overshoot = _round(
+                K1, K2, t1, h1, t2, h2, d12, dist, w1, w2, lam1, lam2, toggle, revert
+            )
         eps_d, eps_n, eps_lambda = _metrics(dist, d_1, d_2, w1[2], w2[2], lam1, lam2)
         if trace is not None:
-            trace.append(_step_record(
-                k, charts, ((t1, h1), (t2, h2)), dist, (lam1, lam2),
-                (eps_d, eps_n, eps_lambda), overshoot,
+            (u1, v1), (u2, v2) = (_canonical_param(t1, h1, charts[0]),
+                                  _canonical_param(t2, h2, charts[1]))
+            trace.append(StepRecord(
+                k, u1, v1, u2, v2, dist, lam1, lam2,
+                math.nan if eps_d is None else eps_d, eps_n, overshoot,
             ))
+        if certain_overlap:
+            status = "overlap"
+            break
         if dist < sigma:
+            from .contact import classify  # local import; contact depends on us
+
             state = SolverState(
                 k, (SurfaceParam(t1, h1), SurfaceParam(t2, h2)), d12, dist,
                 (lam1, lam2), d_1, toggle, charts, (w1, w2), overshoot,
             )
-            contact = _contact_status(state, e1, e2, sigma)
-            if contact is not None:
-                status = contact
+            kind = classify(state, e1, e2, sigma)
+            if kind != "separated":
+                status = "contact" if kind == "in-contact" else "overlap"
                 break
         met = []
         if eps_d is not None and eps_d < tol_d:
             met.append("eps_d")
         if eps_n < tol_n:
             met.append("eps_n")
-        if eps_lambda < tol_lambda:
+        if k and eps_lambda < tol_lambda:
             met.append("eps_lambda")
         if met:
             status = "converged"
@@ -619,50 +603,16 @@ def solve(
         if eps_lambda < LAMBDA_FLOOR:
             status = "lambda-floor"
             break
-    state = SolverState(
-        k, (SurfaceParam(t1, h1), SurfaceParam(t2, h2)), d12, dist,
-        (lam1, lam2), d_1, toggle, charts, (w1, w2), overshoot,
-    )
-    return _result(status, state, (eps_d, eps_n, eps_lambda), trace, criteria)
-
-
-def _contact_status(state, e1, e2, sigma) -> str | None:
-    """``contact`` or ``overlap`` for a state below the contact threshold
-    that the classifier does not call separated; None otherwise."""
-    if not state.distance < sigma:
-        return None
-    from .contact import classify  # local import; contact depends on us
-
-    kind = classify(state, e1, e2, sigma)
-    if kind == "separated":
-        return None
-    return "contact" if kind == "in-contact" else "overlap"
-
-
-def _step_record(k, charts, params, dist, lambdas, eps, overshoot) -> StepRecord:
-    """The trace row of the (theta, phi) pairs ``params`` on ``charts``;
-    no eps_d (None) is written as NaN."""
-    (t1, h1), (t2, h2) = (_canonical_param(t, h, c) for (t, h), c in zip(params, charts))
-    eps_d, eps_n, _ = eps
-    eps_d = math.nan if eps_d is None else eps_d
-    return StepRecord(k, t1, h1, t2, h2, dist, *lambdas, eps_d, eps_n, overshoot)
-
-
-def _result(status, state, eps, trace, criteria) -> DistanceResult:
-    """The result for ``state``; its global points and normals are the
-    only frames the solve computes."""
-    f1, f2 = state.frames
+    f1, f2 = _frame_fast(K1, t1, h1), _frame_fast(K2, t2, h2)
     return DistanceResult(
         status=status,
-        distance=state.distance,
-        params=tuple(
-            SurfaceParam(*_canonical_param(p.theta, p.phi, c))
-            for p, c in zip(state.params, state.charts)
-        ),
+        distance=dist,
+        params=(SurfaceParam(*_canonical_param(t1, h1, charts[0])),
+                SurfaceParam(*_canonical_param(t2, h2, charts[1]))),
         closest_points=(np.array(f1[0]), np.array(f2[0])),
         normals=(np.array(f1[1]), np.array(f2[1])),
-        iterations=state.k,
-        final_eps=eps,
+        iterations=k,
+        final_eps=(eps_d, eps_n, eps_lambda),
         trace=trace,
         stop_criteria=criteria,
     )

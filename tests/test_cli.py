@@ -64,6 +64,18 @@ def test_invalid_config_is_input_error(capsys):
     assert "invalid solver configuration" in capsys.readouterr().err
 
 
+def test_non_finite_config_is_input_error(tmp_path, capsys):
+    for flags in (["--lambda0", "inf"], ["--tol-n", "nan"]):
+        assert main(["solve", "system-I", *flags]) == 4
+        assert "invalid solver configuration" in capsys.readouterr().err
+    path = tmp_path / "inf.json"
+    doc = scenario_to_dict(builtin_scenario("system-I"))
+    path.write_text(json.dumps({**doc, "lambda0": math.inf}))
+    assert "Infinity" in path.read_text()
+    assert main(["solve", str(path)]) == 4
+    assert "finite" in capsys.readouterr().err
+
+
 def test_solve_scenario_file(tmp_path, capsys):
     doc = {
         "name": "spheres",

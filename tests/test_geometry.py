@@ -19,7 +19,6 @@ from surfslide.geometry import (
     surface_point_global,
     surface_point_local,
     to_global_point,
-    to_global_vector,
     to_local_point,
 )
 
@@ -133,9 +132,9 @@ def test_to_global_point_center_maps_to_center():
     assert np.allclose(to_global_point(e, [0, 0, 0]), [1, 2, 3], atol=1e-15)
 
 
-def test_to_global_vector_rotation_only():
+def test_rotation_maps_directions_without_translation():
     e = Ellipsoid((1, 1, 1), (5, 5, 5), (0, PI / 2, 0))
-    assert np.allclose(to_global_vector(e, [0, 0, 1]), [1, 0, 0], atol=1e-15)
+    assert np.allclose(e.rotation @ [0, 0, 1], [1, 0, 0], atol=1e-15)
 
 
 def test_system_ii_rotated_south_pole_support_point():

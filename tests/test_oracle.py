@@ -15,7 +15,6 @@ from surfslide.geometry import (
     surface_point_global,
 )
 from surfslide.oracle import (
-    OracleConfig,
     OverlapSuspectedError,
     oracle_min_distance,
     point_to_ellipsoid,
@@ -91,8 +90,8 @@ def _spy_feet(monkeypatch):
     feet = []
     solve_feet = oracle._foot_points_local
 
-    def spy(axes, q, point_tol):
-        foot = solve_feet(axes, q, point_tol)
+    def spy(axes, q):
+        foot = solve_feet(axes, q)
         feet.append(foot.reshape(3))
         return foot
 
@@ -193,12 +192,12 @@ def test_oracle_system_ii_support_point_arithmetic():
         assert dist == pytest.approx(expected, abs=1e-6)
 
 
-def test_oracle_grid_doubling_self_consistency():
+def test_oracle_grid_doubling_self_consistency(monkeypatch):
     sc = builtin_scenario("system-I")
     d1, _ = oracle_min_distance(sc.e1, sc.e2)
-    d2, _ = oracle_min_distance(
-        sc.e1, sc.e2, OracleConfig(grid_theta=128, grid_phi=64)
-    )
+    monkeypatch.setattr(oracle, "GRID_THETA", 128)
+    monkeypatch.setattr(oracle, "GRID_PHI", 64)
+    d2, _ = oracle_min_distance(sc.e1, sc.e2)
     assert abs(d1 - d2) < 1e-6
 
 
@@ -219,23 +218,14 @@ def test_oracle_detects_a_contained_body_in_both_orders():
             oracle_min_distance(e1, e2)
 
 
-def test_oracle_config_validation():
-    with pytest.raises(ValueError):
-        OracleConfig(grid_theta=4)
-    with pytest.raises(ValueError):
-        OracleConfig(refine_shrink=1.5)
-    for tol in (-1e-12, math.nan):
-        with pytest.raises(ValueError):
-            OracleConfig(point_tol=tol)
-    OracleConfig(point_tol=0.0)
-
-
 @pytest.mark.parametrize("sc", builtin_scenarios(), ids=lambda sc: sc.name)
-def test_oracle_zero_point_tol_terminates(sc):
+def test_oracle_zero_point_tol_terminates(monkeypatch, sc):
     # with no tolerance the foot solves stop only when a step no longer
     # changes t or is clamped to 0
-    dist, _ = oracle_min_distance(sc.e1, sc.e2, OracleConfig(point_tol=0.0))
-    assert dist == pytest.approx(oracle_min_distance(sc.e1, sc.e2)[0], rel=1e-12)
+    expected, _ = oracle_min_distance(sc.e1, sc.e2)
+    monkeypatch.setattr(oracle, "POINT_TOL", 0.0)
+    dist, _ = oracle_min_distance(sc.e1, sc.e2)
+    assert dist == pytest.approx(expected, rel=1e-12)
 
 
 @pytest.mark.parametrize("seed, draw", [(0, 77), (10, 6)])

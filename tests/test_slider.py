@@ -222,7 +222,7 @@ def test_step_views_reproduce_the_solve_trace(mode):
 
 def test_results_and_rows_hold_plain_floats():
     e1, e2 = random_separated_pair(np.random.default_rng(2024))
-    assert all(type(v) is float for row in e1._rows for v in row)
+    assert len(e1._flat) == 15 and all(type(v) is float for v in e1._flat)
     res = solve(e1, e2, config=SolverConfig(record_trace=True))
     assert all(type(v) is float for v in res.final_eps)
     assert all(type(r.eps_n) is float for r in res.trace)
@@ -306,6 +306,16 @@ def test_start_below_contact_threshold_is_contact():
     cold = solve(e1, e2)
     assert cold.status == "contact" and cold.iterations == 0
     assert solve(e1, e2, cold.params).status == "contact"
+
+
+def test_start_stops_on_eps_n_alone():
+    # the start's eps_lambda is lambda0, below tol_lambda here, but the
+    # start has taken no step: the first round runs and then stops on it
+    sc = builtin_scenario("system-I")
+    for init in (sc.init, None):
+        res = solve(sc.e1, sc.e2, init, SolverConfig(lambda0=1e-9))
+        assert res.status == "converged"
+        assert res.iterations == 1 and res.stop_criteria == ("eps_lambda",)
 
 
 def test_concentric_bodies_have_no_center_line_start():
@@ -446,3 +456,7 @@ def test_solver_config_validation():
         SolverConfig(overshoot_mode="bogus")
     with pytest.raises(ValueError):
         SolverConfig(lambda0=1e-13)
+    for bad in ({"lambda0": math.inf}, {"tol_n": math.nan}, {"tol_d": math.inf},
+                {"tol_lambda": math.nan}):
+        with pytest.raises(ValueError, match="finite"):
+            SolverConfig(**bad)
