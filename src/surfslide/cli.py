@@ -18,9 +18,9 @@ bench
 list
     Print the builtin scenarios.
 
-Exit codes: 0 converged, 2 max-iter (of the solve or of the depth
-continuation), 3 lambda-floor, 4 input error, 5 overlap during bench,
-6 contact, 7 overlap.
+Exit codes: 0 converged, 1 warm/cold distance mismatch during bench,
+2 max-iter (of the solve or of the depth continuation), 3 lambda-floor,
+4 input error, 5 overlap during bench, 6 contact, 7 overlap.
 """
 
 from __future__ import annotations
@@ -55,12 +55,15 @@ EXIT_BENCH_OVERLAP = 5
 EXIT_CONTACT = 6
 EXIT_OVERLAP = 7
 
+# solve statuses, then the contact kinds of a pair that is not separated
 _STATUS_EXIT = {
     "converged": EXIT_CONVERGED,
     "max-iter": EXIT_MAX_ITER,
     "lambda-floor": EXIT_LAMBDA_FLOOR,
     "contact": EXIT_CONTACT,
     "overlap": EXIT_OVERLAP,
+    "in-contact": EXIT_CONTACT,
+    "overlapping": EXIT_OVERLAP,
 }
 
 TRACE_COLUMNS = (
@@ -201,25 +204,18 @@ def cmd_solve(args) -> int:
     sc = resolve_scenario(args.scenario)
     config = build_config(sc, args, record_trace=args.trace is not None)
     t0 = time.perf_counter()
-    res = solve(sc.e1, sc.e2, sc.init, config)
+    report = contact_analyze(sc.e1, sc.e2, config, sc.init)
     wall = time.perf_counter() - t0
+    res = report.result
     if args.trace is not None:
         write_trace(args.trace, res.trace)
     record = _record(sc.name, res, wall)
     exit_code = _STATUS_EXIT[res.status]
-    if not separated(sc.e1, sc.e2, res):
-        # the trace is the first solve's; the contact run records none
-        report = contact_analyze(sc.e1, sc.e2, replace(config, record_trace=False), sc.init)
-        signed = report.distance_or_depth
-        if report.kind == "overlapping":
-            signed = -signed
-            exit_code = EXIT_OVERLAP
-        elif report.kind == "in-contact":
-            exit_code = EXIT_CONTACT
-        elif report.kind == "max-iter":  # the depth continuation failed
-            exit_code = EXIT_MAX_ITER
+    if report.kind != "separated":  # 'max-iter' here: the depth continuation failed
+        exit_code = _STATUS_EXIT[report.kind]
+        value = report.distance_or_depth
         record["contact_kind"] = report.kind
-        record["contact_value"] = signed
+        record["contact_value"] = -value if report.kind == "overlapping" else value
     if args.verify:
         try:
             oracle_d, _ = oracle_min_distance(sc.e1, sc.e2)
@@ -307,7 +303,10 @@ def cmd_sweep(args) -> int:
 def _perturbed(e2, rng: random.Random, magnitude: float):
     center = tuple(c + rng.uniform(-magnitude, magnitude) for c in e2.center)
     euler = tuple(a + rng.uniform(-magnitude, magnitude) for a in e2.euler)
-    return type(e2)(e2.semi_axes, center, euler)
+    try:
+        return type(e2)(e2.semi_axes, center, euler)
+    except ValueError as exc:  # the draw's width, 2 * magnitude, can overflow
+        raise CliError(f"--perturbation {magnitude:g} moved E2 out of range: {exc}") from exc
 
 
 def cmd_bench(args) -> int:
@@ -315,8 +314,8 @@ def cmd_bench(args) -> int:
     config = build_config(sc, args)
     if args.steps < 0:
         raise CliError("--steps must be >= 0")
-    if args.perturbation < 0.0:
-        raise CliError("--perturbation must be >= 0")
+    if not 0.0 <= args.perturbation < math.inf:
+        raise CliError("--perturbation must be finite and >= 0")
 
     report = {
         "scenario": sc.name,

@@ -15,12 +15,13 @@ float locals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .geometry import Ellipsoid, SurfaceParam, _canonical, _frame_fast, implicit_value
 from .slider import ZERO_PROJECTION_FACTOR, SolverConfig, SolverState, _halved, step_increments
+from .slider import DistanceResult
 from .slider import advance_param  # unused; perfbench/tracer.py wraps it by this name
 
 # tolerance on |n1 . n2 + 1| for calling a sub-sigma pair tangent
@@ -36,12 +37,17 @@ class ContactReport:
     penetration magnitude (reported positive, flagged by kind) for overlap;
     for 'max-iter' it is the witness distance where the continuation
     stopped.
+
+    result is the sliding search's ``DistanceResult`` that the verdict came
+    from; ``analyze`` sets it on every report, and ``penetration_depth``,
+    called directly, leaves it None.
     """
 
     kind: str
     distance_or_depth: float
     witness_params: tuple[SurfaceParam, SurfaceParam]
     witness_normals: tuple[np.ndarray, np.ndarray]
+    result: DistanceResult | None = None
 
 
 def interpenetrating(e1: Ellipsoid, e2: Ellipsoid, P1, P2) -> bool:
@@ -79,12 +85,13 @@ def classify(
     return "separated"
 
 
-def _report(kind: str, distance: float, params, normals) -> ContactReport:
+def _report(kind: str, distance: float, params, normals, result=None) -> ContactReport:
     return ContactReport(
         kind=kind,
         distance_or_depth=distance,
         witness_params=params,
         witness_normals=(np.array(normals[0]), np.array(normals[1])),
+        result=result,
     )
 
 
@@ -179,12 +186,14 @@ def analyze(
     init: tuple[SurfaceParam, SurfaceParam] | None = None,
 ) -> ContactReport:
     """Full pipeline: run the sliding search, which decides contact, and
-    continue to the penetration depth when the pair is not separated."""
+    continue to the penetration depth when the pair is not separated. The
+    report carries the search's result, trace included when ``config``
+    records one."""
     from .slider import solve
 
     result = solve(e1, e2, init, config)
     if result.status == "contact":
-        return _report("in-contact", result.distance, result.params, result.normals)
+        return _report("in-contact", result.distance, result.params, result.normals, result)
     if separated(e1, e2, result):
-        return _report("separated", result.distance, result.params, result.normals)
-    return penetration_depth(e1, e2, result.params, config)
+        return _report("separated", result.distance, result.params, result.normals, result)
+    return replace(penetration_depth(e1, e2, result.params, config), result=result)

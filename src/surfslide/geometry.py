@@ -161,12 +161,6 @@ class Ellipsoid:
 # ---------------------------------------------------------------------------
 # scalar kernels (plain floats)
 
-def _local_point(a, b, c, theta, phi):
-    sp, cp = math.sin(phi), math.cos(phi)
-    st, ct = math.sin(theta), math.cos(theta)
-    return a * sp * ct, b * sp * st, c * cp
-
-
 def _frame_fast(K, theta: float, phi: float):
     """Global-frame (position, normal, tangent_theta-or-None, tangent_phi)
     as plain float triples, behind :func:`surface_frame`, of the body with
@@ -220,27 +214,10 @@ def _frame_fast(K, theta: float, phi: float):
 # ---------------------------------------------------------------------------
 # public operations
 
-def surface_point_local(e: Ellipsoid, p: SurfaceParam) -> np.ndarray:
-    """Local coordinates of the surface point at (theta, phi)."""
-    a, b, c = e.semi_axes
-    return np.array(_local_point(a, b, c, p.theta, p.phi))
-
-
-def to_global_point(e: Ellipsoid, x_local) -> np.ndarray:
-    """Rotate a local point into the global frame and translate by the
-    center."""
-    x = np.asarray(x_local, dtype=float)
-    return e.rotation @ x + np.asarray(e.center)
-
-
 def to_local_point(e: Ellipsoid, X_global) -> np.ndarray:
-    """Inverse of :func:`to_global_point`."""
+    """Body-frame coordinates of a global point."""
     X = np.asarray(X_global, dtype=float) - np.asarray(e.center)
     return e.rotation.T @ X
-
-
-def surface_point_global(e: Ellipsoid, p: SurfaceParam) -> np.ndarray:
-    return to_global_point(e, surface_point_local(e, p))
 
 
 def surface_frame(e: Ellipsoid, p: SurfaceParam) -> SurfaceFrame:

@@ -245,6 +245,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
             v = doc[key]
             if not isinstance(v, (int, float)):
                 raise ScenarioFormatError(f"{key} must be a number")
+            if key == "max_iter" and isinstance(v, float) and not v.is_integer():
+                raise ScenarioFormatError(f"max_iter must be a finite whole number, not {v!r}")
             overrides[key] = int(v) if key == "max_iter" else float(v)
     if overrides:
         SolverConfig(**overrides)  # validates ranges
@@ -282,6 +284,8 @@ def load_scenario(path) -> Scenario:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ScenarioFormatError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise ScenarioFormatError(f"{path}: not UTF-8: {exc.reason} at byte {exc.start}") from exc
     try:
         return scenario_from_dict(doc)
     except ScenarioFormatError as exc:

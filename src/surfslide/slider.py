@@ -73,6 +73,8 @@ class SolverConfig:
             raise ValueError(f"lambda0 must exceed {LAMBDA_FLOOR:g}")
         if min(self.tol_d, self.tol_n, self.tol_lambda) <= 0.0:
             raise ValueError("tolerances must be positive")
+        if not isinstance(self.max_iter, int):
+            raise ValueError(f"max_iter must be an integer, not {self.max_iter!r}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         if self.overshoot_mode not in ("accept-and-continue", "revert-and-retry"):

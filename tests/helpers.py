@@ -45,6 +45,18 @@ def pull(e, p, goal):
     return _pull(K, _point(K, p.theta, p.phi)[1], tuple(float(v) for v in goal))
 
 
+def surface_point(e, p):
+    """The forward map in numpy, a reference independent of the solver's
+    float kernels: the body point (a sin phi cos theta, b sin phi sin theta,
+    c cos phi), rotated by ``e.rotation`` and moved to ``e.center``."""
+    a, b, c = e.semi_axes
+    sp = math.sin(p.phi)
+    local = np.array(
+        (a * sp * math.cos(p.theta), b * sp * math.sin(p.theta), c * math.cos(p.phi))
+    )
+    return e.rotation @ local + np.asarray(e.center)
+
+
 def random_param(rng) -> SurfaceParam:
     return SurfaceParam(rng.uniform(0.0, 2.0 * PI), rng.uniform(0.0, PI))
 

@@ -6,8 +6,9 @@ from dataclasses import replace
 
 import pytest
 
-from surfslide import cli
+from surfslide import cli, slider
 from surfslide.cli import build_parser, main, write_trace
+from surfslide.contact import analyze as contact_analyze, separated
 from surfslide.scenarios import builtin_scenario, load_scenario, scenario_to_dict
 from surfslide.slider import SolverConfig, solve
 
@@ -74,6 +75,58 @@ def test_non_finite_config_is_input_error(tmp_path, capsys):
     assert "Infinity" in path.read_text()
     assert main(["solve", str(path)]) == 4
     assert "finite" in capsys.readouterr().err
+
+
+# 1 is bench's warm/cold mismatch; the others are in the module docstring
+DOCUMENTED_EXIT_CODES = {0, 1, 2, 3, 4, 5, 6, 7}
+RUNS = {
+    "solve": ["solve", "system-I", "--max-iter", "50"],
+    "sweep": ["sweep", "system-I", "--param", "lambda0", "--max-iter", "50"],
+    "bench": ["bench", "system-I", "--steps", "1", "--max-iter", "50"],
+}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e308"])
+@pytest.mark.parametrize(
+    "command, flag",
+    [(c, f) for c in RUNS for f in ("--lambda0", "--tol-d", "--tol-n", "--tol-lambda")]
+    + [("sweep", "--values"), ("bench", "--perturbation")],
+)
+def test_float_flags_exit_without_traceback(command, flag, value, capsys):
+    # ``--flag=value`` hands "-inf" to the float parser instead of reading
+    # it as an option; an exception escaping main is what prints a traceback.
+    # At 1e308 the perturbation draw's width, 2e308, overflows.
+    argv = RUNS[command] + [f"{flag}={value}"]
+    if command == "sweep" and flag != "--values":
+        argv.append("--values=0.05")
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code in DOCUMENTED_EXIT_CODES
+    assert "Traceback" not in err
+    if value != "1e308" or flag == "--perturbation":
+        assert code == 4 and err.startswith("surfslide: error: ")
+
+
+@pytest.mark.parametrize(
+    "text, encoding, message",
+    [
+        ('"name": "pair", "max_iter": 1e400', "utf-8", "max_iter"),
+        ('"name": "pair", "max_iter": 2.7', "utf-8", "max_iter"),
+        ('"name": "caf\u00e9"', "latin-1", "not UTF-8"),
+    ],
+    ids=["max-iter-1e400", "max-iter-2.7", "latin-1"],
+)
+def test_solve_bad_scenario_file_is_input_error(text, encoding, message, tmp_path, capsys):
+    bodies = (
+        '"e1": {"semi_axes": [1, 1, 1], "center": [0, 0, 0], "euler": [0, 0, 0]}, '
+        '"e2": {"semi_axes": [1, 1, 1], "center": [3, 0, 0], "euler": [0, 0, 0]}'
+    )
+    path = tmp_path / "bad.json"
+    path.write_text(f"{{{bodies}, {text}}}", encoding=encoding)
+    assert main(["solve", str(path)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("surfslide: error: ") and message in err
+    assert "Traceback" not in err
 
 
 def test_solve_scenario_file(tmp_path, capsys):
@@ -240,8 +293,8 @@ def test_solve_overlap_exit_code_and_contact_record(tmp_path, capsys):
 
 
 def test_solve_overlap_trace_leaves_record_and_csv_unchanged(tmp_path, capsys, monkeypatch):
-    # the trace is the first solve's; the depth run gets a config without
-    # record_trace, and the record reads as it does untraced
+    # one analyze call per run, with that run's own config: the traced run
+    # records the trace, and the record reads as it does untraced
     path = _overlap_scenario_file(tmp_path)
     traced_configs = []
     analyze = cli.contact_analyze
@@ -256,7 +309,7 @@ def test_solve_overlap_trace_leaves_record_and_csv_unchanged(tmp_path, capsys, m
     traced = json.loads(capsys.readouterr().out)
     assert main(["solve", path]) == 7
     plain = json.loads(capsys.readouterr().out)
-    assert traced_configs == [False, False]
+    assert traced_configs == [True, False]
     traced.pop("wall_time_s")
     plain.pop("wall_time_s")
     assert traced == plain
@@ -264,6 +317,69 @@ def test_solve_overlap_trace_leaves_record_and_csv_unchanged(tmp_path, capsys, m
     res = solve(sc.e1, sc.e2, sc.init, replace(sc.config(), record_trace=True))
     write_trace(str(tmp_path / "direct.csv"), res.trace)
     assert trace.read_bytes() == (tmp_path / "direct.csv").read_bytes()
+
+
+def _spheres_file(tmp_path, name, r2, x2):
+    doc = {
+        "name": name,
+        "e1": {"semi_axes": [1, 1, 1], "center": [0, 0, 0], "euler": [0, 0, 0]},
+        "e2": {"semi_axes": [r2, r2, r2], "center": [x2, 0, 0], "euler": [0, 0, 0]},
+    }
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "case, flags, code",
+    [
+        ("system-I", [], 0),
+        ("in-contact", [], 6),
+        ("overlapping", [], 7),
+        ("center-inside", [], 7),
+        ("contained", ["--max-iter", "2"], 2),
+    ],
+)
+def test_solve_slides_each_pair_once(case, flags, code, tmp_path, capsys, monkeypatch):
+    # one sliding search per run, and the answer of the two-step path it
+    # replaced: solve with the trace, then analyze when not separated
+    ref = {
+        "system-I": lambda: "system-I",
+        "in-contact": lambda: _spheres_file(tmp_path, case, 1.0, 2.0),
+        "overlapping": lambda: _spheres_file(tmp_path, case, 1.0, 1.2),
+        "center-inside": lambda: _spheres_file(tmp_path, case, 1.0, 0.8),
+        "contained": lambda: _spheres_file(tmp_path, case, 0.3, 0.5),
+    }[case]()
+    sc = cli.resolve_scenario(ref)
+    config = replace(sc.config(), record_trace=True, **({"max_iter": 2} if flags else {}))
+    res = solve(sc.e1, sc.e2, sc.init, config)
+    want = cli._record(sc.name, res, 0.0)
+    if not separated(sc.e1, sc.e2, res):
+        report = contact_analyze(sc.e1, sc.e2, replace(config, record_trace=False), sc.init)
+        want["contact_kind"] = report.kind
+        sign = -1.0 if report.kind == "overlapping" else 1.0
+        want["contact_value"] = sign * report.distance_or_depth
+    if sc.expected is not None:
+        want["expected_distance"] = sc.expected[0]
+    write_trace(str(tmp_path / "want.csv"), res.trace)
+
+    calls = []
+
+    def counting_solve(*a, **k):
+        calls.append(1)
+        return solve(*a, **k)
+
+    monkeypatch.setattr(slider, "solve", counting_solve)
+    monkeypatch.setattr(cli, "solve", counting_solve)
+    trace = tmp_path / "got.csv"
+    assert main(["solve", ref, "--trace", str(trace), *flags]) == code
+    assert len(calls) == 1
+    got = json.loads(capsys.readouterr().out)
+    assert got.pop("wall_time_s") > 0.0
+    want.pop("wall_time_s")
+    assert got == json.loads(json.dumps(want))
+    assert ("contact_kind" in got) == (code != 0)
+    assert trace.read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 def test_solve_failed_depth_continuation_exits_max_iter(tmp_path, capsys):

@@ -117,10 +117,8 @@ def test_overlap_witnesses_generic_pair():
     assert report.kind == "overlapping"
     n1, n2 = report.witness_normals
     assert abs(float(n1 @ n2) + 1.0) < 1e-6
-    from surfslide.geometry import surface_point_global
-
-    P1 = surface_point_global(e1, report.witness_params[0])
-    P2 = surface_point_global(e2, report.witness_params[1])
+    P1 = surface_frame(e1, report.witness_params[0]).position
+    P2 = surface_frame(e2, report.witness_params[1]).position
     assert implicit_value(e2, P1) < 0
     assert implicit_value(e1, P2) < 0
 
@@ -138,10 +136,8 @@ def test_overlap_witnesses_anti_parallel_to_segment_axis_aligned():
         assert report.kind == "overlapping"
         assert report.distance_or_depth == pytest.approx(depth, abs=1e-4)
         n1, n2 = report.witness_normals
-        from surfslide.geometry import surface_point_global
-
-        P1 = surface_point_global(e1, report.witness_params[0])
-        P2 = surface_point_global(e2, report.witness_params[1])
+        P1 = surface_frame(e1, report.witness_params[0]).position
+        P2 = surface_frame(e2, report.witness_params[1]).position
         d = P2 - P1
         dhat = d / np.linalg.norm(d)
         # the segment runs against n1 and along n2

@@ -6,14 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from helpers import random_separated_pair
+from helpers import random_separated_pair, surface_point
 from surfslide import oracle
-from surfslide.geometry import (
-    Ellipsoid,
-    implicit_value,
-    surface_frame,
-    surface_point_global,
-)
+from surfslide.geometry import Ellipsoid, implicit_value, surface_frame
 from surfslide.oracle import (
     OverlapSuspectedError,
     oracle_min_distance,
@@ -64,7 +59,7 @@ def test_foot_normal_alignment_random():
         if r < 1.5:  # keep strictly exterior
             Q = np.asarray(e.center) + (Q - np.asarray(e.center)) * (2.0 / max(r, 0.1))
         dist, foot = point_to_ellipsoid(e, Q)
-        F = surface_point_global(e, foot)
+        F = surface_point(e, foot)
         n = np.asarray(surface_frame(e, foot).normal)
         seg = Q - F
         assert np.linalg.norm(np.cross(seg, n)) < 1e-8 * np.linalg.norm(seg)
@@ -132,7 +127,7 @@ def test_sphere_foot_matches_closed_form(monkeypatch):
         # |Q - c| carries round-off of a few ulps of |Q|
         expected = np.linalg.norm(Q - c) - r
         assert abs(dist - expected) <= 1e-12 * expected + 4 * eps * np.linalg.norm(Q)
-        F = surface_point_global(e, p)
+        F = surface_point(e, p)
         assert np.linalg.norm(F - (c + closed)) <= 1e-14 * (r + np.linalg.norm(c))
 
 
@@ -239,7 +234,7 @@ def test_oracle_searches_both_surfaces(seed, draw):
     assert res.status == "converged"
     dist, (p1, p2) = oracle_min_distance(e1, e2)
     assert abs(dist - res.distance) < 1e-9
-    P1, P2 = surface_point_global(e1, p1), surface_point_global(e2, p2)
+    P1, P2 = surface_point(e1, p1), surface_point(e2, p2)
     assert np.linalg.norm(P1 - P2) == pytest.approx(dist, rel=1e-9)
     swapped, _ = oracle_min_distance(e2, e1)
     assert abs(swapped - res.distance) < 1e-9

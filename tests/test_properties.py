@@ -30,9 +30,6 @@ from surfslide.geometry import (
     implicit_value,
     rotation_matrix,
     surface_frame,
-    surface_point_global,
-    surface_point_local,
-    to_global_point,
     line_surface_entry,
 )
 from surfslide.oracle import point_to_ellipsoid
@@ -57,7 +54,7 @@ def run_on_surface_closure(n=1000, seed=101):
     for case in range(n):
         e = random_ellipsoid(rng, center_box=2.0)
         p = random_param(rng)
-        X = to_global_point(e, surface_point_local(e, p))
+        X = surface_frame(e, p).position
         val = implicit_value(e, X)
         assert abs(val) < 1e-12, f"case {case}: implicit value {val:.3e}"
 
@@ -73,7 +70,7 @@ def run_implicit_value_matches_array_formula(n=2000, seed=109):
         if case % 2:
             X = np.asarray(e.center) + rng.uniform(-1.5, 1.5, 3) * e.max_semi_axis
         else:
-            P = to_global_point(e, surface_point_local(e, random_param(rng)))
+            P = surface_frame(e, random_param(rng)).position
             X = np.asarray(e.center) + (P - np.asarray(e.center)) * rng.uniform(0.99, 1.01)
         v = implicit_value(e, X)
         local = e.rotation.T @ (X - np.asarray(e.center))

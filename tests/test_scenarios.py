@@ -124,6 +124,29 @@ def test_scenario_rejects_bad_config_value():
         scenario_from_dict(doc)
 
 
+@pytest.mark.parametrize("value", [2.7, math.inf, math.nan])
+def test_scenario_rejects_max_iter_that_is_not_a_whole_number(value):
+    with pytest.raises(ScenarioFormatError, match="max_iter must be a finite whole number"):
+        scenario_from_dict({**_minimal_doc(), "max_iter": value})
+    assert scenario_from_dict({**_minimal_doc(), "max_iter": 50.0}).config().max_iter == 50
+
+
+def test_load_scenario_rejects_max_iter_past_the_float_range(tmp_path):
+    # JSON reads 1e400 as inf, which int() cannot convert
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(_minimal_doc())[:-1] + ', "max_iter": 1e400}')
+    with pytest.raises(ScenarioFormatError, match="max_iter"):
+        load_scenario(path)
+
+
+def test_load_scenario_rejects_text_that_is_not_utf8(tmp_path):
+    path = tmp_path / "latin1.json"
+    doc = json.dumps({**_minimal_doc(), "name": "caf\u00e9"}, ensure_ascii=False)
+    path.write_text(doc, encoding="latin-1")
+    with pytest.raises(ScenarioFormatError, match="not UTF-8"):
+        load_scenario(path)
+
+
 def test_load_scenario_reports_parse_location(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"name": "x",\n  "e1": }')

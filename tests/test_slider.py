@@ -6,14 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from helpers import pull, random_separated_pair
+from helpers import pull, random_separated_pair, surface_point
 from surfslide.geometry import (
     Ellipsoid,
     NoIntersectionError,
     SurfaceParam,
     line_surface_entry,
     surface_frame,
-    surface_point_global,
 )
 from surfslide.scenarios import builtin_scenario
 from surfslide.slider import (
@@ -393,11 +392,11 @@ def test_recharted_run_reports_canonical_params():
     scale = max(e1.max_semi_axis, e2.max_semi_axis)
     for p, e, point in zip(res.params, (e1, e2), res.closest_points):
         assert p.is_canonical()
-        assert np.linalg.norm(surface_point_global(e, p) - point) < 1e-12 * scale
+        assert np.linalg.norm(surface_point(e, p) - point) < 1e-12 * scale
     for r in res.trace:
         p1, p2 = SurfaceParam(r.theta1, r.phi1), SurfaceParam(r.theta2, r.phi2)
         assert p1.is_canonical() and p2.is_canonical()
-        gap = surface_point_global(e2, p2) - surface_point_global(e1, p1)
+        gap = surface_point(e2, p2) - surface_point(e1, p1)
         assert np.linalg.norm(gap) == pytest.approx(r.distance, rel=1e-12)
 
 
@@ -460,3 +459,10 @@ def test_solver_config_validation():
                 {"tol_lambda": math.nan}):
         with pytest.raises(ValueError, match="finite"):
             SolverConfig(**bad)
+
+
+@pytest.mark.parametrize("max_iter", [2.5, 3.0, "10"])
+def test_solver_config_rejects_max_iter_that_is_not_an_integer(max_iter):
+    # range(max_iter + 1) in solve would raise TypeError
+    with pytest.raises(ValueError, match="max_iter must be an integer"):
+        SolverConfig(max_iter=max_iter)
