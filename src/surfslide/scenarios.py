@@ -157,13 +157,15 @@ def builtin_scenario(name: str) -> Scenario:
 # ---------------------------------------------------------------------------
 # serialization
 
+def _is_number(x) -> bool:
+    """A JSON number: an int or float, but not a boolean (``True`` is an
+    int to Python)."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _require_vec3(obj, field, where):
     v = obj.get(field)
-    if (
-        not isinstance(v, list)
-        or len(v) != 3
-        or not all(isinstance(x, (int, float)) for x in v)
-    ):
+    if not isinstance(v, list) or len(v) != 3 or not all(map(_is_number, v)):
         raise ScenarioFormatError(f"{where}.{field} must be a list of 3 numbers")
     return tuple(float(x) for x in v)
 
@@ -222,11 +224,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
     init = None
     if "init" in doc:
         raw = doc["init"]
-        if (
-            not isinstance(raw, list)
-            or len(raw) != 4
-            or not all(isinstance(x, (int, float)) for x in raw)
-        ):
+        if not isinstance(raw, list) or len(raw) != 4 or not all(map(_is_number, raw)):
             raise ScenarioFormatError("init must be [theta1, phi1, theta2, phi2]")
         pairs = []
         for theta, phi in ((raw[0], raw[1]), (raw[2], raw[3])):
@@ -243,7 +241,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
     for key in _CONFIG_KEYS:
         if key in doc:
             v = doc[key]
-            if not isinstance(v, (int, float)):
+            if not _is_number(v):
                 raise ScenarioFormatError(f"{key} must be a number")
             if key == "max_iter" and isinstance(v, float) and not v.is_integer():
                 raise ScenarioFormatError(f"max_iter must be a finite whole number, not {v!r}")
@@ -258,7 +256,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
             raise ScenarioFormatError(
                 "expected must be {distance, provenance}"
             )
-        if "distance" not in exp or not isinstance(exp["distance"], (int, float)):
+        if "distance" not in exp or not _is_number(exp["distance"]):
             raise ScenarioFormatError("expected.distance must be a number")
         expected = (float(exp["distance"]), str(exp.get("provenance", "")))
 

@@ -12,6 +12,12 @@ A witness that comes near a pole of its parametrization carries on in
 another chart of the same body (its semi-axes cyclically shifted), whose
 poles lie on a different body axis; results are reported in the canonical
 chart.
+
+Both steps start at ``lambda0`` on a cold start. A warm start (given
+``init``, say the answer before a small move) is usually almost aligned
+already, so its steps start at the size of the correction it still needs:
+WARM_STEP_SCALE times its misalignment angle, when that is below
+``lambda0``.
 """
 
 from __future__ import annotations
@@ -44,6 +50,11 @@ ZERO_PROJECTION_FACTOR = 1e-15
 # to the chart whose poles are farthest from it.
 CHART_POLE_MARGIN = 0.1
 
+# A warm start whose worse normal/segment misalignment is eps_n lies about
+# sqrt(2 eps_n) radians from aligned; its first steps take this fraction of
+# that angle when it is below lambda0.
+WARM_STEP_SCALE = 0.5
+
 # Smallest step: a revert retry halves no further, and a run whose steps have
 # all shrunk below it ends with status ``lambda-floor``.
 LAMBDA_FLOOR = 1e-12
@@ -69,8 +80,9 @@ class SolverConfig:
     def __post_init__(self):
         if not all(map(math.isfinite, (self.lambda0, self.tol_d, self.tol_n, self.tol_lambda))):
             raise ValueError("lambda0 and the tolerances must be finite")
-        if not self.lambda0 > LAMBDA_FLOOR:
-            raise ValueError(f"lambda0 must exceed {LAMBDA_FLOOR:g}")
+        if not LAMBDA_FLOOR < self.lambda0 <= math.pi:
+            # pi is the whole phi range; a longer step only gets halved
+            raise ValueError(f"lambda0 must exceed {LAMBDA_FLOOR:g} and be at most pi")
         if min(self.tol_d, self.tol_n, self.tol_lambda) <= 0.0:
             raise ValueError("tolerances must be positive")
         if not isinstance(self.max_iter, int):
@@ -213,6 +225,20 @@ def convergence_metrics(
     w1, w2 = state.pulls
     lam1, lam2 = state.lambdas
     return _metrics(state.distance, d_1, d_2, w1[2], w2[2], lam1, lam2)
+
+
+def _start_step(lambda0: float, warm: bool, dist: float, dn1: float, dn2: float) -> float:
+    """Both lambdas at k = 0, for witnesses ``dist`` apart whose pulls have
+    normal parts ``dn1`` and ``dn2``: ``lambda0`` on a cold start, and on
+    a warm one min(lambda0, WARM_STEP_SCALE * sqrt(2 eps_n)). Coincident
+    witnesses (eps_n NaN) and aligned ones keep ``lambda0``. A positive
+    eps_n is at least 2**-53, so a warm step is at least 7.4e-9, above
+    LAMBDA_FLOOR."""
+    if warm:
+        eps_n = _metrics(dist, math.nan, math.nan, dn1, dn2, lambda0, lambda0)[1]
+        if eps_n > 0.0:
+            return min(lambda0, WARM_STEP_SCALE * math.sqrt(2.0 * eps_n))
+    return lambda0
 
 
 def _halved(lam1: float, lam2: float, toggle: int) -> tuple[float, float, int]:
@@ -440,12 +466,13 @@ def initial_state(
     p1, p2 = _start(e1, e2, init)
     c1, c2 = _chart(e1, 0), _chart(e2, 0)
     d12, dist, w1, w2 = _evaluate(c1.flat, c2.flat, p1.theta, p1.phi, p2.theta, p2.phi)
+    lam = _start_step(config.lambda0, init is not None, dist, w1[2], w2[2])
     return SolverState(
         k=0,
         params=(p1, p2),
         d12=d12,
         distance=dist,
-        lambdas=(config.lambda0, config.lambda0),
+        lambdas=(lam, lam),
         prev_distance=math.nan,
         halve_toggle=0,
         charts=(c1, c2),
@@ -526,8 +553,11 @@ def solve(
 
     Pass k = 0 of the loop evaluates the start and pass k >= 1 runs round
     k. Any one of eps_d < tol_d, eps_n < tol_n, eps_lambda < tol_lambda
-    ends the search as converged; the start has no eps_d and its
-    eps_lambda is lambda0, so it stops on eps_n alone. Hitting max_iter or
+    ends the search as converged; the start has no eps_d and takes no
+    step yet, so it stops on eps_n alone. Both steps start at lambda0; a
+    warm start (given ``init``) whose misalignment eps_n gives a smaller
+    WARM_STEP_SCALE * sqrt(2 eps_n) starts at that, the size of the
+    correction it still needs (see ``_start_step``). Hitting max_iter or
     the lambda floor is reported as a status, not an exception.
     Separations below the contact threshold, the start's included, hand
     off to the contact classifier before any stop test. Without ``init``
@@ -552,7 +582,7 @@ def solve(
     K1, K2 = charts[0].flat, charts[1].flat
     t1, h1, t2, h2 = p1.theta, p1.phi, p2.theta, p2.phi
     d12, dist, w1, w2 = _evaluate(K1, K2, t1, h1, t2, h2)
-    lam1 = lam2 = config.lambda0
+    lam1 = lam2 = _start_step(config.lambda0, init is not None, dist, w1[2], w2[2])
     toggle, overshoot = 0, False
     d_1 = d_2 = math.nan  # the distances one and two steps back
     revert = config.overshoot_mode == "revert-and-retry"

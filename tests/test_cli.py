@@ -103,7 +103,9 @@ def test_float_flags_exit_without_traceback(command, flag, value, capsys):
     err = capsys.readouterr().err
     assert code in DOCUMENTED_EXIT_CODES
     assert "Traceback" not in err
-    if value != "1e308" or flag == "--perturbation":
+    # a finite 1e308 is a valid tolerance, but not a valid lambda0 (at most
+    # pi) or perturbation
+    if value != "1e308" or flag in ("--lambda0", "--values", "--perturbation"):
         assert code == 4 and err.startswith("surfslide: error: ")
 
 
@@ -127,6 +129,18 @@ def test_solve_bad_scenario_file_is_input_error(text, encoding, message, tmp_pat
     err = capsys.readouterr().err
     assert err.startswith("surfslide: error: ") and message in err
     assert "Traceback" not in err
+
+
+def test_solve_scenario_file_with_booleans_is_input_error(tmp_path, capsys):
+    path = tmp_path / "booleans.json"
+    path.write_text(
+        '{"name": "pair", "max_iter": true, "lambda0": true,\n'
+        ' "e1": {"semi_axes": [1, 1, 1], "center": [0, 0, 0], "euler": [true, 0, 0]},\n'
+        ' "e2": {"semi_axes": [1, 1, 1], "center": [3, 0, 0], "euler": [0, 0, 0]}}\n'
+    )
+    assert main(["solve", str(path)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("surfslide: error: ") and "must be" in err
 
 
 def test_solve_scenario_file(tmp_path, capsys):

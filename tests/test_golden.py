@@ -15,7 +15,7 @@ separated pairs of seed 2024, each in both argument orders.
 ``PYTHONPATH=src python tests/test_golden.py`` rewrites all of them and
 prints, per file, how far the answers moved (see ``move_summary``); for
 the random set also the cold solves' iteration mean, max and bare-eps_d
-stops, old -> new.
+stops, and the warm re-solves' iteration mean and max, old -> new.
 A change meant to keep every answer must leave these files matching; a
 change that moves answers regenerates them and lists what moved.
 """
@@ -201,23 +201,27 @@ def move_summary(name: str, old: list[str], new: list[str]) -> str:
         f"{iterations}, worst relative distance move {worst:.2g}"
     )
     if name == RANDOM_SET.name:
-        (m0, x0, b0), (m1, x1, b1) = _cold_stats(old), _cold_stats(new)
+        (m0, x0, b0), (m1, x1, b1) = _solve_stats(old, "cold"), _solve_stats(new, "cold")
+        (wm0, wx0, _), (wm1, wx1, _) = _solve_stats(old, "warm"), _solve_stats(new, "warm")
         summary += (
             f"; default-mode cold solves: mean iterations {m0:.1f} -> {m1:.1f}, "
             f"max {x0} -> {x1}, bare eps_d stops {b0} -> {b1}"
+            f"; default-mode warm re-solves: mean iterations {wm0:.2f} -> {wm1:.2f}, "
+            f"max {wx0} -> {wx1}"
         )
     return summary
 
 
-def _cold_stats(lines: list[str]) -> tuple[float, int, int]:
+def _solve_stats(lines: list[str], start: str) -> tuple[float, int, int]:
     """Mean and max iterations, and the number of stops on eps_d alone,
-    over the random set's cold solves in the default overshoot mode."""
+    over the random set's ``start`` ("cold" or "warm") solves in the
+    default overshoot mode."""
     mode = SolverConfig().overshoot_mode
-    cold = [f for f in map(str.split, lines) if f[0] == mode and f[2] == "cold"]
-    if not cold:
+    runs = [f for f in map(str.split, lines) if f[0] == mode and f[2] == start]
+    if not runs:
         return math.nan, 0, 0
-    iterations = [int(f[4]) for f in cold]
-    bare = sum(f[5] == "eps_d" for f in cold)
+    iterations = [int(f[4]) for f in runs]
+    bare = sum(f[5] == "eps_d" for f in runs)
     return sum(iterations) / len(iterations), max(iterations), bare
 
 

@@ -342,6 +342,43 @@ def run_warm_start_idempotence(n=500, seed=108):
             assert excess <= 1e-8 * scale, f"case {case}: got worse by {excess:.3e}"
 
 
+def _rigid_step(e: Ellipsoid, rng, size=1e-3) -> Ellipsoid:
+    """``e`` with every center and Euler component moved by up to ``size``."""
+    return Ellipsoid(
+        e.semi_axes,
+        tuple(np.asarray(e.center) + rng.uniform(-size, size, 3)),
+        tuple(np.asarray(e.euler) + rng.uniform(-size, size, 3)),
+    )
+
+
+def run_warm_tracking(chains=20, steps=16, seed=115):
+    """Chains of small rigid steps, each solved warm from the previous
+    step's answer, as in contact tracking: every warm solve must end with
+    the status of a cold solve of the same pose, and within 1e-9 relative
+    of its distance. Returns the warm and cold iteration counts. The bound
+    is not met on every seed: a stop on a bare eps_d plateau, warm or
+    cold, can land about 1.5e-9 off (the benchmark's warm-track seed 11,
+    op 706)."""
+    rng = np.random.default_rng(seed)
+    cfg = SolverConfig()
+    warm_iterations, cold_iterations = [], []
+    for chain in range(chains):
+        e1, e2 = random_separated_pair(rng)
+        params = solve(e1, e2, None, cfg).params
+        for step in range(steps):
+            e1, e2 = _rigid_step(e1, rng), _rigid_step(e2, rng)
+            warm = solve(e1, e2, params, cfg)
+            cold = solve(e1, e2, None, cfg)
+            where = f"chain {chain} step {step}"
+            assert warm.status == cold.status, f"{where}: {warm.status} vs {cold.status}"
+            gap = abs(warm.distance - cold.distance)
+            assert gap <= 1e-9 * cold.distance, f"{where}: gap {gap:.3e}"
+            warm_iterations.append(warm.iterations)
+            cold_iterations.append(cold.iterations)
+            params = warm.params
+    return warm_iterations, cold_iterations
+
+
 def _support(e: Ellipsoid, u: np.ndarray) -> tuple[float, np.ndarray]:
     """|M^T u| and the support point c + M M^T u / |M^T u| of e in the unit
     direction u, M = R diag(semi-axes)."""
@@ -511,6 +548,11 @@ def test_warm_start_idempotence(property_outcome):
 
 def test_cold_start_points(property_outcome):
     property_outcome(run_cold_start_points)
+
+
+def test_warm_tracking_matches_cold_solves():
+    warm, cold = run_warm_tracking()
+    assert len(warm) == len(cold) == 20 * 16
 
 
 def test_extreme_aspect_up_to_300():

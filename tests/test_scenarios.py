@@ -131,6 +131,43 @@ def test_scenario_rejects_max_iter_that_is_not_a_whole_number(value):
     assert scenario_from_dict({**_minimal_doc(), "max_iter": 50.0}).config().max_iter == 50
 
 
+BOOLEAN_FILE = (
+    '{"name": "pair", "max_iter": true, "lambda0": true,\n'
+    ' "e1": {"semi_axes": [1, 1, 1], "center": [0, 0, 0], "euler": [true, 0, 0]},\n'
+    ' "e2": {"semi_axes": [1, 1, 1], "center": [3, 0, 0], "euler": [0, 0, 0]}}\n'
+)
+
+
+def test_load_scenario_rejects_json_booleans(tmp_path):
+    # Python counts True as the int 1; this file used to load as max_iter 1,
+    # lambda0 1.0 and an Euler angle of 1.0
+    path = tmp_path / "booleans.json"
+    path.write_text(BOOLEAN_FILE)
+    with pytest.raises(ScenarioFormatError):
+        load_scenario(path)
+
+
+@pytest.mark.parametrize("key", ["lambda0", "tol_d", "tol_n", "tol_lambda", "max_iter"])
+def test_scenario_rejects_boolean_config_value(key):
+    with pytest.raises(ScenarioFormatError, match=f"{key} must be a number"):
+        scenario_from_dict({**_minimal_doc(), key: True})
+
+
+@pytest.mark.parametrize("field", ["semi_axes", "center", "euler"])
+def test_scenario_rejects_boolean_vector_entry(field):
+    doc = _minimal_doc()
+    doc["e1"][field] = [1, True, 1]
+    with pytest.raises(ScenarioFormatError, match=f"e1.{field} must be a list of 3 numbers"):
+        scenario_from_dict(doc)
+
+
+def test_scenario_rejects_boolean_init_and_expected_distance():
+    with pytest.raises(ScenarioFormatError, match="init must be"):
+        scenario_from_dict({**_minimal_doc(), "init": [0.5, 1.0, 0.5, True]})
+    with pytest.raises(ScenarioFormatError, match="expected.distance must be a number"):
+        scenario_from_dict({**_minimal_doc(), "expected": {"distance": False}})
+
+
 def test_load_scenario_rejects_max_iter_past_the_float_range(tmp_path):
     # JSON reads 1e400 as inf, which int() cannot convert
     path = tmp_path / "huge.json"

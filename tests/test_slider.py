@@ -1,6 +1,7 @@
 """Unit tests for the sliding iteration: projections, parameter updates,
 overshoot handling, convergence metrics, and the full solve loop."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,9 +15,11 @@ from surfslide.geometry import (
     line_surface_entry,
     surface_frame,
 )
-from surfslide.scenarios import builtin_scenario
+from surfslide.scenarios import builtin_scenario, builtin_scenarios
 from surfslide.slider import (
     CHART_POLE_MARGIN,
+    LAMBDA_FLOOR,
+    WARM_STEP_SCALE,
     ZERO_PROJECTION_FACTOR,
     SolverConfig,
     advance_param,
@@ -24,6 +27,7 @@ from surfslide.slider import (
     convergence_metrics,
     initial_state,
     iterate_once,
+    _start_step,
     solve,
     step_increments,
 )
@@ -103,8 +107,6 @@ def test_advance_param_interior_is_pure_addition():
 def _state_for_metrics(**kw):
     e1, e2 = _spheres(1.0, (-1.5, 0, 0), 1.0, (1.5, 0, 0))
     base = initial_state(e1, e2, None, SolverConfig())
-    import dataclasses
-
     return dataclasses.replace(base, **kw)
 
 
@@ -157,8 +159,6 @@ def test_overshoot_schedule_alternates():
     s = _state_for_metrics(prev_distance=1.0, distance=1.1, lambdas=(0.05, 0.05))
     s = apply_overshoot_schedule(s, cfg)
     assert s.lambdas == (0.025, 0.05) and s.halve_toggle == 1
-    import dataclasses
-
     s = dataclasses.replace(s, prev_distance=1.1, distance=1.2)
     s = apply_overshoot_schedule(s, cfg)
     assert s.lambdas == (0.025, 0.025) and s.halve_toggle == 0
@@ -442,6 +442,41 @@ def test_warm_start_beats_cold_after_small_rotation():
     assert warm.distance == pytest.approx(cold.distance, abs=1e-7)
 
 
+def test_warm_step_follows_start_misalignment():
+    # a warm start 1e-3 off the answer starts both steps at
+    # WARM_STEP_SCALE * sqrt(2 eps_n) of its k = 0 row, below lambda0
+    sc = builtin_scenario("system-I")
+    cfg = SolverConfig(record_trace=True)
+    first = solve(sc.e1, sc.e2, sc.init, cfg)
+    init = tuple(SurfaceParam.canonical(p.theta + 1e-3, p.phi - 1e-3) for p in first.params)
+    res = solve(sc.e1, sc.e2, init, cfg)
+    row = res.trace[0]
+    want = min(cfg.lambda0, WARM_STEP_SCALE * math.sqrt(2.0 * row.eps_n))
+    assert row.lambda1 == row.lambda2 == want < cfg.lambda0
+    assert res.status == "converged"
+    assert res.distance == pytest.approx(first.distance, rel=1e-9)
+
+
+def test_builtin_inits_keep_lambda0():
+    # the builtin inits are far from aligned (eps_n between 1.75 and 1.99),
+    # so their k = 0 steps stay at lambda0
+    inits = [sc for sc in builtin_scenarios() if sc.init is not None]
+    assert len(inits) == 5
+    for sc in inits:
+        cfg = dataclasses.replace(sc.config(), record_trace=True, max_iter=1)
+        row = solve(sc.e1, sc.e2, sc.init, cfg).trace[0]
+        assert row.lambda1 == row.lambda2 == cfg.lambda0, sc.name
+
+
+def test_start_step_keeps_lambda0_without_a_misalignment():
+    assert _start_step(0.05, False, 1.0, 0.5, 0.5) == 0.05  # cold
+    assert _start_step(0.05, True, 0.0, 0.0, 0.0) == 0.05  # coincident: eps_n NaN
+    assert _start_step(0.05, True, 1.0, 1.0, 1.0) == 0.05  # aligned: eps_n 0
+    assert _start_step(0.05, True, 1.0, 0.5, 1.0) == 0.05  # far off: capped
+    assert _start_step(0.05, True, 1.0, 1.0 - 2e-6, 1.0) == pytest.approx(1e-3)
+    assert _start_step(0.05, True, 1.0, 1.0 - 2.0**-53, 1.0) > LAMBDA_FLOOR
+
+
 # ---------------------------------------------------------------------------
 # configuration
 
@@ -455,6 +490,11 @@ def test_solver_config_validation():
         SolverConfig(overshoot_mode="bogus")
     with pytest.raises(ValueError):
         SolverConfig(lambda0=1e-13)
+    # pi is the whole phi range
+    SolverConfig(lambda0=math.pi)
+    for big in (math.pi * (1 + 2**-52), 4.0, 1e308):
+        with pytest.raises(ValueError, match="at most pi"):
+            SolverConfig(lambda0=big)
     for bad in ({"lambda0": math.inf}, {"tol_n": math.nan}, {"tol_d": math.inf},
                 {"tol_lambda": math.nan}):
         with pytest.raises(ValueError, match="finite"):
