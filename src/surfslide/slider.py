@@ -31,6 +31,7 @@ import numpy as np
 
 from .geometry import (
     POLE_TOL,
+    TWO_PI,
     Ellipsoid,
     NoIntersectionError,
     SurfaceParam,
@@ -103,7 +104,7 @@ class SolverState:
 
     ``params`` are (theta, phi) in ``charts``. ``pulls`` holds each
     witness's (d_theta, d_phi, d_n), its tension projected onto its unit
-    tangents and normal by the pull kernel: the next step reads the first
+    tangents and normal by ``_evaluate``: the next step reads the first
     two, eps_n the third. The global ``frames``, which ``points_global``
     and ``normals`` read, are computed on first use."""
 
@@ -269,7 +270,7 @@ class _Chart(NamedTuple):
     with the parametrization poles on body axis z (shift 0), x (1) or y (2).
 
     ``flat`` has the 15-float layout of ``Ellipsoid._flat`` (semi-axes,
-    rotation rows, center), which the point, pull and frame kernels
+    rotation rows, center), which ``_evaluate`` and the frame kernel
     unpack; the shift-0 chart's is the body's own."""
 
     flat: tuple
@@ -327,69 +328,61 @@ def _canonical_param(theta: float, phi: float, chart: _Chart) -> tuple[float, fl
 # ---------------------------------------------------------------------------
 # iteration engine
 
-def _point(K, theta: float, phi: float):
-    """Global position of the point at (theta, phi) on the chart with flat
-    layout ``K`` (one forward rotation, rounded as in ``_frame_fast``), and
-    the (sin phi, cos phi, sin theta, cos theta) the pull kernel reuses."""
-    a, b, c, r00, r01, r02, r10, r11, r12, r20, r21, r22, cx, cy, cz = K
-    sp, cp = math.sin(phi), math.cos(phi)
-    st, ct = math.sin(theta), math.cos(theta)
-    px, py, pz = a * sp * ct, b * sp * st, c * cp
-    pos = (
-        (r00 * px + r01 * py + r02 * pz) + cx,
-        (r10 * px + r11 * py + r12 * pz) + cy,
-        (r20 * px + r21 * py + r22 * pz) + cz,
-    )
-    return pos, (sp, cp, st, ct)
-
-
-def _pull(K, trig, goal) -> tuple[float, float, float]:
-    """(d_theta, d_phi, d_n): the global vector ``goal`` rotated into the
+def _evaluate(K1, K2, t1: float, h1: float, t2: float, h2: float, bound: float = math.inf):
+    """The segment ``d12`` from the point (t1, h1) of chart K1 to the point
+    (t2, h2) of chart K2 (flat layouts), its length, and both witnesses'
+    pulls. A pull is the tension toward the other witness rotated into the
     body (one transposed rotation) and projected onto the unit theta
-    tangent, the unit phi tangent and the outward unit normal at the chart
-    point whose sines and cosines ``_point`` returned as ``trig``. d_theta
-    is 0 exactly where ``_frame_fast`` has no theta tangent."""
-    a, b, c, r00, r01, r02, r10, r11, r12, r20, r21, r22, _, _, _ = K
-    sp, cp, st, ct = trig
-    gx, gy, gz = goal
-    x = r00 * gx + r10 * gy + r20 * gz
-    y = r01 * gx + r11 * gy + r21 * gz
-    z = r02 * gx + r12 * gy + r22 * gz
-    # the body-frame unit vectors of _frame_fast, normalised in its order
-    tx, ty = -a * sp * st, b * sp * ct
+    tangent, the unit phi tangent and the outward unit normal:
+    (d_theta, d_phi, d_n), with d_theta 0 exactly where ``_frame_fast`` has
+    no theta tangent. Positions round as in ``_frame_fast``. A segment
+    longer than ``bound`` comes back without pulls (None), so that a
+    rejected step does not pay for them."""
+    a1, b1, c1, p00, p01, p02, p10, p11, p12, p20, p21, p22, px1, py1, pz1 = K1
+    a2, b2, c2, q00, q01, q02, q10, q11, q12, q20, q21, q22, qx2, qy2, qz2 = K2
+    sp1, cp1, st1, ct1 = math.sin(h1), math.cos(h1), math.sin(t1), math.cos(t1)
+    sp2, cp2, st2, ct2 = math.sin(h2), math.cos(h2), math.sin(t2), math.cos(t2)
+    # both points: one forward rotation each
+    x, y, z = a1 * sp1 * ct1, b1 * sp1 * st1, c1 * cp1
+    x1 = (p00 * x + p01 * y + p02 * z) + px1
+    y1 = (p10 * x + p11 * y + p12 * z) + py1
+    z1 = (p20 * x + p21 * y + p22 * z) + pz1
+    x, y, z = a2 * sp2 * ct2, b2 * sp2 * st2, c2 * cp2
+    dx = ((q00 * x + q01 * y + q02 * z) + qx2) - x1
+    dy = ((q10 * x + q11 * y + q12 * z) + qy2) - y1
+    dz = ((q20 * x + q21 * y + q22 * z) + qz2) - z1
+    dist = math.sqrt(dx * dx + dy * dy + dz * dz)
+    if dist > bound:
+        return (dx, dy, dz), dist, None, None
+    # witness 1 pulled along d12: the tension into the body, then onto the
+    # body-frame unit vectors of _frame_fast, normalised in its order
+    x = p00 * dx + p10 * dy + p20 * dz
+    y = p01 * dx + p11 * dy + p21 * dz
+    z = p02 * dx + p12 * dy + p22 * dz
+    tx, ty = -a1 * sp1 * st1, b1 * sp1 * ct1
     t = math.sqrt(tx * tx + ty * ty)
-    dth = 0.0 if t < POLE_TOL * (a if a > b else b) else x * (tx / t) + y * (ty / t)
-    qx, qy, qz = a * cp * ct, b * cp * st, -c * sp
-    q = math.sqrt(qx * qx + qy * qy + qz * qz)
-    nx, ny, nz = b * c * sp * ct, a * c * sp * st, a * b * cp
+    dth = 0.0 if t < POLE_TOL * (a1 if a1 > b1 else b1) else x * (tx / t) + y * (ty / t)
+    tx, ty, tz = a1 * cp1 * ct1, b1 * cp1 * st1, -c1 * sp1
+    t = math.sqrt(tx * tx + ty * ty + tz * tz)
+    nx, ny, nz = b1 * c1 * sp1 * ct1, a1 * c1 * sp1 * st1, a1 * b1 * cp1
     n = math.sqrt(nx * nx + ny * ny + nz * nz)
-    return (
-        dth,
-        x * (qx / q) + y * (qy / q) + z * (qz / q),
-        x * (nx / n) + y * (ny / n) + z * (nz / n),
-    )
-
-
-def _segment(K1, K2, t1: float, h1: float, t2: float, h2: float):
-    """The segment from the point (t1, h1) of chart K1 to the point
-    (t2, h2) of chart K2, its length, and both points' trig tuples."""
-    (x1, y1, z1), s1 = _point(K1, t1, h1)
-    (x2, y2, z2), s2 = _point(K2, t2, h2)
-    dx, dy, dz = x2 - x1, y2 - y1, z2 - z1
-    return (dx, dy, dz), math.sqrt(dx * dx + dy * dy + dz * dz), s1, s2
-
-
-def _pulls(K1, K2, s1, s2, d12):
-    """Both witnesses' pulls, each toward the other witness, given their
-    trig tuples and the segment ``d12`` from the first to the second."""
-    return _pull(K1, s1, d12), _pull(K2, s2, (-d12[0], -d12[1], -d12[2]))
-
-
-def _evaluate(K1, K2, t1: float, h1: float, t2: float, h2: float):
-    """The segment, its length and both witnesses' pulls at (theta, phi) =
-    (t1, h1) and (t2, h2)."""
-    d12, dist, s1, s2 = _segment(K1, K2, t1, h1, t2, h2)
-    return (d12, dist, *_pulls(K1, K2, s1, s2, d12))
+    w1 = (dth, x * (tx / t) + y * (ty / t) + z * (tz / t),
+          x * (nx / n) + y * (ny / n) + z * (nz / n))
+    # witness 2 pulled along -d12
+    gx, gy, gz = -dx, -dy, -dz
+    x = q00 * gx + q10 * gy + q20 * gz
+    y = q01 * gx + q11 * gy + q21 * gz
+    z = q02 * gx + q12 * gy + q22 * gz
+    tx, ty = -a2 * sp2 * st2, b2 * sp2 * ct2
+    t = math.sqrt(tx * tx + ty * ty)
+    dth = 0.0 if t < POLE_TOL * (a2 if a2 > b2 else b2) else x * (tx / t) + y * (ty / t)
+    tx, ty, tz = a2 * cp2 * ct2, b2 * cp2 * st2, -c2 * sp2
+    t = math.sqrt(tx * tx + ty * ty + tz * tz)
+    nx, ny, nz = b2 * c2 * sp2 * ct2, a2 * c2 * sp2 * st2, a2 * b2 * cp2
+    n = math.sqrt(nx * nx + ny * ny + nz * nz)
+    w2 = (dth, x * (tx / t) + y * (ty / t) + z * (tz / t),
+          x * (nx / n) + y * (ny / n) + z * (nz / n))
+    return (dx, dy, dz), dist, w1, w2
 
 
 def _center_inside(e1: Ellipsoid, e2: Ellipsoid) -> bool:
@@ -486,29 +479,34 @@ def _round(K1, K2, t1, h1, t2, h2, d12, dist, w1, w2, lam1, lam2, toggle, revert
     pulls ``w1`` and ``w2``: scale the pulls' tangential parts to the
     lambdas, advance both parameter pairs simultaneously and re-evaluate.
     When the distance grows, ``revert`` halves a step and retries (down to
-    LAMBDA_FLOOR); otherwise the step stands and a lambda is halved for the
-    next round. Returns the new (t1, h1, t2, h2, d12, dist, w1, w2, lam1,
+    LAMBDA_FLOOR), without computing the rejected points' pulls; otherwise
+    the step stands and a lambda is halved for the next round. Returns the new (t1, h1, t2, h2, d12, dist, w1, w2, lam1,
     lam2, toggle, overshoot); a stationary pair, whose tension has no
     tangential component anywhere, comes back unchanged."""
     guard = ZERO_PROJECTION_FACTOR * dist
     l1, l2, tog = lam1, lam2, toggle
+    pi = math.pi  # a local: the canonical test below runs every attempt
     while True:
         dth1, dph1 = step_increments(w1[0], w1[1], l1, guard)
         dth2, dph2 = step_increments(w2[0], w2[1], l2, guard)
         if dth1 == 0.0 and dph1 == 0.0 and dth2 == 0.0 and dph2 == 0.0:
             return t1, h1, t2, h2, d12, dist, w1, w2, lam1, lam2, toggle, False
-        u1, v1 = _canonical(t1 + dth1, h1 + dph1)
-        u2, v2 = _canonical(t2 + dth2, h2 + dph2)
-        nd12, ndist, s1, s2 = _segment(K1, K2, u1, v1, u2, v2)
-        if ndist > dist and revert and max(l1, l2) > LAMBDA_FLOOR:
+        u1, v1, u2, v2 = t1 + dth1, h1 + dph1, t2 + dth2, h2 + dph2
+        if not (0.0 <= u1 < TWO_PI and 0.0 <= v1 <= pi):
+            u1, v1 = _canonical(u1, v1)
+        if not (0.0 <= u2 < TWO_PI and 0.0 <= v2 <= pi):
+            u2, v2 = _canonical(u2, v2)
+        # a revert retry rejects a longer segment before its pulls
+        retry = revert and (l1 if l1 > l2 else l2) > LAMBDA_FLOOR
+        nd12, ndist, nw1, nw2 = _evaluate(K1, K2, u1, v1, u2, v2, dist if retry else math.inf)
+        if nw1 is None:
             l1, l2, tog = _halved(l1, l2, tog)
             continue
         overshoot = ndist > dist and not revert
         if overshoot:
             l1, l2, tog = _halved(l1, l2, tog)
         # the pulls at the accepted points drive the next round and eps_n
-        w1, w2 = _pulls(K1, K2, s1, s2, nd12)
-        return u1, v1, u2, v2, nd12, ndist, w1, w2, l1, l2, tog, overshoot
+        return u1, v1, u2, v2, nd12, ndist, nw1, nw2, l1, l2, tog, overshoot
 
 
 def iterate_once(

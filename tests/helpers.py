@@ -6,7 +6,7 @@ import math
 import numpy as np
 
 from surfslide.geometry import Ellipsoid, SurfaceParam
-from surfslide.slider import _chart, _point, _pull
+from surfslide.slider import _chart, _evaluate
 
 PI = math.pi
 
@@ -38,11 +38,12 @@ def random_separated_pair(rng, lo=0.02, hi=2.0, max_aspect=30.0):
     return e1, e2
 
 
-def pull(e, p, goal):
-    """The solver's pull kernel at ``p`` on the canonical chart of ``e``:
-    (d_theta, d_phi, d_n) of the global vector ``goal``."""
-    K = _chart(e, 0).flat
-    return _pull(K, _point(K, p.theta, p.phi)[1], tuple(float(v) for v in goal))
+def evaluate(e1, p1, e2, p2):
+    """The solver's round evaluator at ``p1`` on ``e1`` and ``p2`` on
+    ``e2``, on their canonical charts: the segment d12 from the first point
+    to the second as a tuple, its length, and both witnesses' pulls
+    (d_theta, d_phi, d_n), of d12 and of -d12."""
+    return _evaluate(_chart(e1, 0).flat, _chart(e2, 0).flat, p1.theta, p1.phi, p2.theta, p2.phi)
 
 
 def surface_point(e, p):

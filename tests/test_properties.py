@@ -16,7 +16,7 @@ import pytest
 
 from helpers import (
     disk_pair,
-    pull,
+    evaluate,
     random_ellipsoid,
     random_overlap_pair,
     random_param,
@@ -102,30 +102,34 @@ def run_frame_orthogonality(n=500, seed=102):
 
 
 def run_pull_kernel_matches_frame(n=600, seed=110):
-    """The solver's pull kernel (the vector rotated into the body and
-    projected there) against the projections onto surface_frame's global
-    tangents and normal, on bodies of aspect up to 30. Every third case
-    puts phi within 1e-9 of a pole, some exactly on it: there d_theta must
-    be exactly 0 wherever surface_frame has no theta tangent."""
+    """The solver's pulls (the segment rotated into each body and
+    projected there) against the projections of d12 and -d12 onto
+    surface_frame's global tangents and normal, for witnesses on two
+    bodies of aspect up to 30. Every third case puts both phis within
+    1e-9 of a pole, some exactly on it: there d_theta must be exactly 0
+    wherever surface_frame has no theta tangent."""
     rng = np.random.default_rng(seed)
     poles = 0
     for case in range(n):
-        e = random_ellipsoid(rng, center_box=2.0)
-        p = random_param(rng)
+        bodies = (random_ellipsoid(rng, center_box=2.0), random_ellipsoid(rng, center_box=2.0))
+        params = [random_param(rng), random_param(rng)]
         if case % 3 == 0:
-            gap = 0.0 if case % 9 == 0 else 10.0 ** rng.uniform(-18.0, -9.0)
-            p = SurfaceParam(p.theta, gap if case % 2 else PI - gap)
-        g = rng.normal(size=3) * 10.0 ** rng.uniform(-3.0, 2.0)
-        fr = surface_frame(e, p)
-        dth, dph, dn = pull(e, p, g)
+            for i, p in enumerate(params):
+                gap = 0.0 if case % 9 == 0 else 10.0 ** rng.uniform(-18.0, -9.0)
+                params[i] = SurfaceParam(p.theta, gap if (case + i) % 2 else PI - gap)
+        d12, dist, *pulls = evaluate(bodies[0], params[0], bodies[1], params[1])
+        g = np.asarray(d12)
+        assert dist == pytest.approx(float(np.linalg.norm(g)), rel=1e-15), f"case {case}: length"
         tol = 1e-13 * float(np.linalg.norm(g))
-        assert abs(dph - float(fr.tangent_phi @ g)) <= tol, f"case {case}: d_phi"
-        assert abs(dn - float(fr.normal @ g)) <= tol, f"case {case}: d_n"
-        if fr.tangent_theta is None:
-            poles += 1
-            assert dth == 0.0, f"case {case}: d_theta {dth!r} at a pole"
-        else:
-            assert abs(dth - float(fr.tangent_theta @ g)) <= tol, f"case {case}: d_theta"
+        for e, p, goal, (dth, dph, dn) in zip(bodies, params, (g, -g), pulls):
+            fr = surface_frame(e, p)
+            assert abs(dph - float(fr.tangent_phi @ goal)) <= tol, f"case {case}: d_phi"
+            assert abs(dn - float(fr.normal @ goal)) <= tol, f"case {case}: d_n"
+            if fr.tangent_theta is None:
+                poles += 1
+                assert dth == 0.0, f"case {case}: d_theta {dth!r} at a pole"
+            else:
+                assert abs(dth - float(fr.tangent_theta @ goal)) <= tol, f"case {case}: d_theta"
     assert poles > 0, "no case reached a pole"
 
 
@@ -181,8 +185,7 @@ def run_fixed_point_alignment(n=500, seed=104):
         assert eps_n < 1e-10, f"case {case}: eps_n = {eps_n:.3e} at aligned state"
         # forward: the tension is normal to both tangent planes, so the
         # projections vanish and the state is a fixed point
-        for p, e in ((p1, e1), (p2, e2)):
-            dt, dp, _ = pull(e, p, state.d12)
+        for dt, dp, _ in evaluate(e1, p1, e2, p2)[2:]:
             assert max(abs(dt), abs(dp)) < 1e-12 * state.distance, f"case {case}"
         after = iterate_once(state, cfg, (e1, e2))
         assert after.params == state.params, f"case {case}: fixed point moved"

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import pull, random_separated_pair, surface_point
+from helpers import evaluate, random_separated_pair, surface_point
 from surfslide.geometry import (
     Ellipsoid,
     NoIntersectionError,
@@ -47,14 +47,17 @@ def _spheres(r1, c1, r2, c2):
 
 
 def test_pull_at_pole_has_no_theta_component():
-    e = Ellipsoid((1.0, 0.6, 0.4), (0, 0, 0), (0, 0, 0))
-    assert surface_frame(e, SurfaceParam(0.3, 0.0)).tangent_theta is None
-    dth, dph, dn = pull(e, SurfaceParam(0.3, 0.0), [0.7, -0.2, 0.5])
-    assert dth == 0.0
+    e1 = Ellipsoid((1.0, 0.6, 0.4), (0, 0, 0), (0, 0, 0))
+    e2 = Ellipsoid((0.5, 0.3, 0.2), (0.7, -0.2, 2.0), (0.4, 0.1, -0.3))
+    p1, p2 = SurfaceParam(0.3, 0.0), SurfaceParam(1.1, PI)
+    assert surface_frame(e1, p1).tangent_theta is None
+    assert surface_frame(e2, p2).tangent_theta is None
+    _, _, w1, w2 = evaluate(e1, p1, e2, p2)
+    assert w1[0] == 0.0 and w2[0] == 0.0
 
 
 def test_pull_and_step_increments_give_the_solver_step():
-    # the pull kernel and the public step rule must not drift from the
+    # the evaluator's pulls and the public step rule must not drift from the
     # solver's round
     rng = np.random.default_rng(12)
     e1, e2 = random_separated_pair(rng)
@@ -63,10 +66,10 @@ def test_pull_and_step_increments_give_the_solver_step():
     for p in s0.params:
         assert CHART_POLE_MARGIN < p.phi < PI - CHART_POLE_MARGIN
     s1 = iterate_once(s0, cfg, (e1, e2))
-    d12 = np.asarray(s0.d12)
+    d12, dist, *pulls = evaluate(e1, s0.params[0], e2, s0.params[1])
+    assert (d12, dist) == (s0.d12, s0.distance)
     guard = ZERO_PROJECTION_FACTOR * s0.distance
-    for e, p, moved, d in zip((e1, e2), s0.params, s1.params, (d12, -d12)):
-        dth, dph, _ = pull(e, p, d)
+    for p, moved, (dth, dph, _) in zip(s0.params, s1.params, pulls):
         step = step_increments(dth, dph, cfg.lambda0, guard)
         assert math.hypot(*step) == pytest.approx(cfg.lambda0, rel=1e-12)
         expected = advance_param(p, *step)
