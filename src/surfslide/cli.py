@@ -11,9 +11,9 @@ sweep
     initializations and report the distance spread.
 bench
     Drive a seeded random walk of small rigid perturbations of E2, solving
-    each step cold (support points facing along the center line, or the
-    ray exits between the centers when that line does not separate the
-    bodies) and warm (previous step's closest points), and compare
+    each step cold (two rounds of alternating projections when the center
+    line separates the bodies, the ray exits between the centers
+    otherwise) and warm (previous step's closest points), and compare
     iteration counts.
 list
     Print the builtin scenarios.

@@ -4,20 +4,22 @@ Two points, one per ellipsoid, slide in their (theta, phi) parameter spaces
 under the pull of the segment connecting them. Both points step
 simultaneously from the iteration-k positions; an increase in separation is
 treated as overshoot and triggers alternating halving of the two angle
-increment steps. A round rotates twice per body: each new point into the
-global frame, and the segment between the points back into the body,
-where its tangential parts give the next step and its normal part eps_n.
+increment steps. A round is one call of ``_evaluate``: it rotates each new
+point into the global frame and the segment between them back into each
+body, where its tangential parts give the next step and its normal part
+eps_n.
 
 A witness that comes near a pole of its parametrization carries on in
 another chart of the same body (its semi-axes cyclically shifted), whose
 poles lie on a different body axis; results are reported in the canonical
 chart.
 
-Both steps start at ``lambda0`` on a cold start. A warm start (given
-``init``, say the answer before a small move) is usually almost aligned
-already, so its steps start at the size of the correction it still needs:
-WARM_STEP_SCALE times its misalignment angle, when that is below
-``lambda0``.
+A cold start between bodies that the center direction separates begins
+after two rounds of alternating foot-point projections, and its steps at
+``lambda0``. A warm start (given ``init``, say the answer before a small
+move) is usually almost aligned already, so its steps start at the size of
+the correction it still needs: WARM_STEP_SCALE times its misalignment
+angle, when that is below ``lambda0``.
 """
 
 from __future__ import annotations
@@ -329,20 +331,17 @@ def _canonical_param(theta: float, phi: float, chart: _Chart) -> tuple[float, fl
 # iteration engine
 
 def _evaluate(K1, K2, t1: float, h1: float, t2: float, h2: float, bound: float = math.inf):
-    """The segment ``d12`` from the point (t1, h1) of chart K1 to the point
-    (t2, h2) of chart K2 (flat layouts), its length, and both witnesses'
-    pulls. A pull is the tension toward the other witness rotated into the
-    body (one transposed rotation) and projected onto the unit theta
-    tangent, the unit phi tangent and the outward unit normal:
-    (d_theta, d_phi, d_n), with d_theta 0 exactly where ``_frame_fast`` has
-    no theta tangent. Positions round as in ``_frame_fast``. A segment
-    longer than ``bound`` comes back without pulls (None), so that a
-    rejected step does not pay for them."""
+    """The segment ``d12`` from the point (t1, h1) of chart K1 to (t2, h2)
+    of chart K2 (flat layouts), its length, and both witnesses' pulls: the
+    tension toward the other witness rotated into the body and projected
+    onto the unit theta and phi tangents and the outward unit normal,
+    (d_theta, d_phi, d_n), d_theta 0 exactly where ``_frame_fast`` has no
+    theta tangent. A segment longer than ``bound`` comes back without
+    pulls (None), so that a rejected step does not pay for them."""
     a1, b1, c1, p00, p01, p02, p10, p11, p12, p20, p21, p22, px1, py1, pz1 = K1
     a2, b2, c2, q00, q01, q02, q10, q11, q12, q20, q21, q22, qx2, qy2, qz2 = K2
     sp1, cp1, st1, ct1 = math.sin(h1), math.cos(h1), math.sin(t1), math.cos(t1)
     sp2, cp2, st2, ct2 = math.sin(h2), math.cos(h2), math.sin(t2), math.cos(t2)
-    # both points: one forward rotation each
     x, y, z = a1 * sp1 * ct1, b1 * sp1 * st1, c1 * cp1
     x1 = (p00 * x + p01 * y + p02 * z) + px1
     y1 = (p10 * x + p11 * y + p12 * z) + py1
@@ -354,8 +353,7 @@ def _evaluate(K1, K2, t1: float, h1: float, t2: float, h2: float, bound: float =
     dist = math.sqrt(dx * dx + dy * dy + dz * dz)
     if dist > bound:
         return (dx, dy, dz), dist, None, None
-    # witness 1 pulled along d12: the tension into the body, then onto the
-    # body-frame unit vectors of _frame_fast, normalised in its order
+    # witness 1 pulled along d12, onto _frame_fast's unit vectors in its order
     x = p00 * dx + p10 * dy + p20 * dz
     y = p01 * dx + p11 * dy + p21 * dz
     z = p02 * dx + p12 * dy + p22 * dz
@@ -368,8 +366,7 @@ def _evaluate(K1, K2, t1: float, h1: float, t2: float, h2: float, bound: float =
     n = math.sqrt(nx * nx + ny * ny + nz * nz)
     w1 = (dth, x * (tx / t) + y * (ty / t) + z * (tz / t),
           x * (nx / n) + y * (ny / n) + z * (nz / n))
-    # witness 2 pulled along -d12
-    gx, gy, gz = -dx, -dy, -dz
+    gx, gy, gz = -dx, -dy, -dz  # witness 2 pulled along -d12
     x = q00 * gx + q10 * gy + q20 * gz
     y = q01 * gx + q11 * gy + q21 * gz
     z = q02 * gx + q12 * gy + q22 * gz
@@ -404,27 +401,56 @@ def _ray_exit(e: Ellipsoid, toward) -> SurfaceParam:
     return line_surface_entry(e, c + (2.0 * e.max_semi_axis / n) * d, c)
 
 
-def _support(e: Ellipsoid, ux: float, uy: float, uz: float):
-    """Body-axis unit coordinates w/|w| of e's support point in the unit
-    direction u, where e's outward normal is u, and |w| = |M^T u|, the
-    reach of e's support function beyond its center: w = diag(a) R^T u,
-    M = R diag(a)."""
+def _support(e: Ellipsoid, ux: float, uy: float, uz: float) -> float:
+    """|M^T u|, M = R diag(a): how far e reaches beyond its center along u."""
     a, b, c, r00, r01, r02, r10, r11, r12, r20, r21, r22, _, _, _ = e._flat
     wx = a * (r00 * ux + r10 * uy + r20 * uz)
     wy = b * (r01 * ux + r11 * uy + r21 * uz)
     wz = c * (r02 * ux + r12 * uy + r22 * uz)
-    h = math.sqrt(wx * wx + wy * wy + wz * wz)
-    return (wx / h, wy / h, wz / h), h
+    return math.sqrt(wx * wx + wy * wy + wz * wz)
+
+
+def _foot(K, X):
+    """Body-axis unit coordinates r and global position of the point of
+    the body with flat layout ``K`` closest to the global point ``X``
+    outside it: r_i = a_i q_i / (a_i^2 + t) for the body-frame q, with t
+    the root of F(t) = |r|^2 = 1. Newton's method on the concave k(t) =
+    F^(-1/2) - 1 from the lower bound max(0, max_i(a_i |q_i| - a_i^2))
+    needs no bracket (as in the oracle, which shares no code with this).
+    It stops on a step at most 1e-12 t or not positive, or after 100
+    passes, never raises, and normalises r onto the surface."""
+    a, b, c, r00, r01, r02, r10, r11, r12, r20, r21, r22, cx, cy, cz = K
+    dx, dy, dz = X[0] - cx, X[1] - cy, X[2] - cz
+    gx = a * (r00 * dx + r10 * dy + r20 * dz)
+    gy = b * (r01 * dx + r11 * dy + r21 * dz)
+    gz = c * (r02 * dx + r12 * dy + r22 * dz)
+    aa, bb, cc = a * a, b * b, c * c
+    t = max(0.0, abs(gx) - aa, abs(gy) - bb, abs(gz) - cc)
+    for _ in range(100):
+        da, db, dc = aa + t, bb + t, cc + t
+        x, y, z = gx / da, gy / db, gz / dc
+        f = x * x + y * y + z * z
+        step = f * (math.sqrt(f) - 1.0) / (x * x / da + y * y / db + z * z / dc)
+        if not step > 1e-12 * t:
+            break
+        t += step
+    n = math.sqrt(f)
+    x, y, z = x / n, y / n, z / n
+    px, py, pz = a * x, b * y, c * z
+    return (x, y, z), (r00 * px + r01 * py + r02 * pz + cx, r10 * px + r11 * py + r12 * pz + cy,
+                       r20 * px + r21 * py + r22 * pz + cz)
 
 
 def _start(e1: Ellipsoid, e2: Ellipsoid, init) -> tuple[SurfaceParam, SurfaceParam]:
     """``init``, which must be canonical, or without it the cold start. With
-    r = c2 - c1 and u = r/|r|, the support-function gap
-    s(u) = |r| - |M1^T u| - |M2^T u| bounds the distance from below; when
-    it is positive, u separates the bodies and each witness starts at its
-    body's support point facing the other (outward normals u and -u).
-    Otherwise each witness starts where the ray from its center toward the
-    other center leaves its surface (concentric pairs raise
+    r = c2 - c1 and u = r/|r|, the support-function gap s(u) = |r| -
+    |M1^T u| - |M2^T u| bounds the distance from below. When it is
+    positive, the bodies are disjoint and the witnesses start after two
+    rounds of alternating projections (Cheney & Goldstein, Proc. AMS 1959),
+    every projected point outside the other body: P1 = foot of c2 on e1,
+    P2 = foot of P1 on e2, then P1 = foot of P2 on e1, P2 = foot of P1 on
+    e2. Otherwise each witness starts where the ray from its center toward
+    the other center leaves its surface (concentric pairs raise
     NoIntersectionError)."""
     if init is not None:
         if not (init[0].is_canonical() and init[1].is_canonical()):
@@ -434,9 +460,12 @@ def _start(e1: Ellipsoid, e2: Ellipsoid, init) -> tuple[SurfaceParam, SurfacePar
     rx, ry, rz = x2 - x1, y2 - y1, z2 - z1
     r = math.sqrt(rx * rx + ry * ry + rz * rz)
     if r > 0.0:
-        u1, h1 = _support(e1, rx / r, ry / r, rz / r)
-        u2, h2 = _support(e2, -rx / r, -ry / r, -rz / r)
-        if r - h1 - h2 > 0.0:
+        ux, uy, uz = rx / r, ry / r, rz / r
+        if r - _support(e1, ux, uy, uz) - _support(e2, -ux, -uy, -uz) > 0.0:
+            X = e2.center
+            for _ in range(2):
+                u1, X = _foot(e1._flat, X)
+                u2, X = _foot(e2._flat, X)
             return SurfaceParam(*_unit_param(*u1)), SurfaceParam(*_unit_param(*u2))
     return _ray_exit(e1, e2.center), _ray_exit(e2, e1.center)
 
@@ -447,9 +476,9 @@ def initial_state(
     init: tuple[SurfaceParam, SurfaceParam] | None,
     config: SolverConfig,
 ) -> SolverState:
-    """State at k = 0, from ``_start``: ``init`` or, without it, the support
-    points facing along the center direction when that direction separates
-    the bodies, the ray exits between the centers otherwise. A pair with a
+    """State at k = 0, from ``_start``: ``init`` or, without it, two rounds
+    of alternating projections when the center direction separates the
+    bodies, the ray exits between the centers otherwise. A pair with a
     center inside the other body overlaps for certain and has no start to
     slide from: without ``init`` it raises NoIntersectionError (``solve``
     reports it as ``overlap``). A step view of the first pass of
@@ -480,23 +509,22 @@ def _round(K1, K2, t1, h1, t2, h2, d12, dist, w1, w2, lam1, lam2, toggle, revert
     lambdas, advance both parameter pairs simultaneously and re-evaluate.
     When the distance grows, ``revert`` halves a step and retries (down to
     LAMBDA_FLOOR), without computing the rejected points' pulls; otherwise
-    the step stands and a lambda is halved for the next round. Returns the new (t1, h1, t2, h2, d12, dist, w1, w2, lam1,
-    lam2, toggle, overshoot); a stationary pair, whose tension has no
-    tangential component anywhere, comes back unchanged."""
+    the step stands and a lambda is halved for the next round. Returns the
+    new (t1, h1, t2, h2, d12, dist, w1, w2, lam1, lam2, toggle, overshoot);
+    a stationary pair, whose tension has no tangential component anywhere,
+    comes back unchanged."""
     guard = ZERO_PROJECTION_FACTOR * dist
     l1, l2, tog = lam1, lam2, toggle
-    pi = math.pi  # a local: the canonical test below runs every attempt
     while True:
         dth1, dph1 = step_increments(w1[0], w1[1], l1, guard)
         dth2, dph2 = step_increments(w2[0], w2[1], l2, guard)
         if dth1 == 0.0 and dph1 == 0.0 and dth2 == 0.0 and dph2 == 0.0:
             return t1, h1, t2, h2, d12, dist, w1, w2, lam1, lam2, toggle, False
         u1, v1, u2, v2 = t1 + dth1, h1 + dph1, t2 + dth2, h2 + dph2
-        if not (0.0 <= u1 < TWO_PI and 0.0 <= v1 <= pi):
+        if not (0.0 <= u1 < TWO_PI and 0.0 <= v1 <= math.pi):
             u1, v1 = _canonical(u1, v1)
-        if not (0.0 <= u2 < TWO_PI and 0.0 <= v2 <= pi):
+        if not (0.0 <= u2 < TWO_PI and 0.0 <= v2 <= math.pi):
             u2, v2 = _canonical(u2, v2)
-        # a revert retry rejects a longer segment before its pulls
         retry = revert and (l1 if l1 > l2 else l2) > LAMBDA_FLOOR
         nd12, ndist, nw1, nw2 = _evaluate(K1, K2, u1, v1, u2, v2, dist if retry else math.inf)
         if nw1 is None:
@@ -559,15 +587,14 @@ def solve(
     the lambda floor is reported as a status, not an exception.
     Separations below the contact threshold, the start's included, hand
     off to the contact classifier before any stop test. Without ``init``
-    the search starts from ``_start``: at the support points facing along
-    the center direction when that direction separates the bodies, else
-    where the rays between the centers leave the bodies. A pair where a
-    center lies inside the other body overlaps for certain: it is reported
-    as ``overlap`` at k = 0 from those ray exits, for the contact
-    continuation to start from (concentric pairs raise
-    NoIntersectionError). A witness within CHART_POLE_MARGIN of a pole of
-    its chart carries on in another chart; ``params`` and the trace rows
-    are always in the canonical chart.
+    the search starts from ``_start``: two rounds of alternating
+    projections when the center direction separates the bodies, else the
+    ray exits between the centers. A pair where a center lies inside the
+    other body overlaps for certain: it is reported as ``overlap`` at k = 0
+    from those ray exits, for the contact continuation to start from
+    (concentric pairs raise NoIntersectionError). A witness within
+    CHART_POLE_MARGIN of a pole of its chart carries on in another chart;
+    ``params`` and the trace rows are always in the canonical chart.
     """
     sigma = config.resolve_sigma(e1, e2)
     certain_overlap = init is None and _center_inside(e1, e2)

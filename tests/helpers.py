@@ -86,3 +86,17 @@ def disk_pair(rng):
     x, y = rng.uniform(-200.0, 200.0, 2)
     z = 0.5 + max(e.semi_axes) * (1.05 + rng.uniform(0.0, 1.0))
     return disk, Ellipsoid(e.semi_axes, (x, y, z), e.euler)
+
+
+def points_outside(rng, axes, n, zero_axis=None):
+    """``n`` points at distances log-uniform in [1e-10, 1e4] outside an
+    axis-aligned body at the origin, each on the normal at a random surface
+    point, with coordinate ``zero_axis`` exactly 0."""
+    u = rng.normal(size=(n, 3))
+    if zero_axis is not None:
+        u[:, zero_axis] = 0.0
+    s = u / np.sqrt(np.sum((u / axes) ** 2, axis=1))[:, None]
+    normal = s / axes**2
+    normal /= np.linalg.norm(normal, axis=1)[:, None]
+    dist = np.exp(rng.uniform(math.log(1e-10), math.log(1e4), n))
+    return s + dist[:, None] * normal

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import random_separated_pair, surface_point
+from helpers import points_outside, random_separated_pair, surface_point
 from surfslide import oracle
 from surfslide.geometry import Ellipsoid, implicit_value, surface_frame
 from surfslide.oracle import (
@@ -66,20 +66,6 @@ def test_foot_normal_alignment_random():
         assert dist == pytest.approx(np.linalg.norm(seg), rel=1e-12)
 
 
-def _points_outside(rng, axes, n, zero_axis=None):
-    """``n`` points at distances log-uniform in [1e-10, 1e4] outside an
-    axis-aligned body at the origin, each on the normal at a random surface
-    point, with coordinate ``zero_axis`` exactly 0."""
-    u = rng.normal(size=(n, 3))
-    if zero_axis is not None:
-        u[:, zero_axis] = 0.0
-    s = u / np.sqrt(np.sum((u / axes) ** 2, axis=1))[:, None]
-    normal = s / axes**2
-    normal /= np.linalg.norm(normal, axis=1)[:, None]
-    dist = np.exp(rng.uniform(math.log(1e-10), math.log(1e4), n))
-    return s + dist[:, None] * normal
-
-
 def _spy_feet(monkeypatch):
     """Record the raw local foot of every point_to_ellipsoid call."""
     feet = []
@@ -101,7 +87,7 @@ def test_foot_points_extreme_axes_and_distances(monkeypatch, zero_axis, seed):
     for _ in range(40):
         axes = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), 3))
         e = Ellipsoid(tuple(axes), (0, 0, 0), (0, 0, 0))  # local frame = global
-        for Q in _points_outside(rng, axes, 25, zero_axis):
+        for Q in points_outside(rng, axes, 25, zero_axis):
             if zero_axis is not None:
                 assert Q[zero_axis] == 0.0
             dist, _ = point_to_ellipsoid(e, Q)

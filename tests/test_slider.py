@@ -7,14 +7,16 @@ import math
 import numpy as np
 import pytest
 
-from helpers import evaluate, random_separated_pair, surface_point
+from helpers import evaluate, points_outside, random_separated_pair, surface_point
 from surfslide.geometry import (
     Ellipsoid,
     NoIntersectionError,
     SurfaceParam,
+    implicit_value,
     line_surface_entry,
     surface_frame,
 )
+from surfslide.oracle import point_to_ellipsoid
 from surfslide.scenarios import builtin_scenario, builtin_scenarios
 from surfslide.slider import (
     CHART_POLE_MARGIN,
@@ -27,6 +29,7 @@ from surfslide.slider import (
     convergence_metrics,
     initial_state,
     iterate_once,
+    _foot,
     _start_step,
     solve,
     step_increments,
@@ -62,7 +65,10 @@ def test_pull_and_step_increments_give_the_solver_step():
     rng = np.random.default_rng(12)
     e1, e2 = random_separated_pair(rng)
     cfg = SolverConfig()
-    s0 = initial_state(e1, e2, None, cfg)
+    # a start off the answer, where both witnesses have a tangential pull
+    # (the cold start's second projection leaves e2's witness aligned)
+    s0 = initial_state(e1, e2, (SurfaceParam(1.0, 1.2), SurfaceParam(4.0, 2.0)), cfg)
+    assert s0.lambdas == (cfg.lambda0, cfg.lambda0)
     for p in s0.params:
         assert CHART_POLE_MARGIN < p.phi < PI - CHART_POLE_MARGIN
     s1 = iterate_once(s0, cfg, (e1, e2))
@@ -75,6 +81,29 @@ def test_pull_and_step_increments_give_the_solver_step():
         expected = advance_param(p, *step)
         assert abs(moved.theta - expected.theta) <= 1e-15
         assert abs(moved.phi - expected.phi) <= 1e-15
+
+
+@pytest.mark.parametrize("zero_axis, seed", [(None, 41), (0, 42), (1, 43), (2, 44)])
+def test_start_foot_matches_oracle(zero_axis, seed):
+    # the projection start's scalar foot solve, on 625 points per case at
+    # 1e-10 to 1e4 outside bodies with semi-axes 1e-3 to 1e3, a body-frame
+    # coordinate exactly 0 in three of the cases: the foot is on the
+    # surface and as far from the point as the oracle's foot. |Q - P|
+    # carries round-off of a few ulps of |Q|, which decides the relative
+    # error of the smallest distances from the largest bodies.
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(seed)
+    for _ in range(25):
+        axes = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), 3))
+        e = Ellipsoid(tuple(axes), (0, 0, 0), (0, 0, 0))
+        for Q in points_outside(rng, axes, 25, zero_axis):
+            if zero_axis is not None:
+                assert Q[zero_axis] == 0.0
+            unit, P = _foot(e._flat, tuple(Q.tolist()))
+            assert abs(implicit_value(e, P)) <= 1e-12
+            assert np.allclose(np.asarray(unit) * axes, P, rtol=0.0, atol=4 * eps * max(axes))
+            dist, want = float(np.linalg.norm(Q - np.asarray(P))), point_to_ellipsoid(e, Q)[0]
+            assert abs(dist - want) <= 1e-12 * want + 4 * eps * np.linalg.norm(Q)
 
 
 def test_step_increments_normalizes_to_lambda():
