@@ -51,6 +51,14 @@ class Scenario:
         return SolverConfig(**(self.config_overrides or {}))
 
 
+# System III's second bodies by label (lower case: a semi-axis ten times
+# shorter), and the names of builtin_scenarios(), known without building it
+_SYSTEM_III_SHAPES = {"ABC": (0.2, 0.4, 0.6), "aBC": (0.02, 0.4, 0.6),
+                      "abC": (0.02, 0.04, 0.6), "abc": (0.02, 0.04, 0.06)}
+BUILTIN_NAMES = ("system-I", "system-II-aligned", "system-II-rotated",
+                 *(f"system-III-{label}" for label in _SYSTEM_III_SHAPES))
+
+
 def _support_point_distance(e1: Ellipsoid, e2: Ellipsoid) -> float:
     """|X02 - X01| - a1 - c2: valid when e1's a-axis and e2's -c-axis both
     face along the center line."""
@@ -119,13 +127,7 @@ def builtin_scenarios() -> list[Scenario]:
         )
     )
 
-    shapes = {
-        "ABC": (0.2, 0.4, 0.6),
-        "aBC": (0.02, 0.4, 0.6),
-        "abC": (0.02, 0.04, 0.6),
-        "abc": (0.02, 0.04, 0.06),
-    }
-    for label, axes in shapes.items():
+    for label, axes in _SYSTEM_III_SHAPES.items():
         e1 = Ellipsoid((0.2, 0.4, 0.6), (-1.0607, 0.0, -1.0607), (0.0, -pi / 4, 0.0))
         e2 = Ellipsoid(axes, (1.0607, 0.0, 1.0607), (0.0, pi / 4, 0.0))
         scenarios.append(
@@ -148,6 +150,9 @@ def builtin_scenarios() -> list[Scenario]:
 
 
 def builtin_scenario(name: str) -> Scenario:
+    """The builtin ``name``; other names raise KeyError before any body is built."""
+    if name not in BUILTIN_NAMES:
+        raise KeyError(f"unknown builtin scenario {name!r}")
     for sc in builtin_scenarios():
         if sc.name == name:
             return sc

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from surfslide import cli, slider
+from surfslide import cli, scenarios, slider
 from surfslide.cli import build_parser, main, write_trace
 from surfslide.contact import analyze as contact_analyze, separated
 from surfslide.scenarios import builtin_scenario, load_scenario, scenario_to_dict
@@ -342,6 +342,19 @@ def _spheres_file(tmp_path, name, r2, x2):
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def test_file_path_builds_no_builtin(tmp_path, monkeypatch):
+    # a file path is not a builtin name, so resolving it builds none of the
+    # builtins' bodies
+    path = _spheres_file(tmp_path, "spheres", 0.5, 3.0)
+
+    def fail():
+        raise AssertionError("builtin scenarios built for a file path")
+
+    monkeypatch.setattr(scenarios, "builtin_scenarios", fail)
+    sc = cli.resolve_scenario(path)
+    assert sc.name == "spheres" and sc.e2.center == (3.0, 0.0, 0.0)
 
 
 @pytest.mark.parametrize(

@@ -10,6 +10,7 @@ import pytest
 from surfslide.scenarios import (
     Scenario,
     ScenarioFormatError,
+    BUILTIN_NAMES,
     builtin_scenario,
     builtin_scenarios,
     load_scenario,
@@ -201,3 +202,4 @@ def test_config_overrides_apply():
 def test_builtin_names_unique():
     names = [sc.name for sc in builtin_scenarios()]
     assert len(names) == len(set(names)) == 7
+    assert tuple(names) == BUILTIN_NAMES
