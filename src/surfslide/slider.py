@@ -332,12 +332,13 @@ def _canonical_param(theta: float, phi: float, chart: _Chart) -> tuple[float, fl
 
 def _evaluate(K1, K2, t1: float, h1: float, t2: float, h2: float, bound: float = math.inf):
     """The segment ``d12`` from the point (t1, h1) of chart K1 to (t2, h2)
-    of chart K2 (flat layouts), its length, and both witnesses' pulls: the
-    tension toward the other witness rotated into the body and projected
-    onto the unit theta and phi tangents and the outward unit normal,
-    (d_theta, d_phi, d_n), d_theta 0 exactly where ``_frame_fast`` has no
-    theta tangent. A segment longer than ``bound`` comes back without
-    pulls (None), so that a rejected step does not pay for them."""
+    of chart K2 (flat layouts; points round as in ``_frame_fast``), its
+    length, and both witnesses' pulls: the tension toward the other witness
+    rotated into the body and projected onto the unit theta and phi
+    tangents and the outward normal, (d_theta, d_phi, d_n), d_theta 0
+    exactly where ``_frame_fast`` has no theta tangent. A segment longer
+    than ``bound`` comes back without pulls (None), so that a rejected step
+    does not pay for them."""
     a1, b1, c1, p00, p01, p02, p10, p11, p12, p20, p21, p22, px1, py1, pz1 = K1
     a2, b2, c2, q00, q01, q02, q10, q11, q12, q20, q21, q22, qx2, qy2, qz2 = K2
     sp1, cp1, st1, ct1 = math.sin(h1), math.cos(h1), math.sin(t1), math.cos(t1)
@@ -413,12 +414,11 @@ def _support(e: Ellipsoid, ux: float, uy: float, uz: float) -> float:
 def _foot(K, X):
     """Body-axis unit coordinates r and global position of the point of
     the body with flat layout ``K`` closest to the global point ``X``
-    outside it: r_i = a_i q_i / (a_i^2 + t) for the body-frame q, with t
-    the root of F(t) = |r|^2 = 1. Newton's method on the concave k(t) =
-    F^(-1/2) - 1 from the lower bound max(0, max_i(a_i |q_i| - a_i^2))
-    needs no bracket (as in the oracle, which shares no code with this).
-    It stops on a step at most 1e-12 t or not positive, or after 100
-    passes, never raises, and normalises r onto the surface."""
+    outside it: r_i = a_i q_i / (a_i^2 + t) for the body-frame q, t the
+    root of F(t) = |r|^2 = 1. Newton on the concave k(t) = F^(-1/2) - 1
+    from the oracle's lower bound max(0, max_i(a_i |q_i| - a_i^2)) needs no
+    bracket. It stops on a step at most 1e-12 t or not positive, or after
+    100 passes, never raises, and normalises r onto the surface."""
     a, b, c, r00, r01, r02, r10, r11, r12, r20, r21, r22, cx, cy, cz = K
     dx, dy, dz = X[0] - cx, X[1] - cy, X[2] - cz
     gx = a * (r00 * dx + r10 * dy + r20 * dz)

@@ -574,11 +574,10 @@ def test_extreme_aspect_up_to_300():
 
 def test_extreme_aspect_up_to_1000_over_six_decades():
     # No solve raises (the segment-entry start raised on 32 of these 300
-    # starts), and from the projection start every solve converges, in 84.5
-    # rounds on average and at most 2,062 (from the support start,
-    # solve(e2, e1) of case 91 ended as max-iter after 10,000 rounds).
-    # 114 of the 300 solves stop on a bare eps_d plateau, which certifies
-    # nothing about stationarity (the worst stops 2.9e-10 above its foot
+    # starts), and every solve converges, in 84.5 rounds on average and at
+    # most 2,062, pinned here so that any change to it shows. 114 of the
+    # 300 solves stop on a bare eps_d plateau, which certifies nothing
+    # about stationarity (the worst stops 2.9e-10 above its foot
     # distance). Certified solves are graded at 1e-9, plateau stops at the
     # lattice-oracle bound 1e-5.
     stats = run_extreme_aspect(seed=113, lo=1e-3, hi=1e3, max_aspect=1000.0)

@@ -8,9 +8,9 @@ import pathlib
 import pytest
 
 from surfslide.scenarios import (
+    BUILTIN_NAMES,
     Scenario,
     ScenarioFormatError,
-    BUILTIN_NAMES,
     builtin_scenario,
     builtin_scenarios,
     load_scenario,
