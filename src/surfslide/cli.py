@@ -39,6 +39,7 @@ from .contact import analyze as contact_analyze, separated
 from .geometry import NoIntersectionError, SurfaceParam
 from .oracle import OverlapSuspectedError, oracle_min_distance
 from .scenarios import (
+    _CONFIG_KEYS,
     Scenario,
     ScenarioFormatError,
     builtin_scenario,
@@ -181,11 +182,7 @@ def resolve_scenario(ref: str) -> Scenario:
 
 def build_config(sc: Scenario, args, record_trace: bool = False) -> SolverConfig:
     """Defaults, then scenario overrides, then command-line flags."""
-    flags = {
-        key: getattr(args, key)
-        for key in ("lambda0", "max_iter", "tol_d", "tol_n", "tol_lambda")
-        if getattr(args, key) is not None
-    }
+    flags = {key: getattr(args, key) for key in _CONFIG_KEYS if getattr(args, key) is not None}
     if args.mode is not None:
         flags["overshoot_mode"] = (
             "accept-and-continue" if args.mode == "accept" else "revert-and-retry"

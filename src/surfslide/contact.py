@@ -7,9 +7,9 @@ anti-aligned) or interpenetrating (each witness point sits inside the other
 ellipsoid). For the overlap case a continuation pushes each witness along
 the other body's negated normal, which drives the pair to the
 maximum-overlap points. It has its own step, on global frames, and shares
-only the step scaling (``step_increments``) and the alternating halving
-(``_halved``) with ``solve``; like ``solve``, it keeps its state in plain
-float locals.
+the step scaling (``step_increments``), the alternating halving
+(``_halved``) and the stop metrics (``_metrics``, two-step eps_d included)
+with ``solve``; like ``solve``, it keeps its state in plain float locals.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .geometry import Ellipsoid, SurfaceParam, _canonical, _frame_fast, implicit_value
-from .slider import ZERO_PROJECTION_FACTOR, SolverConfig, SolverState, _halved, step_increments
-from .slider import DistanceResult
+from .slider import ZERO_PROJECTION_FACTOR, SolverConfig, SolverState, _halved, _metrics
+from .slider import DistanceResult, step_increments
 from .slider import advance_param  # unused; perfbench/tracer.py wraps it by this name
 
 # tolerance on |n1 . n2 + 1| for calling a sub-sigma pair tangent
@@ -76,11 +76,11 @@ def classify(
     Interpenetration is confirmed by interior tests on both witness points,
     not by distance alone: a small separation also occurs at near-tangency.
     """
-    n1, n2 = state.normals
+    (P1, n1, *_), (P2, n2, *_) = state.frames
     dot = n1[0] * n2[0] + n1[1] * n2[1] + n1[2] * n2[2]
     if abs(dot + 1.0) < ALIGN_TOL:
         return "in-contact"
-    if interpenetrating(e1, e2, *state.points_global):
+    if interpenetrating(e1, e2, P1, P2):
         return "overlapping"
     return "separated"
 
@@ -108,7 +108,10 @@ def penetration_depth(
     pushed along the negated normal of the other body, re-read every step;
     once both points pop outside beyond sigma, the regular tension pull
     resumes. At the fixed point the connecting segment leaves each witness
-    point against its own outward normal, and its length is the depth.
+    point against its own outward normal, and its length is the depth. Once
+    both points lie inside the other body, beyond sigma, the search stops
+    on a stationary step or on ``solve``'s metrics (``_metrics``): eps_d,
+    eps_n against the maximum-overlap alignment, or eps_lambda.
 
     The loop keeps (theta, phi), the segment and the lambdas in plain float
     locals, as ``solve`` does: each step reads both global frames from
@@ -121,7 +124,7 @@ def penetration_depth(
     t1, h1, t2, h2 = p1.theta, p1.phi, p2.theta, p2.phi
     lam1 = lam2 = config.lambda0
     toggle = 0
-    prev_dist = math.nan  # NaN until the first step; ``x == x`` tests for it
+    d_1 = d_2 = math.nan  # the distances one and two steps back; ``x == x`` tests for NaN
     prev_push = False
     K1, K2 = e1._flat, e2._flat
 
@@ -137,8 +140,8 @@ def penetration_depth(
         push = dist < sigma or inside1 or inside2
 
         # overshoot = motion against the current goal; skip across mode flips
-        if push == prev_push and prev_dist == prev_dist:
-            wrong_way = dist < prev_dist if push else dist > prev_dist
+        if push == prev_push and d_1 == d_1:
+            wrong_way = dist < d_1 if push else dist > d_1
             if wrong_way:
                 lam1, lam2, toggle = _halved(lam1, lam2, toggle)
 
@@ -157,23 +160,23 @@ def penetration_depth(
         dth1, dph1 = step_increments(th1, ph1, lam1, guard)
         dth2, dph2 = step_increments(th2, ph2, lam2, guard)
 
-        if push and dist > 0.0:
+        if inside1 and inside2 and dist > sigma:
             # at maximum overlap the segment runs against n1 and along n2
-            dot1 = (dx * n1[0] + dy * n1[1] + dz * n1[2]) / dist
-            dot2 = (dx * n2[0] + dy * n2[1] + dz * n2[2]) / dist
-            align1, align2 = 1.0 + dot1, 1.0 - dot2
-            done = (
-                (dth1 == 0.0 and dph1 == 0.0 and dth2 == 0.0 and dph2 == 0.0)
-                or (align2 if align2 > align1 else align1) < tol_n
-                or (prev_dist == prev_dist and abs((dist - prev_dist) / dist) < tol_d)
-                or (lam2 if lam2 > lam1 else lam1) < tol_lambda
+            eps_d, eps_n, eps_lambda = _metrics(
+                dist, d_1, d_2, -(dx * n1[0] + dy * n1[1] + dz * n1[2]),
+                dx * n2[0] + dy * n2[1] + dz * n2[2], lam1, lam2,
             )
-            if done and inside1 and inside2 and dist > sigma:
+            if (
+                (dth1 == 0.0 and dph1 == 0.0 and dth2 == 0.0 and dph2 == 0.0)
+                or (eps_d is not None and eps_d < tol_d)
+                or eps_n < tol_n
+                or eps_lambda < tol_lambda
+            ):
                 break
 
         t1, h1 = _canonical(t1 + dth1, h1 + dph1)
         t2, h2 = _canonical(t2 + dth2, h2 + dph2)
-        prev_dist, prev_push = dist, push
+        d_2, d_1, prev_push = d_1, dist, push
 
     kind = "overlapping" if k < config.max_iter else "max-iter"
     return _report(kind, dist, (SurfaceParam(t1, h1), SurfaceParam(t2, h2)), (n1, n2))

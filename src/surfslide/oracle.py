@@ -172,7 +172,7 @@ def oracle_min_distance(
         if implicit_value(body, other.rotation @ foot + np.asarray(other.center)) <= 0.0:
             raise OverlapSuspectedError("a closest point of one body lies inside the other")
         found.append((dist, SurfaceParam.canonical(th, ph), param_from_local_point(other, foot)))
-    (d12, p1, p2), (d21, q2, q1) = found
-    if d21 < d12:
-        return d21, (q1, q2)
-    return d12, (p1, p2)
+    (dist1, p1, p2), (dist2, q2, q1) = found
+    if dist2 < dist1:
+        return dist2, (q1, q2)
+    return dist1, (p1, p2)

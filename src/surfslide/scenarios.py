@@ -153,10 +153,7 @@ def builtin_scenario(name: str) -> Scenario:
     """The builtin ``name``; other names raise KeyError before any body is built."""
     if name not in BUILTIN_NAMES:
         raise KeyError(f"unknown builtin scenario {name!r}")
-    for sc in builtin_scenarios():
-        if sc.name == name:
-            return sc
-    raise KeyError(f"unknown builtin scenario {name!r}")
+    return builtin_scenarios()[BUILTIN_NAMES.index(name)]
 
 
 # ---------------------------------------------------------------------------

@@ -107,12 +107,11 @@ class SolverState:
     ``params`` are (theta, phi) in ``charts``. ``pulls`` holds each
     witness's (d_theta, d_phi, d_n), its tension projected onto its unit
     tangents and normal by ``_evaluate``: the next step reads the first
-    two, eps_n the third. The global ``frames``, which ``points_global``
-    and ``normals`` read, are computed on first use."""
+    two, eps_n the third. The global ``frames`` are computed on first
+    use."""
 
     k: int
     params: tuple[SurfaceParam, SurfaceParam]
-    d12: tuple
     distance: float
     lambdas: tuple[float, float]
     prev_distance: float  # nan before the first iteration
@@ -125,16 +124,6 @@ class SolverState:
     def frames(self) -> tuple:
         """Both witnesses' (position, normal, tangent_theta, tangent_phi)."""
         return tuple(_frame_fast(c.flat, p.theta, p.phi) for c, p in zip(self.charts, self.params))
-
-    @property
-    def points_global(self) -> tuple[tuple, tuple]:
-        f1, f2 = self.frames
-        return f1[0], f2[0]
-
-    @property
-    def normals(self) -> tuple[tuple, tuple]:
-        f1, f2 = self.frames
-        return f1[1], f2[1]
 
 
 @dataclass(frozen=True)
@@ -331,9 +320,9 @@ def _canonical_param(theta: float, phi: float, chart: _Chart) -> tuple[float, fl
 # iteration engine
 
 def _evaluate(K1, K2, t1: float, h1: float, t2: float, h2: float, bound: float = math.inf):
-    """The segment ``d12`` from the point (t1, h1) of chart K1 to (t2, h2)
-    of chart K2 (flat layouts; points round as in ``_frame_fast``), its
-    length, and both witnesses' pulls: the tension toward the other witness
+    """The length of the segment from the point (t1, h1) of chart K1 to
+    (t2, h2) of chart K2 (flat layouts; points round as in ``_frame_fast``),
+    and both witnesses' pulls: the tension toward the other witness
     rotated into the body and projected onto the unit theta and phi
     tangents and the outward normal, (d_theta, d_phi, d_n), d_theta 0
     exactly where ``_frame_fast`` has no theta tangent. A segment longer
@@ -353,8 +342,8 @@ def _evaluate(K1, K2, t1: float, h1: float, t2: float, h2: float, bound: float =
     dz = ((q20 * x + q21 * y + q22 * z) + qz2) - z1
     dist = math.sqrt(dx * dx + dy * dy + dz * dz)
     if dist > bound:
-        return (dx, dy, dz), dist, None, None
-    # witness 1 pulled along d12, onto _frame_fast's unit vectors in its order
+        return dist, None, None
+    # witness 1 pulled along the segment, onto _frame_fast's unit vectors in its order
     x = p00 * dx + p10 * dy + p20 * dz
     y = p01 * dx + p11 * dy + p21 * dz
     z = p02 * dx + p12 * dy + p22 * dz
@@ -367,7 +356,7 @@ def _evaluate(K1, K2, t1: float, h1: float, t2: float, h2: float, bound: float =
     n = math.sqrt(nx * nx + ny * ny + nz * nz)
     w1 = (dth, x * (tx / t) + y * (ty / t) + z * (tz / t),
           x * (nx / n) + y * (ny / n) + z * (nz / n))
-    gx, gy, gz = -dx, -dy, -dz  # witness 2 pulled along -d12
+    gx, gy, gz = -dx, -dy, -dz  # witness 2 pulled against it
     x = q00 * gx + q10 * gy + q20 * gz
     y = q01 * gx + q11 * gy + q21 * gz
     z = q02 * gx + q12 * gy + q22 * gz
@@ -380,7 +369,7 @@ def _evaluate(K1, K2, t1: float, h1: float, t2: float, h2: float, bound: float =
     n = math.sqrt(nx * nx + ny * ny + nz * nz)
     w2 = (dth, x * (tx / t) + y * (ty / t) + z * (tz / t),
           x * (nx / n) + y * (ny / n) + z * (nz / n))
-    return (dx, dy, dz), dist, w1, w2
+    return dist, w1, w2
 
 
 def _center_inside(e1: Ellipsoid, e2: Ellipsoid) -> bool:
@@ -470,6 +459,16 @@ def _start(e1: Ellipsoid, e2: Ellipsoid, init) -> tuple[SurfaceParam, SurfacePar
     return _ray_exit(e1, e2.center), _ray_exit(e2, e1.center)
 
 
+def _begin(e1: Ellipsoid, e2: Ellipsoid, init, lambda0: float):
+    """Pass k = 0, shared by ``solve`` and ``initial_state``: the start from
+    ``_start``, evaluated on the canonical charts, and the step both
+    lambdas begin with (``_start_step``). Returns (p1, p2, dist, w1, w2,
+    lam)."""
+    p1, p2 = _start(e1, e2, init)
+    dist, w1, w2 = _evaluate(e1._flat, e2._flat, p1.theta, p1.phi, p2.theta, p2.phi)
+    return p1, p2, dist, w1, w2, _start_step(lambda0, init is not None, dist, w1[2], w2[2])
+
+
 def initial_state(
     e1: Ellipsoid,
     e2: Ellipsoid,
@@ -485,33 +484,29 @@ def initial_state(
     ``solve``'s loop."""
     if init is None and _center_inside(e1, e2):
         raise NoIntersectionError("a center lies inside the other body")
-    p1, p2 = _start(e1, e2, init)
-    c1, c2 = _chart(e1, 0), _chart(e2, 0)
-    d12, dist, w1, w2 = _evaluate(c1.flat, c2.flat, p1.theta, p1.phi, p2.theta, p2.phi)
-    lam = _start_step(config.lambda0, init is not None, dist, w1[2], w2[2])
+    p1, p2, dist, w1, w2, lam = _begin(e1, e2, init, config.lambda0)
     return SolverState(
         k=0,
         params=(p1, p2),
-        d12=d12,
         distance=dist,
         lambdas=(lam, lam),
         prev_distance=math.nan,
         halve_toggle=0,
-        charts=(c1, c2),
+        charts=(_chart(e1, 0), _chart(e2, 0)),
         pulls=(w1, w2),
     )
 
 
-def _round(K1, K2, t1, h1, t2, h2, d12, dist, w1, w2, lam1, lam2, toggle, revert):
+def _round(K1, K2, t1, h1, t2, h2, dist, w1, w2, lam1, lam2, toggle, revert):
     """One round from the iteration-k witnesses (t1, h1) on chart ``K1``
-    and (t2, h2) on ``K2``, joined by ``d12`` of length ``dist``, with
-    pulls ``w1`` and ``w2``: scale the pulls' tangential parts to the
-    lambdas, advance both parameter pairs simultaneously and re-evaluate.
+    and (t2, h2) on ``K2``, ``dist`` apart, with pulls ``w1`` and ``w2``:
+    scale the pulls' tangential parts to the lambdas, advance both
+    parameter pairs simultaneously and re-evaluate.
     When the distance grows, ``revert`` halves a step and retries (down to
     LAMBDA_FLOOR), without computing the rejected points' pulls; otherwise
     the step stands and a lambda is halved for the next round. Returns the
-    new (t1, h1, t2, h2, d12, dist, w1, w2, lam1, lam2, toggle, overshoot);
-    a stationary pair, whose tension has no tangential component anywhere,
+    new (t1, h1, t2, h2, dist, w1, w2, lam1, lam2, toggle, overshoot); a
+    stationary pair, whose tension has no tangential component anywhere,
     comes back unchanged."""
     guard = ZERO_PROJECTION_FACTOR * dist
     l1, l2, tog = lam1, lam2, toggle
@@ -519,14 +514,14 @@ def _round(K1, K2, t1, h1, t2, h2, d12, dist, w1, w2, lam1, lam2, toggle, revert
         dth1, dph1 = step_increments(w1[0], w1[1], l1, guard)
         dth2, dph2 = step_increments(w2[0], w2[1], l2, guard)
         if dth1 == 0.0 and dph1 == 0.0 and dth2 == 0.0 and dph2 == 0.0:
-            return t1, h1, t2, h2, d12, dist, w1, w2, lam1, lam2, toggle, False
+            return t1, h1, t2, h2, dist, w1, w2, lam1, lam2, toggle, False
         u1, v1, u2, v2 = t1 + dth1, h1 + dph1, t2 + dth2, h2 + dph2
         if not (0.0 <= u1 < TWO_PI and 0.0 <= v1 <= math.pi):
             u1, v1 = _canonical(u1, v1)
         if not (0.0 <= u2 < TWO_PI and 0.0 <= v2 <= math.pi):
             u2, v2 = _canonical(u2, v2)
         retry = revert and (l1 if l1 > l2 else l2) > LAMBDA_FLOOR
-        nd12, ndist, nw1, nw2 = _evaluate(K1, K2, u1, v1, u2, v2, dist if retry else math.inf)
+        ndist, nw1, nw2 = _evaluate(K1, K2, u1, v1, u2, v2, dist if retry else math.inf)
         if nw1 is None:
             l1, l2, tog = _halved(l1, l2, tog)
             continue
@@ -534,7 +529,7 @@ def _round(K1, K2, t1, h1, t2, h2, d12, dist, w1, w2, lam1, lam2, toggle, revert
         if overshoot:
             l1, l2, tog = _halved(l1, l2, tog)
         # the pulls at the accepted points drive the next round and eps_n
-        return u1, v1, u2, v2, nd12, ndist, nw1, nw2, l1, l2, tog, overshoot
+        return u1, v1, u2, v2, ndist, nw1, nw2, l1, l2, tog, overshoot
 
 
 def iterate_once(
@@ -550,15 +545,14 @@ def iterate_once(
     p1, p2 = state.params
     w1, w2 = state.pulls
     lam1, lam2 = state.lambdas
-    t1, h1, t2, h2, d12, dist, w1, w2, lam1, lam2, toggle, overshoot = _round(
+    t1, h1, t2, h2, dist, w1, w2, lam1, lam2, toggle, overshoot = _round(
         charts[0].flat, charts[1].flat, p1.theta, p1.phi, p2.theta, p2.phi,
-        state.d12, state.distance, w1, w2, lam1, lam2, state.halve_toggle,
+        state.distance, w1, w2, lam1, lam2, state.halve_toggle,
         config.overshoot_mode == "revert-and-retry",
     )
     return SolverState(
         k=state.k + 1,
         params=(SurfaceParam(t1, h1), SurfaceParam(t2, h2)),
-        d12=d12,
         distance=dist,
         lambdas=(lam1, lam2),
         prev_distance=state.distance,
@@ -598,16 +592,14 @@ def solve(
     """
     sigma = config.resolve_sigma(e1, e2)
     certain_overlap = init is None and _center_inside(e1, e2)
-    p1, p2 = _start(e1, e2, init)
+    p1, p2, dist, w1, w2, lam1 = _begin(e1, e2, init, config.lambda0)
     trace: list[StepRecord] | None = [] if config.record_trace else None
 
     # the loop runs on plain locals; a SolverState is built only for the
     # contact hand-off
     charts = (_chart(e1, 0), _chart(e2, 0))
     K1, K2 = charts[0].flat, charts[1].flat
-    t1, h1, t2, h2 = p1.theta, p1.phi, p2.theta, p2.phi
-    d12, dist, w1, w2 = _evaluate(K1, K2, t1, h1, t2, h2)
-    lam1 = lam2 = _start_step(config.lambda0, init is not None, dist, w1[2], w2[2])
+    t1, h1, t2, h2, lam2 = p1.theta, p1.phi, p2.theta, p2.phi, lam1
     toggle, overshoot = 0, False
     d_1 = d_2 = math.nan  # the distances one and two steps back
     revert = config.overshoot_mode == "revert-and-retry"
@@ -619,10 +611,10 @@ def solve(
             if _near_pole(h1) or _near_pole(h2):
                 charts, ((t1, h1), (t2, h2)) = _recharted(charts, (e1, e2), ((t1, h1), (t2, h2)))
                 K1, K2 = charts[0].flat, charts[1].flat
-                d12, dist, w1, w2 = _evaluate(K1, K2, t1, h1, t2, h2)
+                dist, w1, w2 = _evaluate(K1, K2, t1, h1, t2, h2)
             d_2, d_1 = d_1, dist
-            t1, h1, t2, h2, d12, dist, w1, w2, lam1, lam2, toggle, overshoot = _round(
-                K1, K2, t1, h1, t2, h2, d12, dist, w1, w2, lam1, lam2, toggle, revert
+            t1, h1, t2, h2, dist, w1, w2, lam1, lam2, toggle, overshoot = _round(
+                K1, K2, t1, h1, t2, h2, dist, w1, w2, lam1, lam2, toggle, revert
             )
         eps_d, eps_n, eps_lambda = _metrics(dist, d_1, d_2, w1[2], w2[2], lam1, lam2)
         if trace is not None:
@@ -639,7 +631,7 @@ def solve(
             from .contact import classify  # local import; contact depends on us
 
             state = SolverState(
-                k, (SurfaceParam(t1, h1), SurfaceParam(t2, h2)), d12, dist,
+                k, (SurfaceParam(t1, h1), SurfaceParam(t2, h2)), dist,
                 (lam1, lam2), d_1, toggle, charts, (w1, w2), overshoot,
             )
             kind = classify(state, e1, e2, sigma)

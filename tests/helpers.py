@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 
-from surfslide.geometry import Ellipsoid, SurfaceParam
+from surfslide.geometry import Ellipsoid, SurfaceParam, surface_frame
 from surfslide.slider import _chart, _evaluate
 
 PI = math.pi
@@ -38,12 +38,23 @@ def random_separated_pair(rng, lo=0.02, hi=2.0, max_aspect=30.0):
     return e1, e2
 
 
+def nth_separated_pair(seed, case):
+    """Pair ``case`` (counting from 0) of the ``random_separated_pair``
+    sequence drawn from ``numpy.random.default_rng(seed)``."""
+    rng = np.random.default_rng(seed)
+    for _ in range(case + 1):
+        pair = random_separated_pair(rng)
+    return pair
+
+
 def evaluate(e1, p1, e2, p2):
-    """The solver's round evaluator at ``p1`` on ``e1`` and ``p2`` on
-    ``e2``, on their canonical charts: the segment d12 from the first point
-    to the second as a tuple, its length, and both witnesses' pulls
-    (d_theta, d_phi, d_n), of d12 and of -d12."""
-    return _evaluate(_chart(e1, 0).flat, _chart(e2, 0).flat, p1.theta, p1.phi, p2.theta, p2.phi)
+    """The segment d12 from ``p1`` on ``e1`` to ``p2`` on ``e2``, from
+    surface_frame's positions, followed by what the solver's round
+    evaluator gives there on the canonical charts: d12's length and both
+    witnesses' pulls (d_theta, d_phi, d_n), of d12 and of -d12."""
+    d12 = tuple(surface_frame(e2, p2).position - surface_frame(e1, p1).position)
+    return (d12, *_evaluate(_chart(e1, 0).flat, _chart(e2, 0).flat,
+                            p1.theta, p1.phi, p2.theta, p2.phi))
 
 
 def surface_point(e, p):

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import pytest
 
+from helpers import nth_separated_pair
 from surfslide import cli, scenarios, slider
 from surfslide.cli import build_parser, main, write_trace
 from surfslide.contact import analyze as contact_analyze, separated
@@ -291,6 +292,41 @@ def test_solve_verify_includes_oracle(capsys):
     assert record["oracle_gap"] < 1e-5
 
 
+def _body_pair_file(tmp_path, name, center2, euler2=(0, 0, 0)):
+    """Two (1, 0.6, 0.4) bodies, the first at the origin with zero Euler
+    angles, as a scenario file."""
+    body = {"semi_axes": [1, 0.6, 0.4], "center": [0, 0, 0], "euler": [0, 0, 0]}
+    e2 = {**body, "center": list(center2), "euler": list(euler2)}
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({"name": name, "e1": body, "e2": e2}))
+    return str(path)
+
+
+def test_solve_verify_on_overlapping_pair_records_oracle_error(tmp_path, capsys):
+    path = _body_pair_file(tmp_path, "overlap-verify", (1.2, 0.1, 0), (0, 0.3, 0))
+    assert main(["solve", path, "--verify"]) == 7
+    record = json.loads(capsys.readouterr().out)
+    assert record["oracle_distance"] is None
+    assert record["oracle_error"] == "a sampled surface point of one body lies inside the other"
+    assert "oracle_gap" not in record
+    assert record["contact_kind"] == "overlapping"
+    assert record["contact_value"] < 0.0
+
+
+def test_solve_lambda_floor_exit_code(tmp_path, capsys):
+    # pair 4 of seed 5: with every tolerance at 1e-300 the revert-mode
+    # steps fall below the lambda floor first
+    e1, e2 = nth_separated_pair(5, 4)
+    path = tmp_path / "lambda-floor.json"
+    scenarios.save_scenario(scenarios.Scenario("lambda-floor", e1, e2), path)
+    code = main(["solve", str(path), "--mode", "revert",
+                 "--tol-d", "1e-300", "--tol-n", "1e-300", "--tol-lambda", "1e-300"])
+    assert code == 3
+    record = json.loads(capsys.readouterr().out)
+    assert record["status"] == "lambda-floor"
+    assert record["iterations"] == 27
+
+
 def test_solve_max_iter_exit_code(capsys):
     assert main(["solve", "system-I", "--max-iter", "2"]) == 2
     record = json.loads(capsys.readouterr().out)
@@ -534,6 +570,16 @@ def test_bench_overlap_abort(tmp_path, capsys):
     path = _overlap_scenario_file(tmp_path)
     code = main(["bench", path, "--steps", "3", "--perturbation", "1e-3"])
     assert code == 5
+
+
+def test_bench_abort_during_the_walk(tmp_path, capsys):
+    # separated at the start; the random walk of e2 reaches e1 at step 12
+    path = _body_pair_file(tmp_path, "near", (2.02, 0, 0))
+    code = main(["bench", path, "--steps", "30", "--perturbation", "0.02", "--seed", "1"])
+    assert code == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.rstrip().endswith("at step 12")
 
 
 def test_bench_pole_optimum_warm_matches_cold(capsys):

@@ -34,7 +34,7 @@ def test_classify_overlapping_on_interior_witnesses():
     # witness points straddling the lens region: both inside the other body
     state = initial_state(e1, e2, None, SolverConfig())
     sigma = SolverConfig().resolve_sigma(e1, e2)
-    P1, P2 = state.points_global
+    (P1, *_), (P2, *_) = state.frames
     assert implicit_value(e2, P1) < 0 or implicit_value(e1, P2) < 0
     kind = classify(state, e1, e2, sigma)
     assert kind in ("overlapping", "in-contact", "separated")  # smoke: total

@@ -70,6 +70,16 @@ def test_euler_from_rotation_round_trip():
         assert np.allclose(rotation_matrix(*back), R, atol=1e-10)
 
 
+@pytest.mark.parametrize("beta", [PI / 2, -PI / 2])
+def test_euler_from_rotation_gimbal_lock(beta):
+    # |cos beta| = 0 couples alpha and gamma; the inverse sets gamma = 0 and
+    # must still rebuild the same matrix
+    R = rotation_matrix(0.7, beta, -0.4)
+    back = euler_from_rotation(R)
+    assert back[2] == 0.0
+    assert np.allclose(rotation_matrix(*back), R, atol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # Ellipsoid and SurfaceParam
 

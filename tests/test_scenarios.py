@@ -118,6 +118,24 @@ def test_scenario_rejects_missing_fields():
         scenario_from_dict(doc)
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda doc: {**doc, "e1": [1, 1, 1]}, "e1 must be an object"),
+        (lambda doc: {**doc, "e2": {"semi_axes": [1, 1, 1], "center": [3, 0, 0]}},
+         r"e2: missing keys \['euler'\]"),
+        (lambda doc: [doc], "top-level document must be an object"),
+        (lambda doc: {**doc, "name": ""}, "name must be a non-empty string"),
+        (lambda doc: {**doc, "expected": 1.6}, "expected must be"),
+    ],
+    ids=["ellipsoid-not-object", "ellipsoid-key-missing", "top-level-not-object",
+         "empty-name", "expected-not-object"],
+)
+def test_scenario_rejects_malformed_document(make, message):
+    with pytest.raises(ScenarioFormatError, match=message):
+        scenario_from_dict(make(_minimal_doc()))
+
+
 def test_scenario_rejects_bad_config_value():
     doc = _minimal_doc()
     doc["lambda0"] = -0.5

@@ -7,7 +7,13 @@ import math
 import numpy as np
 import pytest
 
-from helpers import evaluate, points_outside, random_separated_pair, surface_point
+from helpers import (
+    evaluate,
+    nth_separated_pair,
+    points_outside,
+    random_separated_pair,
+    surface_point,
+)
 from surfslide.geometry import (
     Ellipsoid,
     NoIntersectionError,
@@ -72,8 +78,8 @@ def test_pull_and_step_increments_give_the_solver_step():
     for p in s0.params:
         assert CHART_POLE_MARGIN < p.phi < PI - CHART_POLE_MARGIN
     s1 = iterate_once(s0, cfg, (e1, e2))
-    d12, dist, *pulls = evaluate(e1, s0.params[0], e2, s0.params[1])
-    assert (d12, dist) == (s0.d12, s0.distance)
+    _, dist, *pulls = evaluate(e1, s0.params[0], e2, s0.params[1])
+    assert dist == s0.distance
     guard = ZERO_PROJECTION_FACTOR * s0.distance
     for p, moved, (dth, dph, _) in zip(s0.params, s1.params, pulls):
         step = step_increments(dth, dph, cfg.lambda0, guard)
@@ -380,16 +386,25 @@ def test_max_iter_status():
     assert res.iterations == 3
 
 
+def test_lambda_floor_status():
+    # pair 4 of seed 5: with every tolerance at 1e-300 the revert-mode steps
+    # fall below LAMBDA_FLOOR before any stop criterion fires
+    cfg = SolverConfig(tol_d=1e-300, tol_n=1e-300, tol_lambda=1e-300,
+                       overshoot_mode="revert-and-retry")
+    res = solve(*nth_separated_pair(5, 4), None, cfg)
+    assert res.status == "lambda-floor"
+    assert res.iterations == 27
+    assert res.stop_criteria == ()
+    assert res.final_eps[2] < LAMBDA_FLOOR
+
+
 # ---------------------------------------------------------------------------
 # pole charts
 
 
 def _symmetry_pair(case, seed=105):
     """The pair that the symmetry property suite draws as ``case``."""
-    rng = np.random.default_rng(seed)
-    for _ in range(case + 1):
-        e1, e2 = random_separated_pair(rng)
-    return e1, e2
+    return nth_separated_pair(seed, case)
 
 
 def test_needle_tip_pair_mirrored_runs_agree():
