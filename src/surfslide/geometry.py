@@ -165,8 +165,8 @@ def _frame_fast(K, theta: float, phi: float):
     """Global-frame (position, normal, tangent_theta-or-None, tangent_phi)
     as plain float triples, behind :func:`surface_frame`, of the body with
     the 15-float layout ``K`` of ``Ellipsoid._flat``. ``solve`` calls it
-    only for its contact hand-off and result; the depth continuation on
-    every step."""
+    only for its contact hand-off and result, and the depth continuation
+    for its report's normals; its step kernel repeats this arithmetic."""
     a, b, c, r00, r01, r02, r10, r11, r12, r20, r21, r22, cx, cy, cz = K
     sp, cp = math.sin(phi), math.cos(phi)
     st, ct = math.sin(theta), math.cos(theta)
@@ -275,13 +275,20 @@ def param_from_local_point(e: Ellipsoid, x_local) -> SurfaceParam:
 
 def line_surface_entry(e: Ellipsoid, A, B) -> SurfaceParam:
     """Parameters of the point where the segment A -> B first meets the
-    surface (the entry point as seen from A)."""
+    surface (the entry point as seen from A).
+
+    Plain floats, except the rotation into the body and the three dot
+    products of the quadratic: those stay numpy calls, whose rounding
+    (BLAS may fuse and reorder the sums) a float rewrite would not repeat
+    bit for bit."""
     a, b, c = e.semi_axes
-    A_loc = to_local_point(e, A)
-    B_loc = to_local_point(e, B)
-    inv = np.array((1.0 / a, 1.0 / b, 1.0 / c))
-    p = A_loc * inv
-    d = (B_loc - A_loc) * inv
+    cx, cy, cz = e.center
+    RT = e.rotation.T
+    ax, ay, az = (RT @ np.array((float(A[0]) - cx, float(A[1]) - cy, float(A[2]) - cz))).tolist()
+    bx, by, bz = (RT @ np.array((float(B[0]) - cx, float(B[1]) - cy, float(B[2]) - cz))).tolist()
+    ia, ib, ic = 1.0 / a, 1.0 / b, 1.0 / c
+    p = np.array((ax * ia, ay * ib, az * ic))
+    d = np.array(((bx - ax) * ia, (by - ay) * ib, (bz - az) * ic))
     qa = float(d @ d)
     qb = 2.0 * float(p @ d)
     qc = float(p @ p) - 1.0
@@ -291,8 +298,8 @@ def line_surface_entry(e: Ellipsoid, A, B) -> SurfaceParam:
     if disc < 0.0:
         raise NoIntersectionError("segment does not intersect the ellipsoid")
     sq = math.sqrt(disc)
-    roots = sorted(((-qb - sq) / (2.0 * qa), (-qb + sq) / (2.0 * qa)))
-    for t in roots:
+    for t in sorted(((-qb - sq) / (2.0 * qa), (-qb + sq) / (2.0 * qa))):
         if 0.0 <= t <= 1.0:
-            return param_from_local_point(e, A_loc + t * (B_loc - A_loc))
+            x, y, z = ax + t * (bx - ax), ay + t * (by - ay), az + t * (bz - az)
+            return param_from_local_point(e, (x, y, z))
     raise NoIntersectionError("both intersections lie outside the segment")

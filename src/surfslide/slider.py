@@ -383,12 +383,13 @@ def _ray_exit(e: Ellipsoid, toward) -> SurfaceParam:
     """Where the ray from e's center toward ``toward`` leaves e's surface.
     Unlike the center-to-center segment, the ray reaches the surface even
     when ``toward`` lies inside e."""
-    c = np.asarray(e.center)
-    d = np.asarray(toward, dtype=float) - c
-    n = float(np.linalg.norm(d))
+    c = e.center
+    d = (float(toward[0]) - c[0], float(toward[1]) - c[1], float(toward[2]) - c[2])
+    n = math.sqrt(np.array(d).dot(d))  # numpy's dot, as in np.linalg.norm
     if n == 0.0:
         raise NoIntersectionError("concentric bodies have no center line")
-    return line_surface_entry(e, c + (2.0 * e.max_semi_axis / n) * d, c)
+    s = 2.0 * e.max_semi_axis / n
+    return line_surface_entry(e, (c[0] + s * d[0], c[1] + s * d[1], c[2] + s * d[2]), c)
 
 
 def _support(e: Ellipsoid, ux: float, uy: float, uz: float) -> float:

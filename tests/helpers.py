@@ -1,12 +1,30 @@
 """Shared randomized-case generators for the property and acceptance
-suites."""
+suites, and reference versions of kernels that the program runs fused or
+trimmed."""
 
 import math
 
 import numpy as np
 
-from surfslide.geometry import Ellipsoid, SurfaceParam, surface_frame
-from surfslide.slider import _chart, _evaluate
+from surfslide.geometry import (
+    Ellipsoid,
+    NoIntersectionError,
+    SurfaceParam,
+    _canonical,
+    _frame_fast,
+    implicit_value,
+    param_from_local_point,
+    surface_frame,
+    to_local_point,
+)
+from surfslide.slider import (
+    ZERO_PROJECTION_FACTOR,
+    _chart,
+    _evaluate,
+    _halved,
+    _metrics,
+    step_increments,
+)
 
 PI = math.pi
 
@@ -111,3 +129,108 @@ def points_outside(rng, axes, n, zero_axis=None):
     normal /= np.linalg.norm(normal, axis=1)[:, None]
     dist = np.exp(rng.uniform(math.log(1e-10), math.log(1e4), n))
     return s + dist[:, None] * normal
+
+
+def line_surface_entry_numpy(e, A, B):
+    """The segment-entry parameters computed all in numpy, a reference for
+    ``geometry.line_surface_entry``: both ends rotated into the body, the
+    quadratic in the segment parameter from numpy dot products of the
+    scaled points, and the entry point's parameters."""
+    a, b, c = e.semi_axes
+    A_loc = to_local_point(e, A)
+    B_loc = to_local_point(e, B)
+    inv = np.array((1.0 / a, 1.0 / b, 1.0 / c))
+    p = A_loc * inv
+    d = (B_loc - A_loc) * inv
+    qa = float(d @ d)
+    qb = 2.0 * float(p @ d)
+    qc = float(p @ p) - 1.0
+    if qa == 0.0:
+        raise NoIntersectionError("degenerate segment (A == B)")
+    disc = qb * qb - 4.0 * qa * qc
+    if disc < 0.0:
+        raise NoIntersectionError("segment does not intersect the ellipsoid")
+    sq = math.sqrt(disc)
+    roots = sorted(((-qb - sq) / (2.0 * qa), (-qb + sq) / (2.0 * qa)))
+    for t in roots:
+        if 0.0 <= t <= 1.0:
+            return param_from_local_point(e, A_loc + t * (B_loc - A_loc))
+    raise NoIntersectionError("both intersections lie outside the segment")
+
+
+def ray_exit_numpy(e, toward):
+    """Where the ray from e's center toward ``toward`` leaves e's surface,
+    all in numpy, a reference for ``slider._ray_exit``."""
+    c = np.asarray(e.center)
+    d = np.asarray(toward, dtype=float) - c
+    n = float(np.linalg.norm(d))
+    if n == 0.0:
+        raise NoIntersectionError("concentric bodies have no center line")
+    return line_surface_entry_numpy(e, c + (2.0 * e.max_semi_axis / n) * d, c)
+
+
+def penetration_depth_by_frames(e1, e2, entry_params, config):
+    """The depth continuation built from the shared frame and interior
+    kernels, a reference for ``contact.penetration_depth``: every step
+    reads both global frames from ``_frame_fast`` and both interior tests
+    from ``implicit_value``. Returns (kind, depth, params, normals), the
+    normals as float triples."""
+    sigma = config.resolve_sigma(e1, e2)
+    tol_d, tol_n, tol_lambda = config.tol_d, config.tol_n, config.tol_lambda
+    p1, p2 = entry_params
+    t1, h1, t2, h2 = p1.theta, p1.phi, p2.theta, p2.phi
+    lam1 = lam2 = config.lambda0
+    toggle = 0
+    d_1 = d_2 = math.nan
+    prev_push = False
+    K1, K2 = e1._flat, e2._flat
+
+    for k in range(config.max_iter + 1):
+        P1, n1, et1, ep1 = _frame_fast(K1, t1, h1)
+        P2, n2, et2, ep2 = _frame_fast(K2, t2, h2)
+        dx, dy, dz = P2[0] - P1[0], P2[1] - P1[1], P2[2] - P1[2]
+        dist = math.sqrt(dx ** 2 + dy ** 2 + dz ** 2)
+        if k == config.max_iter:
+            break
+        inside1 = implicit_value(e2, P1) < 0.0
+        inside2 = implicit_value(e1, P2) < 0.0
+        push = dist < sigma or inside1 or inside2
+
+        if push == prev_push and d_1 == d_1:
+            wrong_way = dist < d_1 if push else dist > d_1
+            if wrong_way:
+                lam1, lam2, toggle = _halved(lam1, lam2, toggle)
+
+        guard = ZERO_PROJECTION_FACTOR * (sigma if sigma > dist else dist)
+        if push:
+            g1x, g1y, g1z = -n2[0], -n2[1], -n2[2]
+            g2x, g2y, g2z = -n1[0], -n1[1], -n1[2]
+        else:
+            g1x, g1y, g1z = dx, dy, dz
+            g2x, g2y, g2z = -dx, -dy, -dz
+        th1 = 0.0 if et1 is None else g1x * et1[0] + g1y * et1[1] + g1z * et1[2]
+        th2 = 0.0 if et2 is None else g2x * et2[0] + g2y * et2[1] + g2z * et2[2]
+        ph1 = g1x * ep1[0] + g1y * ep1[1] + g1z * ep1[2]
+        ph2 = g2x * ep2[0] + g2y * ep2[1] + g2z * ep2[2]
+        dth1, dph1 = step_increments(th1, ph1, lam1, guard)
+        dth2, dph2 = step_increments(th2, ph2, lam2, guard)
+
+        if inside1 and inside2 and dist > sigma:
+            eps_d, eps_n, eps_lambda = _metrics(
+                dist, d_1, d_2, -(dx * n1[0] + dy * n1[1] + dz * n1[2]),
+                dx * n2[0] + dy * n2[1] + dz * n2[2], lam1, lam2,
+            )
+            if (
+                (dth1 == 0.0 and dph1 == 0.0 and dth2 == 0.0 and dph2 == 0.0)
+                or (eps_d is not None and eps_d < tol_d)
+                or eps_n < tol_n
+                or eps_lambda < tol_lambda
+            ):
+                break
+
+        t1, h1 = _canonical(t1 + dth1, h1 + dph1)
+        t2, h2 = _canonical(t2 + dth2, h2 + dph2)
+        d_2, d_1, prev_push = d_1, dist, push
+
+    kind = "overlapping" if k < config.max_iter else "max-iter"
+    return kind, dist, (SurfaceParam(t1, h1), SurfaceParam(t2, h2)), (n1, n2)

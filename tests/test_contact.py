@@ -6,10 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from surfslide.contact import analyze, classify, penetration_depth
+from helpers import penetration_depth_by_frames, random_overlap_pair
+from surfslide.contact import analyze, classify, penetration_depth, separated
 from surfslide.geometry import Ellipsoid, SurfaceParam, implicit_value, surface_frame
 from surfslide.scenarios import builtin_scenario
-from surfslide.slider import SolverConfig, initial_state, solve
+from surfslide.slider import SolverConfig, _center_inside, initial_state, solve
 
 
 def _sphere(r, center):
@@ -205,3 +206,64 @@ def test_report_params_and_normals_agree(e1, e2, config, kind):
     for e, p, n in zip((e1, e2), report.witness_params, report.witness_normals):
         assert type(p) is SurfaceParam and p.is_canonical()
         assert n.tolist() == surface_frame(e, p).normal.tolist()
+
+
+# ---------------------------------------------------------------------------
+# the fused step kernel against the frame-by-frame reference
+
+
+def _hex(kind, depth, params, normals):
+    return (
+        kind,
+        depth.hex(),
+        [(p.theta.hex(), p.phi.hex()) for p in params],
+        [[float(v).hex() for v in n] for n in normals],
+    )
+
+
+def _assert_matches_reference(e1, e2, entry, config):
+    report = penetration_depth(e1, e2, entry, config)
+    got = _hex(report.kind, report.distance_or_depth, report.witness_params,
+               report.witness_normals)
+    assert got == _hex(*penetration_depth_by_frames(e1, e2, entry, config))
+    return report.kind
+
+
+def test_continuation_matches_frame_reference_on_overlap_pairs():
+    # every continuation that analyze runs on 300 overlap-recipe pairs in
+    # both argument orders, center-inside starts included; max_iter 300
+    # keeps the runs that never settle short and still ends them at the
+    # max-iter exit
+    config = SolverConfig(max_iter=300)
+    rng = np.random.default_rng(7)
+    kinds = []
+    center_inside = 0
+    for i in range(300):
+        pair = random_overlap_pair(rng, (0.3, 0.6, 0.9)[i % 3])
+        for e1, e2 in (pair, pair[::-1]):
+            res = solve(e1, e2, None, config)
+            if res.status == "contact" or separated(e1, e2, res):
+                continue
+            center_inside += _center_inside(e1, e2)
+            kinds.append(_assert_matches_reference(e1, e2, res.params, config))
+    assert len(kinds) >= 300 and center_inside >= 100
+    assert set(kinds) == {"overlapping", "max-iter"}
+
+
+@pytest.mark.parametrize("swap", [False, True])
+def test_continuation_matches_frame_reference_at_poles_and_max_iter(swap):
+    # pole entries, where neither witness has a theta tangent, and the
+    # contained sphere, whose continuation ends at max_iter
+    tilted = Ellipsoid((1.0, 0.8, 0.6), (0.3, 0.1, 1.2), (0.3, 0.2, 0.0))
+    entry = (SurfaceParam(0.0, 0.0), SurfaceParam(0.0, math.pi))
+    bodies = (_sphere(1.0, (0, 0, 0)), tilted)
+    if swap:
+        bodies, entry = bodies[::-1], entry[::-1]
+    assert _assert_matches_reference(*bodies, entry, SolverConfig()) == "overlapping"
+
+    bodies = (_sphere(1.0, (0, 0, 0)), _sphere(0.3, (0.5, 0, 0)))
+    if swap:
+        bodies = bodies[::-1]
+    config = SolverConfig(max_iter=200)
+    entry = solve(*bodies, None, config).params
+    assert _assert_matches_reference(*bodies, entry, config) == "max-iter"

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import surface_point
+from helpers import line_surface_entry_numpy, random_overlap_pair, ray_exit_numpy, surface_point
 from surfslide.geometry import (
     Ellipsoid,
     NoIntersectionError,
@@ -19,6 +19,7 @@ from surfslide.geometry import (
     surface_frame,
     to_local_point,
 )
+from surfslide.slider import _ray_exit
 
 PI = math.pi
 
@@ -312,3 +313,22 @@ def test_line_entry_miss_raises():
         line_surface_entry(e, [0, 0, 5], [0, 0, 3])
     with pytest.raises(NoIntersectionError):
         line_surface_entry(e, [5, 5, 5], [5, 5, -5])
+
+
+def test_ray_exit_matches_numpy_reference():
+    # the ray-exit starts of 400 overlap-recipe pairs on each of four seeds,
+    # both bodies' (swapping the pair gives the same two), and each exit
+    # segment in both directions, bit for bit against the all-numpy formula
+    for seed in (1, 2, 3, 2024):
+        rng = np.random.default_rng(seed)
+        for i in range(400):
+            pair = random_overlap_pair(rng, (0.3, 0.6, 0.9)[i % 3])
+            for e, other in (pair, pair[::-1]):
+                got, want = _ray_exit(e, other.center), ray_exit_numpy(e, other.center)
+                assert (got.theta.hex(), got.phi.hex()) == (want.theta.hex(), want.phi.hex())
+                c = np.asarray(e.center)
+                d = np.asarray(other.center) - c
+                far = c + (2.0 * e.max_semi_axis / np.linalg.norm(d)) * d
+                for A, B in ((far, c), (c, far)):
+                    got, want = line_surface_entry(e, A, B), line_surface_entry_numpy(e, A, B)
+                    assert (got.theta.hex(), got.phi.hex()) == (want.theta.hex(), want.phi.hex())
