@@ -70,6 +70,9 @@ _STATUS_EXIT = {
 TRACE_COLUMNS = (
     "k,theta1,phi1,theta2,phi2,distance,lambda1,lambda2,eps_d,eps_n,overshoot"
 )
+# one StepRecord, field by field, floats to 17 digits; the overshoot flag
+# prints as 1 or 0
+TRACE_ROW = "%d" + ",%.17g" * 9 + ",%d"
 
 
 class CliError(Exception):
@@ -100,12 +103,7 @@ def _record(name: str, res, wall: float) -> dict:
 
 
 def write_trace(path: str, trace) -> None:
-    rows = (
-        f"{r.k},{r.theta1:.17g},{r.phi1:.17g},{r.theta2:.17g},{r.phi2:.17g},"
-        f"{r.distance:.17g},{r.lambda1:.17g},{r.lambda2:.17g},{r.eps_d:.17g},"
-        f"{r.eps_n:.17g},{1 if r.overshoot_flag else 0}"
-        for r in trace
-    )
+    rows = (TRACE_ROW % r for r in trace)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join([TRACE_COLUMNS, *rows]) + "\n")
 

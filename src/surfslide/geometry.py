@@ -27,18 +27,24 @@ class NoIntersectionError(ValueError):
     """The segment does not reach the ellipsoid surface."""
 
 
-def rotation_matrix(alpha: float, beta: float, gamma: float) -> np.ndarray:
-    """Body-to-global rotation, composed as Rx(alpha) @ Ry(beta) @ Rz(gamma)."""
+def _rotation_rows(alpha: float, beta: float, gamma: float) -> tuple:
+    """The nine entries of :func:`rotation_matrix`, row by row, as plain
+    floats."""
     ca, sa = math.cos(alpha), math.sin(alpha)
     cb, sb = math.cos(beta), math.sin(beta)
     cg, sg = math.cos(gamma), math.sin(gamma)
-    return np.array(
-        [
-            [cb * cg, -cb * sg, sb],
-            [ca * sg + sa * sb * cg, ca * cg - sa * sb * sg, -sa * cb],
-            [sa * sg - ca * sb * cg, sa * cg + ca * sb * sg, ca * cb],
-        ]
+    return (
+        cb * cg, -cb * sg, sb,
+        ca * sg + sa * sb * cg, ca * cg - sa * sb * sg, -sa * cb,
+        sa * sg - ca * sb * cg, sa * cg + ca * sb * sg, ca * cb,
     )
+
+
+def rotation_matrix(alpha: float, beta: float, gamma: float) -> np.ndarray:
+    """Body-to-global rotation, composed as Rx(alpha) @ Ry(beta) @ Rz(gamma):
+    the rows of ``_rotation_rows``, which ``Ellipsoid`` caches, as a 3x3
+    array."""
+    return np.array(_rotation_rows(alpha, beta, gamma)).reshape(3, 3)
 
 
 def euler_from_rotation(R: np.ndarray) -> tuple[float, float, float]:
@@ -117,7 +123,7 @@ class SurfaceFrame:
     tangent_phi: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Ellipsoid:
     """An ellipsoid with semi-axes (a, b, c), a global center, and an
     orientation given by the (alpha, beta, gamma) angles of
@@ -127,26 +133,25 @@ class Ellipsoid:
     center: tuple[float, float, float]
     euler: tuple[float, float, float]
     # derived, cached at construction; kept out of comparisons: the
-    # semi-axes, the three rotation rows and the center as 15 plain floats
-    # (not numpy scalars: the scalar kernels multiply them)
+    # semi-axes, the three rows of ``_rotation_rows`` and the center as 15
+    # plain floats, built without numpy (the scalar kernels multiply them)
     _flat: tuple = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        axes = tuple(float(v) for v in self.semi_axes)
-        ctr = tuple(float(v) for v in self.center)
-        ang = tuple(float(v) for v in self.euler)
+    def __init__(self, semi_axes, center, euler):
+        axes = tuple(map(float, semi_axes))
+        ctr = tuple(map(float, center))
+        ang = tuple(map(float, euler))
         if len(axes) != 3 or len(ctr) != 3 or len(ang) != 3:
             raise ValueError("semi_axes, center and euler must each have 3 entries")
-        for v in axes + ctr + ang:
-            if not math.isfinite(v):
-                raise ValueError("ellipsoid parameters must be finite")
+        if not all(map(math.isfinite, axes + ctr + ang)):
+            raise ValueError("ellipsoid parameters must be finite")
         if min(axes) <= 0.0:
             raise ValueError("semi-axis must be positive")
-        object.__setattr__(self, "semi_axes", axes)
-        object.__setattr__(self, "center", ctr)
-        object.__setattr__(self, "euler", ang)
-        rows = rotation_matrix(*ang).ravel().tolist()
-        object.__setattr__(self, "_flat", axes + tuple(rows) + ctr)
+        # frozen: the fields go straight into the instance dict
+        self.__dict__.update(
+            semi_axes=axes, center=ctr, euler=ang,
+            _flat=axes + _rotation_rows(*ang) + ctr,
+        )
 
     @property
     def rotation(self) -> np.ndarray:

@@ -25,6 +25,7 @@ angle, when that is below ``lambda0``.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import NamedTuple
@@ -81,19 +82,29 @@ class SolverConfig:
     record_trace: bool = False
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.lambda0, self.tol_d, self.tol_n, self.tol_lambda))):
+        reals = (self.lambda0, self.tol_d, self.tol_n, self.tol_lambda)
+        if any(isinstance(v, (bool, np.bool_)) for v in (*reals, self.max_iter)):
+            raise ValueError("lambda0, max_iter and the tolerances must be numbers, not booleans")
+        if not all(map(math.isfinite, reals)):
             raise ValueError("lambda0 and the tolerances must be finite")
-        if not LAMBDA_FLOOR < self.lambda0 <= math.pi:
+        lambda0, tol_d, tol_n, tol_lambda = map(float, reals)
+        if not LAMBDA_FLOOR < lambda0 <= math.pi:
             # pi is the whole phi range; a longer step only gets halved
             raise ValueError(f"lambda0 must exceed {LAMBDA_FLOOR:g} and be at most pi")
-        if min(self.tol_d, self.tol_n, self.tol_lambda) <= 0.0:
+        if min(tol_d, tol_n, tol_lambda) <= 0.0:
             raise ValueError("tolerances must be positive")
-        if not isinstance(self.max_iter, int):
-            raise ValueError(f"max_iter must be an integer, not {self.max_iter!r}")
-        if self.max_iter < 1:
+        try:
+            max_iter = operator.index(self.max_iter)  # an exact int
+        except TypeError:
+            raise ValueError(f"max_iter must be an integer, not {self.max_iter!r}") from None
+        if max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         if self.overshoot_mode not in ("accept-and-continue", "revert-and-retry"):
             raise ValueError(f"unknown overshoot_mode {self.overshoot_mode!r}")
+        # plain numbers: numpy scalars would leak into every result and
+        # slow the loop; frozen, so straight into the instance dict
+        self.__dict__.update(lambda0=lambda0, max_iter=max_iter, tol_d=tol_d,
+                             tol_n=tol_n, tol_lambda=tol_lambda)
 
     def resolve_sigma(self, e1: Ellipsoid, e2: Ellipsoid) -> float:
         """Contact threshold: 1e-6 times the mean semi-axis of the pair."""
@@ -126,8 +137,10 @@ class SolverState:
         return tuple(_frame_fast(c.flat, p.theta, p.phi) for c, p in zip(self.charts, self.params))
 
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(NamedTuple):
+    """One trace row: the state after step ``k``, in the canonical chart.
+    A plain tuple with named fields, in the trace CSV's column order."""
+
     k: int
     theta1: float
     phi1: float

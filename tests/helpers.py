@@ -131,6 +131,22 @@ def points_outside(rng, axes, n, zero_axis=None):
     return s + dist[:, None] * normal
 
 
+def rotation_matrix_numpy(alpha, beta, gamma):
+    """Rx(alpha) @ Ry(beta) @ Rz(gamma) written out as a numpy 3x3, a
+    reference for ``geometry.rotation_matrix`` and the rotation rows that
+    ``Ellipsoid`` caches."""
+    ca, sa = math.cos(alpha), math.sin(alpha)
+    cb, sb = math.cos(beta), math.sin(beta)
+    cg, sg = math.cos(gamma), math.sin(gamma)
+    return np.array(
+        [
+            [cb * cg, -cb * sg, sb],
+            [ca * sg + sa * sb * cg, ca * cg - sa * sb * sg, -sa * cb],
+            [sa * sg - ca * sb * cg, sa * cg + ca * sb * sg, ca * cb],
+        ]
+    )
+
+
 def line_surface_entry_numpy(e, A, B):
     """The segment-entry parameters computed all in numpy, a reference for
     ``geometry.line_surface_entry``: both ends rotated into the body, the

@@ -600,3 +600,23 @@ def test_bench_pole_optimum_warm_matches_cold(capsys):
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["max_distance_gap"] <= 1e-8
+
+
+def test_write_trace_rows(tmp_path):
+    # a StepRecord is a plain tuple with named fields: it unpacks and
+    # compares equal to the tuple of its values
+    rows = [
+        slider.StepRecord(0, 0.1, 2.0, 3.0, 1.5, 2.5, 0.05, 0.05, math.nan, 0.25, False),
+        slider.StepRecord(1, -0.0, 1e-300, 2 * PI, PI, 1 / 3, 0.025, 0.05, 1e-13, math.inf, True),
+    ]
+    k, *_, overshoot = rows[1]
+    assert (k, overshoot) == (1, True)
+    assert rows[0][1:3] == (0.1, 2.0) and rows[1] == tuple(rows[1])
+    path = tmp_path / "t.csv"
+    write_trace(str(path), rows)
+    assert path.read_text().splitlines() == [
+        cli.TRACE_COLUMNS,
+        "0,0.10000000000000001,2,3,1.5,2.5,0.050000000000000003,0.050000000000000003,nan,0.25,0",
+        "1,-0,1e-300,6.2831853071795862,3.1415926535897931,"
+        "0.33333333333333331,0.025000000000000001,0.050000000000000003,1e-13,inf,1",
+    ]

@@ -6,7 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from helpers import line_surface_entry_numpy, random_overlap_pair, ray_exit_numpy, surface_point
+from helpers import (
+    line_surface_entry_numpy,
+    random_overlap_pair,
+    ray_exit_numpy,
+    rotation_matrix_numpy,
+    surface_point,
+)
 from surfslide.geometry import (
     Ellipsoid,
     NoIntersectionError,
@@ -90,6 +96,58 @@ def test_ellipsoid_rejects_nonpositive_axis():
         Ellipsoid((0.0, 1.0, 1.0), (0, 0, 0), (0, 0, 0))
     with pytest.raises(ValueError):
         Ellipsoid((1.0, -0.5, 1.0), (0, 0, 0), (0, 0, 0))
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+def test_construction_matches_numpy_rotation_reference():
+    # seeded triples, the angles beyond +-pi as well, plus signed zeros and
+    # the gimbal-lock betas
+    rng = np.random.default_rng(21)
+    triples = [tuple(rng.uniform(-2.5 * PI, 2.5 * PI, 3)) for _ in range(1000)]
+    for beta in (PI / 2, -PI / 2, 0.0, -0.0):
+        for other in (0.0, -0.0, 0.3, -2.9, 4.0, -7.5):
+            triples += [(other, beta, -other), (other, beta, other)]
+    triples += [(PI, PI, PI), (-PI, -PI, -PI), (3 * PI, -5 * PI / 2, 1e3)]
+    for ang in triples:
+        want = _hex(rotation_matrix_numpy(*ang).ravel())
+        e = Ellipsoid((1.0, 0.6, 0.4), (0.1, -0.2, 0.3), ang)
+        assert _hex(e._flat[3:12]) == want, ang
+        assert _hex(rotation_matrix(*ang).ravel()) == want, ang
+        assert _hex(e.rotation.ravel()) == want, ang
+    assert rotation_matrix(0.3, 0.2, 0.1).shape == (3, 3)
+
+
+@pytest.mark.parametrize("make", [
+    lambda v: np.array(v),
+    lambda v: tuple(np.float64(x) for x in v),
+    lambda v: (x for x in v),
+    lambda v: [int(round(x * 10)) if i == 0 else x for i, x in enumerate(v)],
+], ids=["numpy-array", "numpy-scalars", "generator", "int-entries"])
+def test_ellipsoid_accepts_any_numbers(make):
+    axes, ctr, ang = (1.0, 0.6, 0.4), (0.5, -1.0, 2.0), (0.4, -1.2, 2.2)
+    e = Ellipsoid(make(axes), make(ctr), make(ang))
+    plain = Ellipsoid(*(tuple(float(x) for x in make(v)) for v in (axes, ctr, ang)))
+    assert e == plain and e._flat == plain._flat
+    for value in (e.semi_axes, e.center, e.euler, e._flat):
+        assert type(value) is tuple and all(type(v) is float for v in value)
+
+
+@pytest.mark.parametrize("args", [
+    ((1.0, 1.0), (0, 0, 0), (0, 0, 0)),
+    ((1.0, 1.0, 1.0), (0, 0, 0, 0), (0, 0, 0)),
+    ((1.0, 1.0, 1.0), (0, 0, 0), ()),
+    ((1.0, math.nan, 1.0), (0, 0, 0), (0, 0, 0)),
+    ((1.0, 1.0, 1.0), (0, math.inf, 0), (0, 0, 0)),
+    ((1.0, 1.0, 1.0), (0, 0, 0), (0, 0, -math.inf)),
+    ((1.0, 1.0, math.inf), (0, 0, 0), (0, 0, 0)),
+], ids=["short-axes", "long-center", "empty-euler", "nan-axis", "inf-center",
+        "inf-angle", "inf-axis"])
+def test_ellipsoid_rejects_wrong_length_and_non_finite(args):
+    with pytest.raises(ValueError):
+        Ellipsoid(*args)
 
 
 def test_ellipsoid_rotation_is_orthonormal():

@@ -553,3 +553,38 @@ def test_solver_config_rejects_max_iter_that_is_not_an_integer(max_iter):
     # range(max_iter + 1) in solve would raise TypeError
     with pytest.raises(ValueError, match="max_iter must be an integer"):
         SolverConfig(max_iter=max_iter)
+
+
+@pytest.mark.parametrize("field", ["lambda0", "max_iter", "tol_d", "tol_n", "tol_lambda"])
+@pytest.mark.parametrize("flag", [True, False, np.True_])
+def test_solver_config_rejects_booleans(field, flag):
+    # True == 1 would pass every range check and run with max_iter=True
+    with pytest.raises(ValueError, match="not booleans"):
+        SolverConfig(**{field: flag})
+
+
+def test_solver_config_accepts_numpy_integers_for_max_iter():
+    cfg = SolverConfig(max_iter=np.int64(50))
+    assert cfg.max_iter == 50 and type(cfg.max_iter) is int
+    assert type(SolverConfig(max_iter=np.uint8(3)).max_iter) is int
+
+
+def test_solver_config_stores_plain_floats():
+    cfg = SolverConfig(lambda0=np.float64(0.05), tol_d=np.float32(1e-12), tol_n=1,
+                       tol_lambda=np.float64(1e-8))
+    values = (cfg.lambda0, cfg.tol_d, cfg.tol_n, cfg.tol_lambda)
+    assert all(type(v) is float for v in values)
+    assert values == (0.05, float(np.float32(1e-12)), 1.0, 1e-8)
+    assert dataclasses.replace(cfg, lambda0=np.float64(0.1)).lambda0.hex() == (0.1).hex()
+
+
+def test_numpy_scalar_settings_give_plain_float_results():
+    e1, e2 = random_separated_pair(np.random.default_rng(2024))
+    want = solve(e1, e2, config=SolverConfig(record_trace=True))
+    res = solve(e1, e2, config=SolverConfig(lambda0=np.float64(0.05), max_iter=np.int64(10_000),
+                                            record_trace=True))
+    assert res.distance.hex() == want.distance.hex() and res.iterations == want.iterations
+    assert all(v is None or type(v) is float for v in res.final_eps)
+    for row, want_row in zip(res.trace, want.trace):
+        assert row == want_row
+        assert all(type(v) is float for v in row[1:10])
