@@ -8,10 +8,11 @@ ellipsoid). For the overlap case a continuation pushes each witness along
 the other body's negated normal, which drives the pair to the
 maximum-overlap points. It has its own step, on global frames, read for
 both witnesses by one float kernel (``_depth_evaluate``) that rounds as
-the frame kernel and ``implicit_value`` do, and shares the step scaling
+the frame kernel and ``implicit_value`` do. It calls the step scaling
 (``step_increments``), the alternating halving (``_halved``) and the stop
-metrics (``_metrics``, two-step eps_d included) with ``solve``; like
-``solve``, it keeps its state in plain float locals.
+metrics (``_metrics``, two-step eps_d included) whose arithmetic ``solve``'s
+loop repeats inline; like ``solve``, it keeps its state in plain float
+locals.
 """
 
 from __future__ import annotations

@@ -86,7 +86,7 @@ def _unit_param(x: float, y: float, z: float) -> tuple[float, float]:
     return _canonical(math.atan2(y, x), math.atan2(math.hypot(x, y), z))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SurfaceParam:
     """A (theta, phi) pair locating a point on an ellipsoid surface.
 
@@ -95,6 +95,10 @@ class SurfaceParam:
 
     theta: float
     phi: float
+
+    def __init__(self, theta: float, phi: float):
+        # frozen: the fields go straight into the instance dict
+        self.__dict__.update(theta=theta, phi=phi)
 
     @staticmethod
     def canonical(theta: float, phi: float) -> "SurfaceParam":
@@ -262,12 +266,15 @@ def param_from_local_point(e: Ellipsoid, x_local) -> SurfaceParam:
     """Invert the parametric map for a point on the surface.
 
     phi = atan2(hypot(x/a, y/b), z/c) and theta = atan2(y/b, x/a) wrapped
-    into [0, 2*pi). Poles report theta = 0.
+    into [0, 2*pi). Poles report theta = 0. A point off the surface, one
+    so far out that its implicit value overflows, and a NaN coordinate all
+    raise ValueError.
     """
     x, y, z = (float(v) for v in x_local)
     a, b, c = e.semi_axes
-    resid = (x / a) ** 2 + (y / b) ** 2 + (z / c) ** 2 - 1.0
-    if abs(resid) > ON_SURFACE_TOL:
+    # products, as in implicit_value: inf where a power would overflow
+    resid = (x / a) * (x / a) + (y / b) * (y / b) + (z / c) * (z / c) - 1.0
+    if not abs(resid) <= ON_SURFACE_TOL:  # NaN fails this too
         raise ValueError(
             f"point is off the surface (implicit value {resid:.3e} exceeds "
             f"{ON_SURFACE_TOL:.0e})"

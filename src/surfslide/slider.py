@@ -154,7 +154,7 @@ class StepRecord(NamedTuple):
     overshoot_flag: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DistanceResult:
     status: str
     distance: float
@@ -165,6 +165,15 @@ class DistanceResult:
     final_eps: tuple[float | None, float, float]
     trace: list[StepRecord] | None = None
     stop_criteria: tuple[str, ...] = ()
+
+    def __init__(self, status, distance, params, closest_points, normals, iterations,
+                 final_eps, trace=None, stop_criteria=()):
+        # frozen: the fields go straight into the instance dict
+        self.__dict__.update(
+            status=status, distance=distance, params=params, closest_points=closest_points,
+            normals=normals, iterations=iterations, final_eps=final_eps, trace=trace,
+            stop_criteria=stop_criteria,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +530,13 @@ def _round(K1, K2, t1, h1, t2, h2, dist, w1, w2, lam1, lam2, toggle, revert):
     the step stands and a lambda is halved for the next round. Returns the
     new (t1, h1, t2, h2, dist, w1, w2, lam1, lam2, toggle, overshoot); a
     stationary pair, whose tension has no tangential component anywhere,
-    comes back unchanged."""
+    comes back unchanged.
+
+    This is the round of ``iterate_once``. ``solve``'s loop runs the same
+    round on its locals, without this call; ``step_increments``,
+    ``_halved`` and ``_metrics`` stay the one definition of each rule, and
+    ``test_step_views_reproduce_the_solve_trace`` pins the loop to them bit
+    for bit."""
     guard = ZERO_PROJECTION_FACTOR * dist
     l1, l2, tog = lam1, lam2, toggle
     while True:
@@ -609,8 +624,12 @@ def solve(
     p1, p2, dist, w1, w2, lam1 = _begin(e1, e2, init, config.lambda0)
     trace: list[StepRecord] | None = [] if config.record_trace else None
 
-    # the loop runs on plain locals; a SolverState is built only for the
-    # contact hand-off
+    # the loop runs each round itself, on plain locals: it repeats the float
+    # operations of ``_round``, ``step_increments``, ``_halved`` and
+    # ``_metrics`` in their order, and the step views (``iterate_once``,
+    # ``convergence_metrics``), which call those helpers, reproduce its
+    # trace bit for bit. A SolverState is built only for the contact
+    # hand-off.
     charts = (_chart(e1, 0), _chart(e2, 0))
     K1, K2 = charts[0].flat, charts[1].flat
     t1, h1, t2, h2, lam2 = p1.theta, p1.phi, p2.theta, p2.phi, lam1
@@ -618,19 +637,71 @@ def solve(
     d_1 = d_2 = math.nan  # the distances one and two steps back
     revert = config.overshoot_mode == "revert-and-retry"
     tol_d, tol_n, tol_lambda = config.tol_d, config.tol_n, config.tol_lambda
+    pi, low, high = math.pi, CHART_POLE_MARGIN, math.pi - CHART_POLE_MARGIN
     status = "max-iter"
     criteria: tuple[str, ...] = ()
     for k in range(config.max_iter + 1):
         if k:
-            if _near_pole(h1) or _near_pole(h2):
+            if h1 < low or h1 > high or h2 < low or h2 > high:  # _near_pole
                 charts, ((t1, h1), (t2, h2)) = _recharted(charts, (e1, e2), ((t1, h1), (t2, h2)))
                 K1, K2 = charts[0].flat, charts[1].flat
                 dist, w1, w2 = _evaluate(K1, K2, t1, h1, t2, h2)
             d_2, d_1 = d_1, dist
-            t1, h1, t2, h2, dist, w1, w2, lam1, lam2, toggle, overshoot = _round(
-                K1, K2, t1, h1, t2, h2, dist, w1, w2, lam1, lam2, toggle, revert
-            )
-        eps_d, eps_n, eps_lambda = _metrics(dist, d_1, d_2, w1[2], w2[2], lam1, lam2)
+            # round k. step_increments' delta / mag * lambda is
+            # (delta / mag) * lambda, so each pull is divided once for every
+            # retry; a pull at or below the guard steps by 0.0 * lambda = 0.0
+            guard = ZERO_PROJECTION_FACTOR * dist
+            x1, y1, _ = w1
+            x2, y2, _ = w2
+            mag = math.hypot(x1, y1)
+            if mag <= guard or mag == 0.0:
+                x1 = y1 = 0.0
+            else:
+                x1, y1 = x1 / mag, y1 / mag
+            mag = math.hypot(x2, y2)
+            if mag <= guard or mag == 0.0:
+                x2 = y2 = 0.0
+            else:
+                x2, y2 = x2 / mag, y2 / mag
+            overshoot = False
+            # a stationary pair, whose pulls have no tangential part, stays put
+            while x1 or y1 or x2 or y2:
+                u1, v1 = t1 + x1 * lam1, h1 + y1 * lam1
+                u2, v2 = t2 + x2 * lam2, h2 + y2 * lam2
+                if not (0.0 <= u1 < TWO_PI and 0.0 <= v1 <= pi):
+                    u1, v1 = _canonical(u1, v1)
+                if not (0.0 <= u2 < TWO_PI and 0.0 <= v2 <= pi):
+                    u2, v2 = _canonical(u2, v2)
+                # revert mode rejects a longer segment without computing its
+                # pulls, and halves a step and retries down to LAMBDA_FLOOR;
+                # accept mode keeps it and halves a step for the next round
+                retry = revert and (lam1 if lam1 > lam2 else lam2) > LAMBDA_FLOOR
+                ndist, nw1, nw2 = _evaluate(K1, K2, u1, v1, u2, v2, dist if retry else math.inf)
+                accepted = nw1 is not None
+                overshoot = accepted and ndist > dist and not revert
+                if overshoot or not accepted:  # _halved
+                    if toggle == 0:
+                        lam1, toggle = lam1 * 0.5, 1
+                    else:
+                        lam2, toggle = lam2 * 0.5, 0
+                if accepted:
+                    t1, h1, t2, h2, dist, w1, w2 = u1, v1, u2, v2, ndist, nw1, nw2
+                    break
+        # the stop metrics, as _metrics computes them
+        eps_lambda = lam2 if lam2 > lam1 else lam1
+        if dist == 0.0:
+            eps_d, eps_n = (None if d_1 != d_1 else math.nan), math.nan
+        else:
+            eps_d = None
+            if d_1 == d_1:
+                change = abs(dist - d_1)
+                if d_2 == d_2:
+                    older = abs(d_1 - d_2)
+                    if older > change:
+                        change = older
+                eps_d = change / dist
+            n1, n2 = 1.0 - w1[2] / dist, 1.0 - w2[2] / dist
+            eps_n = n2 if n2 > n1 else n1
         if trace is not None:
             (u1, v1), (u2, v2) = (_canonical_param(t1, h1, charts[0]),
                                   _canonical_param(t2, h2, charts[1]))
@@ -652,16 +723,13 @@ def solve(
             if kind != "separated":
                 status = "contact" if kind == "in-contact" else "overlap"
                 break
-        met = []
-        if eps_d is not None and eps_d < tol_d:
-            met.append("eps_d")
-        if eps_n < tol_n:
-            met.append("eps_n")
-        if k and eps_lambda < tol_lambda:
-            met.append("eps_lambda")
-        if met:
+        met_d = eps_d is not None and eps_d < tol_d
+        met_n = eps_n < tol_n
+        met_lambda = k > 0 and eps_lambda < tol_lambda
+        if met_d or met_n or met_lambda:
             status = "converged"
-            criteria = tuple(met)
+            criteria = tuple(name for name, met in (
+                ("eps_d", met_d), ("eps_n", met_n), ("eps_lambda", met_lambda)) if met)
             break
         if eps_lambda < LAMBDA_FLOOR:
             status = "lambda-floor"

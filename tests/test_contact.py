@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import penetration_depth_by_frames, random_overlap_pair
-from surfslide.contact import analyze, classify, penetration_depth, separated
+from surfslide.contact import ALIGN_TOL, analyze, classify, penetration_depth, separated
 from surfslide.geometry import Ellipsoid, SurfaceParam, implicit_value, surface_frame
 from surfslide.scenarios import builtin_scenario
 from surfslide.slider import SolverConfig, _center_inside, initial_state, solve
@@ -267,3 +267,34 @@ def test_continuation_matches_frame_reference_at_poles_and_max_iter(swap):
     config = SolverConfig(max_iter=200)
     entry = solve(*bodies, None, config).params
     assert _assert_matches_reference(*bodies, entry, config) == "max-iter"
+
+
+def test_overlap_witness_normals_are_not_always_anti_parallel():
+    # The continuation stops wherever its halving ladder ends (eps_n at the
+    # stop has median 0.088 and max 0.62 on this set), and the pairs with
+    # anti-parallel normals form a 2-D family, so nothing makes its normals
+    # anti-parallel. This pins the overlapping reports of the benchmark's
+    # overlap-analyze seed 1 (400 pairs, fracs 0.3/0.6/0.9) whose normals
+    # miss it by more than ALIGN_TOL. max_iter=300 cuts the max-iter
+    # continuations short; every overlapping report of this set is then
+    # the default config's bit for bit (checked here for the two pinned).
+    rng = np.random.default_rng(1)
+    fracs = (0.3, 0.6, 0.9)
+    pairs = [random_overlap_pair(rng, fracs[i % 3]) for i in range(400)]
+    overlapping, misaligned = 0, {}
+    for i, (e1, e2) in enumerate(pairs):
+        report = analyze(e1, e2, SolverConfig(max_iter=300))
+        if report.kind == "overlapping":
+            overlapping += 1
+            n1, n2 = report.witness_normals
+            gap = abs(float(n1 @ n2) + 1.0)
+            if gap > ALIGN_TOL:
+                misaligned[i] = (gap, report)
+    assert overlapping == 152
+    assert sorted(misaligned) == [109, 237]
+    assert misaligned[109][0] == pytest.approx(4.56e-4, rel=1e-2)
+    assert misaligned[237][0] == pytest.approx(5.65e-3, rel=1e-2)
+    for i, (_, report) in misaligned.items():
+        default = analyze(*pairs[i])
+        assert default.distance_or_depth == report.distance_or_depth
+        assert default.witness_params == report.witness_params

@@ -347,6 +347,22 @@ def test_param_rejects_off_surface_points():
         param_from_local_point(e, [2.0, 0.0, 0.0])
 
 
+@pytest.mark.parametrize("x", [(1e200, 0.0, 0.0), (0.0, -1e300, 1e300)])
+def test_param_rejects_overflowing_points_with_value_error(x):
+    # squares as products: the implicit value reads inf, not OverflowError
+    e = Ellipsoid((1, 1, 1), (0, 0, 0), (0, 0, 0))
+    with pytest.raises(ValueError, match="off the surface"):
+        param_from_local_point(e, x)
+
+
+@pytest.mark.parametrize("x", [(math.nan, 0.0, 0.0), (0.0, 0.0, math.nan), (1.0, math.nan, 0.0)])
+def test_param_rejects_nan_coordinates(x):
+    # a NaN residual fails ``<= tol``; it must not come back as SurfaceParam(nan, nan)
+    e = Ellipsoid((1, 1, 1), (0, 0, 0), (0, 0, 0))
+    with pytest.raises(ValueError, match="off the surface"):
+        param_from_local_point(e, x)
+
+
 # ---------------------------------------------------------------------------
 # line_surface_entry
 

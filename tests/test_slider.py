@@ -29,6 +29,7 @@ from surfslide.slider import (
     LAMBDA_FLOOR,
     WARM_STEP_SCALE,
     ZERO_PROJECTION_FACTOR,
+    DistanceResult,
     SolverConfig,
     advance_param,
     apply_overshoot_schedule,
@@ -228,23 +229,48 @@ def _bits(*values):
     return tuple(math.nan.hex() if v is None else float(v).hex() for v in values)
 
 
+def _stop_decision(cfg, k, eps):
+    """What ``solve`` decides at step ``k`` of a separated pair from its
+    metrics ``eps`` and the tolerances of ``cfg``: (status, criteria), or
+    None to go on."""
+    eps_d, eps_n, eps_lambda = eps
+    met = tuple(name for name, hit in (
+        ("eps_d", eps_d is not None and eps_d < cfg.tol_d),
+        ("eps_n", eps_n < cfg.tol_n),
+        ("eps_lambda", k > 0 and eps_lambda < cfg.tol_lambda),
+    ) if hit)
+    if met:
+        return "converged", met
+    if eps_lambda < LAMBDA_FLOOR:
+        return "lambda-floor", ()
+    if k == cfg.max_iter:
+        return "max-iter", ()
+    return None
+
+
 @pytest.mark.parametrize("mode", ["accept-and-continue", "revert-and-retry"])
 def test_step_views_reproduce_the_solve_trace(mode):
-    # iterate_once and convergence_metrics are views of the kernels solve
-    # loops on: driven by hand they give its trace rows bit for bit
+    # iterate_once and convergence_metrics are views of the rules solve's
+    # loop repeats inline (_round, step_increments, _halved, _metrics):
+    # driven by hand they give its trace rows bit for bit, and at the last
+    # row the stop solve reported
     rng = np.random.default_rng(2024)
     cfg = SolverConfig(overshoot_mode=mode, record_trace=True)
     checked = 0
-    while checked < 10:
+    for _ in range(60):
         e1, e2 = random_separated_pair(rng)
         res = solve(e1, e2, None, cfg)
         phis = [r.phi1 for r in res.trace] + [r.phi2 for r in res.trace]
         if min(min(phi, PI - phi) for phi in phis) < CHART_POLE_MARGIN:
             continue  # a re-charted path is not a plain chain of rounds
         checked += 1
+        sigma = cfg.resolve_sigma(e1, e2)
         state, prev = initial_state(e1, e2, None, cfg), None
-        for row in res.trace:
-            eps_d, eps_n, _ = convergence_metrics(state, prev)
+        for i, row in enumerate(res.trace):
+            if i:
+                state, prev = iterate_once(state, cfg, (e1, e2)), state
+            eps = convergence_metrics(state, prev)
+            eps_d, eps_n, _ = eps
             p1, p2 = state.params
             assert (state.k, state.overshoot) == (row.k, row.overshoot_flag)
             assert _bits(
@@ -254,7 +280,15 @@ def test_step_views_reproduce_the_solve_trace(mode):
                 row.theta1, row.phi1, row.theta2, row.phi2, row.distance,
                 row.lambda1, row.lambda2, row.eps_d, row.eps_n,
             ), f"step {row.k}"
-            state, prev = iterate_once(state, cfg, (e1, e2)), state
+            assert state.distance >= sigma  # no contact hand-off
+            decision = _stop_decision(cfg, state.k, eps)
+            if i < len(res.trace) - 1:
+                assert decision is None, f"step {row.k}"
+        assert (res.status, res.stop_criteria) == decision
+        assert res.iterations == state.k
+        assert _bits(*res.final_eps) == _bits(*eps)
+        assert (res.final_eps[0] is None) == (eps[0] is None)
+    assert checked >= 30
 
 
 def test_results_and_rows_hold_plain_floats():
@@ -272,6 +306,57 @@ def test_revert_mode_distance_is_monotone():
     assert res.status == "converged"
     d = [r.distance for r in res.trace]
     assert all(b <= a + 1e-15 for a, b in zip(d, d[1:]))
+
+
+def test_result_records_keep_their_dataclass_behaviour():
+    # SurfaceParam and DistanceResult store their fields with one
+    # instance-dict update; everything a frozen dataclass gives must remain
+    p = SurfaceParam(0.5, 1.0)
+    assert p == SurfaceParam(theta=0.5, phi=1.0) != SurfaceParam(0.5, 1.5)
+    assert hash(p) == hash(SurfaceParam(0.5, 1.0)) == hash((0.5, 1.0))
+    assert repr(p) == "SurfaceParam(theta=0.5, phi=1.0)"
+    assert [f.name for f in dataclasses.fields(p)] == ["theta", "phi"]
+    assert dataclasses.replace(p, phi=2.0) == SurfaceParam(0.5, 2.0)
+    assert dataclasses.astuple(p) == (0.5, 1.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.theta = 1.0
+    with pytest.raises(TypeError):
+        SurfaceParam(0.5)
+
+    fields = dataclasses.fields(DistanceResult)
+    assert [f.name for f in fields] == [
+        "status", "distance", "params", "closest_points", "normals",
+        "iterations", "final_eps", "trace", "stop_criteria",
+    ]
+    assert [f.default for f in fields[-2:]] == [None, ()]
+    args = ("converged", 1.5, (p, p), ((1.0, 0.0, 0.0), (2.5, 0.0, 0.0)),
+            ((1.0, 0.0, 0.0), (-1.0, 0.0, 0.0)), 7, (None, 1e-11, 0.05))
+    r = DistanceResult(*args)
+    assert (r.trace, r.stop_criteria) == (None, ())
+    named = DistanceResult(
+        status="converged", distance=1.5, params=(p, p), closest_points=args[3],
+        normals=args[4], iterations=7, final_eps=args[6], stop_criteria=(),
+    )
+    assert r == named and hash(r) == hash(named)
+    assert repr(r) == (
+        "DistanceResult(status='converged', distance=1.5, params=(" + repr(p) + ", "
+        + repr(p) + "), closest_points=((1.0, 0.0, 0.0), (2.5, 0.0, 0.0)), "
+        "normals=((1.0, 0.0, 0.0), (-1.0, 0.0, 0.0)), iterations=7, "
+        "final_eps=(None, 1e-11, 0.05), trace=None, stop_criteria=())"
+    )
+    moved = dataclasses.replace(r, status="max-iter", stop_criteria=("eps_n",))
+    assert (moved.status, moved.stop_criteria, moved.distance, moved.params) == (
+        "max-iter", ("eps_n",), 1.5, (p, p))
+    assert moved != r
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        r.distance = 0.0
+    with pytest.raises(TypeError):
+        DistanceResult(*args[:-1])
+    with pytest.raises(TypeError):
+        DistanceResult(*args, bogus=1)
+    res = solve(*_spheres(1.0, (0, 0, 0), 1.0, (3, 0, 0)))
+    assert type(res.params[0]) is SurfaceParam and res.trace is None
+    assert dataclasses.replace(res).distance == res.distance
 
 
 # ---------------------------------------------------------------------------
