@@ -3,7 +3,12 @@ a surface-sliding iteration in (theta, phi) parameter space."""
 
 from .geometry import Ellipsoid, NoIntersectionError, SurfaceParam
 from .slider import DistanceResult, SolverConfig, StepRecord, solve
-from .oracle import OverlapSuspectedError, oracle_min_distance, point_to_ellipsoid
+from .oracle import (
+    OracleRangeError,
+    OverlapSuspectedError,
+    oracle_min_distance,
+    point_to_ellipsoid,
+)
 from .contact import ContactReport, analyze
 from .scenarios import Scenario, builtin_scenarios, load_scenario
 
@@ -12,6 +17,7 @@ __all__ = [
     "DistanceResult",
     "Ellipsoid",
     "NoIntersectionError",
+    "OracleRangeError",
     "OverlapSuspectedError",
     "Scenario",
     "SolverConfig",

@@ -37,7 +37,7 @@ from dataclasses import replace
 # perfbench/tracer.py wraps cli.contact_analyze by that name
 from .contact import analyze as contact_analyze, separated
 from .geometry import NoIntersectionError, SurfaceParam
-from .oracle import OverlapSuspectedError, oracle_min_distance
+from .oracle import OracleRangeError, OverlapSuspectedError, oracle_min_distance
 from .scenarios import (
     _CONFIG_KEYS,
     Scenario,
@@ -216,7 +216,7 @@ def cmd_solve(args) -> int:
             oracle_d, _ = oracle_min_distance(sc.e1, sc.e2)
             record["oracle_distance"] = oracle_d
             record["oracle_gap"] = abs(res.distance - oracle_d)
-        except OverlapSuspectedError as exc:
+        except (OverlapSuspectedError, OracleRangeError) as exc:
             record["oracle_distance"] = None
             record["oracle_error"] = str(exc)
     if sc.expected is not None:

@@ -313,6 +313,25 @@ def test_solve_verify_on_overlapping_pair_records_oracle_error(tmp_path, capsys)
     assert record["contact_value"] < 0.0
 
 
+@pytest.mark.parametrize(
+    "semi_axis, center2", [(1e120, 3e120), (1.0, 1e300)], ids=["huge", "far"]
+)
+def test_solve_verify_records_an_oracle_range_error(semi_axis, center2, tmp_path, capsys):
+    # the oracle raises before its arithmetic could overflow; the solve's
+    # own exit code is kept
+    body = {"semi_axes": [semi_axis] * 3, "center": [0, 0, 0], "euler": [0, 0, 0]}
+    e2 = {**body, "center": [center2, 0, 0]}
+    path = tmp_path / "extreme.json"
+    path.write_text(json.dumps({"name": "extreme", "e1": body, "e2": e2}))
+    code = main(["solve", str(path)])
+    capsys.readouterr()
+    assert main(["solve", str(path), "--verify"]) == code
+    record = json.loads(capsys.readouterr().out)
+    assert record["oracle_distance"] is None
+    assert "lattice arithmetic" in record["oracle_error"]
+    assert "oracle_gap" not in record
+
+
 def test_solve_lambda_floor_exit_code(tmp_path, capsys):
     # pair 4 of seed 5: with every tolerance at 1e-300 the revert-mode
     # steps fall below the lambda floor first

@@ -14,8 +14,10 @@ each report. ``tests/golden/oracle-2024.txt`` fingerprints
 separated pairs of seed 2024, each in both argument orders.
 ``PYTHONPATH=src python tests/test_golden.py`` rewrites all of them and
 prints, per file, how far the answers moved (see ``move_summary``); for
-the random set also the cold solves' iteration mean, max and bare-eps_d
-stops, and the warm re-solves' iteration mean and max, old -> new.
+the oracle set also the worst parameter move in radians, which tells ulp
+moves from lattice-point flips; for the random set also the cold solves'
+iteration mean, max and bare-eps_d stops, and the warm re-solves'
+iteration mean and max, old -> new.
 A change meant to keep every answer must leave these files matching; a
 change that moves answers regenerates them and lists what moved.
 """
@@ -200,6 +202,8 @@ def move_summary(name: str, old: list[str], new: list[str]) -> str:
         f"{name}: {moved} of {len(b)} lines moved, {labels} status/kind changes, "
         f"{iterations}, worst relative distance move {worst:.2g}"
     )
+    if name == ORACLE_SET.name:
+        summary += f", worst parameter move {_worst_param_move(old, new):.2g} rad"
     if name == RANDOM_SET.name:
         (m0, x0, b0), (m1, x1, b1) = _solve_stats(old, "cold"), _solve_stats(new, "cold")
         (wm0, wx0, _), (wm1, wx1, _) = _solve_stats(old, "warm"), _solve_stats(new, "warm")
@@ -210,6 +214,25 @@ def move_summary(name: str, old: list[str], new: list[str]) -> str:
             f"max {wx0} -> {wx1}"
         )
     return summary
+
+
+def _worst_param_move(old: list[str], new: list[str]) -> float:
+    """The largest move of any of the four params, in radians (theta
+    moves across 0 = 2 pi count the short way), over the oracle set's calls
+    that both versions answered."""
+    def params(lines):
+        return {tuple(f[:2]): [float.fromhex(v) for v in f[3:]]
+                for f in map(str.split, lines) if len(f) == 7}
+
+    a, b = params(old), params(new)
+    worst = 0.0
+    for key in a.keys() & b.keys():
+        for i, (x, y) in enumerate(zip(a[key], b[key])):
+            move = abs(y - x)
+            if i % 2 == 0:  # theta
+                move = min(move, 2.0 * math.pi - move)
+            worst = max(worst, move)
+    return worst
 
 
 def _solve_stats(lines: list[str], start: str) -> tuple[float, int, int]:

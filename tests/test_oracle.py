@@ -6,10 +6,17 @@ import math
 import numpy as np
 import pytest
 
-from helpers import points_outside, random_separated_pair, surface_point
+from helpers import (
+    disk_pair,
+    oracle_min_distance_exhaustive,
+    points_outside,
+    random_separated_pair,
+    surface_point,
+)
 from surfslide import oracle
 from surfslide.geometry import Ellipsoid, implicit_value, surface_frame
 from surfslide.oracle import (
+    OracleRangeError,
     OverlapSuspectedError,
     oracle_min_distance,
     point_to_ellipsoid,
@@ -71,8 +78,8 @@ def _spy_feet(monkeypatch):
     feet = []
     solve_feet = oracle._foot_points_local
 
-    def spy(axes, q):
-        foot = solve_feet(axes, q)
+    def spy(axes, q, t=None):
+        foot = solve_feet(axes, q, t)
         feet.append(foot.reshape(3))
         return foot
 
@@ -144,6 +151,27 @@ def test_sphere_foot_takes_one_newton_step(monkeypatch):
         assert dist == pytest.approx(np.linalg.norm(Q - c) - r, rel=1e-12)
 
 
+def test_bound_pass_bounds_the_distance_from_both_sides_of_the_root():
+    # one pass from any start lands at or before the root, so L never
+    # exceeds the exact distance beyond round-off; the distance |q - x| is
+    # itself known only to a few ulps of |q| (at most 1.9 seen)
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(46)
+    for _ in range(40):
+        axes = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), 3))
+        if axes.max() > 1000.0 * axes.min():
+            continue
+        q = points_outside(rng, axes, 50).T
+        a = axes[:, None]
+        feet = oracle._foot_points_local(a, q)
+        dist = np.sqrt(np.sum((q - feet) ** 2, axis=0))
+        root = dist / np.sqrt(np.sum((feet / a**2) ** 2, axis=0))  # q - x = t x / a^2
+        slack = dist * oracle.BOUND_SLACK + 4.0 * eps * np.sqrt(np.sum(q**2, axis=0))
+        for factor in (0.0, 1e-3, 0.5, 0.999, 1.001, 2.0, 1e3):
+            _, low2 = oracle._bound_pass(a * a, a * q, q, (factor * root)[None])
+            assert np.all(np.sqrt(low2) <= dist + slack)
+
+
 def test_point_projection_rejects_non_finite_points():
     # 1e200 out, the implicit value overflows to inf, which is rejected
     e = Ellipsoid((1.2, 0.5, 0.8), (0, 0, 0), (0, 0, 0))
@@ -197,6 +225,62 @@ def test_oracle_detects_a_contained_body_in_both_orders():
     for e1, e2 in ((outer, inner), (inner, outer)):
         with pytest.raises(OverlapSuspectedError, match="sampled surface point"):
             oracle_min_distance(e1, e2)
+
+
+@pytest.mark.parametrize(
+    "semi_axis, center2",
+    [(1e120, 3e120), (1.0, 1e300), (1e-100, 3e-100)],
+    ids=["huge", "far", "tiny"],
+)
+def test_oracle_rejects_lengths_it_cannot_keep_finite(semi_axis, center2):
+    # a^2 q overflows past a scale of about 5e102, and the distances of
+    # unit spheres 1e300 apart square to inf: the oracle raises before any
+    # array arithmetic, so no RuntimeWarning is emitted
+    e1 = Ellipsoid((semi_axis,) * 3, (0, 0, 0), (0, 0, 0))
+    e2 = Ellipsoid((semi_axis,) * 3, (center2, 0, 0), (0, 0, 0))
+    for a, b in ((e1, e2), (e2, e1)):
+        with pytest.raises(OracleRangeError, match="lattice arithmetic"):
+            oracle_min_distance(a, b)
+
+
+def _pinning_pairs(family, seed, n):
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        if family == "disk":
+            yield disk_pair(rng)
+        elif family == "aspect-1000":
+            yield random_separated_pair(rng, lo=1e-3, hi=1e3, max_aspect=1000.0)
+        else:
+            yield random_separated_pair(rng)
+
+
+def _outcome(search, e1, e2):
+    try:
+        return search(e1, e2)
+    except (RuntimeError, ValueError) as exc:
+        return type(exc)
+
+
+# The disk's foot solves carry more round-off: its thin semi-axis c = 0.5
+# is comparable to the roots t, and a Newton fixed point is fuzzy by a few
+# ulps of c^2 + t, several times t's own ulps. Solving the exhaustive search's
+# two blocks with separate stop tests moves its disk distances by up to
+# 6e-15 (100 pairs of seed 114, both orders).
+@pytest.mark.parametrize(
+    "family, seed, n, rel",
+    [("random", 41, 100, 2e-15), ("aspect-1000", 113, 60, 2e-15), ("disk", 114, 40, 1e-14)],
+)
+def test_pruned_search_matches_exhaustive(family, seed, n, rel):
+    for e1, e2 in _pinning_pairs(family, seed, n):
+        for a, b in ((e1, e2), (e2, e1)):
+            want = _outcome(oracle_min_distance_exhaustive, a, b)
+            got = _outcome(oracle_min_distance, a, b)
+            if isinstance(want, type) or isinstance(got, type):
+                assert got == want
+                continue
+            assert abs(got[0] - want[0]) <= rel * want[0]
+            P1, P2 = surface_point(a, got[1][0]), surface_point(b, got[1][1])
+            assert np.linalg.norm(P2 - P1) == pytest.approx(got[0], rel=1e-9)
 
 
 @pytest.mark.parametrize("sc", builtin_scenarios(), ids=lambda sc: sc.name)
