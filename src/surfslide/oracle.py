@@ -15,7 +15,7 @@ the point's root and so gives a certified lower bound on its distance; only
 the points whose bound does not exceed the best distance so far (about 1%
 of them) get an exact foot solve. A call takes a median 2.3-2.8 ms on a
 2-core Xeon (min of five calls on each of the seven builtin scenarios and
-40 random separated pairs), 1.6-1.7 times less than with every point
+40 random separated pairs), about 1.7 times less than with every point
 solved exactly.
 """
 
