@@ -84,6 +84,22 @@ def _g17(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _print_json(doc) -> None:
+    """Print ``doc`` as strict JSON (RFC 8259 has no NaN or Infinity): every
+    non-finite float prints as null, finite ones round-trip exactly."""
+
+    def finite(v):
+        if isinstance(v, float):
+            return v if math.isfinite(v) else None
+        if isinstance(v, dict):
+            return {key: finite(x) for key, x in v.items()}
+        if isinstance(v, list):
+            return [finite(x) for x in v]
+        return v
+
+    print(json.dumps(finite(doc), indent=2, allow_nan=False))
+
+
 def _record(name: str, res, wall: float) -> dict:
     """One solve, serialized loss-free (floats survive a JSON round trip)."""
     p1, p2 = res.params
@@ -221,7 +237,7 @@ def cmd_solve(args) -> int:
             record["oracle_error"] = str(exc)
     if sc.expected is not None:
         record["expected_distance"] = sc.expected[0]
-    print(json.dumps(record, indent=2))
+    _print_json(record)
     return exit_code
 
 
@@ -274,16 +290,7 @@ def cmd_sweep(args) -> int:
     spread = (max(distances) - min(distances)) if distances else math.nan
 
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "scenario": sc.name,
-                    "runs": records,
-                    "distance_spread": spread,
-                },
-                indent=2,
-            )
-        )
+        _print_json({"scenario": sc.name, "runs": records, "distance_spread": spread})
     else:
         print(f"{'run':24s} {'status':12s} {'iterations':>10s} {'distance':>22s}")
         for r in records:
@@ -319,7 +326,7 @@ def cmd_bench(args) -> int:
         "seed": args.seed,
     }
     if args.steps == 0:
-        print(json.dumps(report, indent=2))
+        _print_json(report)
         return EXIT_CONVERGED
 
     rng = random.Random(args.seed)
@@ -373,7 +380,7 @@ def cmd_bench(args) -> int:
             "max_distance_gap": max_gap,
         }
     )
-    print(json.dumps(report, indent=2))
+    _print_json(report)
     return EXIT_CONVERGED
 
 

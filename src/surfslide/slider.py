@@ -520,68 +520,52 @@ def initial_state(
     )
 
 
-def _round(K1, K2, t1, h1, t2, h2, dist, w1, w2, lam1, lam2, toggle, revert):
-    """One round from the iteration-k witnesses (t1, h1) on chart ``K1``
-    and (t2, h2) on ``K2``, ``dist`` apart, with pulls ``w1`` and ``w2``:
-    scale the pulls' tangential parts to the lambdas, advance both
-    parameter pairs simultaneously and re-evaluate.
-    When the distance grows, ``revert`` halves a step and retries (down to
-    LAMBDA_FLOOR), without computing the rejected points' pulls; otherwise
-    the step stands and a lambda is halved for the next round. Returns the
-    new (t1, h1, t2, h2, dist, w1, w2, lam1, lam2, toggle, overshoot); a
-    stationary pair, whose tension has no tangential component anywhere,
-    comes back unchanged.
-
-    This is the round of ``iterate_once``. ``solve``'s loop runs the same
-    round on its locals, without this call; ``step_increments``,
-    ``_halved`` and ``_metrics`` stay the one definition of each rule, and
-    ``test_step_views_reproduce_the_solve_trace`` pins the loop to them bit
-    for bit."""
-    guard = ZERO_PROJECTION_FACTOR * dist
-    l1, l2, tog = lam1, lam2, toggle
-    while True:
-        dth1, dph1 = step_increments(w1[0], w1[1], l1, guard)
-        dth2, dph2 = step_increments(w2[0], w2[1], l2, guard)
-        if dth1 == 0.0 and dph1 == 0.0 and dth2 == 0.0 and dph2 == 0.0:
-            return t1, h1, t2, h2, dist, w1, w2, lam1, lam2, toggle, False
-        u1, v1, u2, v2 = t1 + dth1, h1 + dph1, t2 + dth2, h2 + dph2
-        if not (0.0 <= u1 < TWO_PI and 0.0 <= v1 <= math.pi):
-            u1, v1 = _canonical(u1, v1)
-        if not (0.0 <= u2 < TWO_PI and 0.0 <= v2 <= math.pi):
-            u2, v2 = _canonical(u2, v2)
-        retry = revert and (l1 if l1 > l2 else l2) > LAMBDA_FLOOR
-        ndist, nw1, nw2 = _evaluate(K1, K2, u1, v1, u2, v2, dist if retry else math.inf)
-        if nw1 is None:
-            l1, l2, tog = _halved(l1, l2, tog)
-            continue
-        overshoot = ndist > dist and not revert
-        if overshoot:
-            l1, l2, tog = _halved(l1, l2, tog)
-        # the pulls at the accepted points drive the next round and eps_n
-        return u1, v1, u2, v2, ndist, nw1, nw2, l1, l2, tog, overshoot
-
-
 def iterate_once(
     state: SolverState,
     config: SolverConfig,
     ellipsoids: tuple[Ellipsoid, Ellipsoid],
 ) -> SolverState:
-    """One full round: step both iteration-k points along their pulls
-    simultaneously, re-evaluate, and apply the overshoot schedule. A
-    step-at-a-time view of the round ``solve`` runs, on the canonical
-    charts of ``ellipsoids``."""
+    """One round of the sliding iteration on the canonical charts of
+    ``ellipsoids``, built from the helper that defines each rule:
+    ``step_increments`` scales both pulls' tangential parts to the lambdas,
+    ``advance_param`` moves both iteration-k points and canonicalizes them,
+    and ``_evaluate`` re-reads the segment and the pulls. On a longer
+    segment, accept mode keeps the step and ``_halved`` halves a lambda for
+    the next round; revert mode rejects it without its pulls (``bound``),
+    halves a step and retries, down to LAMBDA_FLOOR. A stationary pair,
+    whose pulls have no tangential part, comes back in place with its
+    lambdas and toggle unchanged.
+
+    ``solve``'s loop runs this round on plain locals, repeating these
+    helpers' float operations (and ``_metrics``') in their order;
+    ``test_step_views_reproduce_the_solve_trace`` pins it to this view and
+    ``convergence_metrics`` bit for bit."""
     charts = (_chart(ellipsoids[0], 0), _chart(ellipsoids[1], 0))
-    p1, p2 = state.params
-    w1, w2 = state.pulls
+    (p1, p2), (w1, w2), dist = state.params, state.pulls, state.distance
     lam1, lam2 = state.lambdas
-    t1, h1, t2, h2, dist, w1, w2, lam1, lam2, toggle, overshoot = _round(
-        charts[0].flat, charts[1].flat, p1.theta, p1.phi, p2.theta, p2.phi,
-        state.distance, w1, w2, lam1, lam2, state.halve_toggle,
-        config.overshoot_mode == "revert-and-retry",
-    )
+    toggle, overshoot = state.halve_toggle, False
+    revert = config.overshoot_mode == "revert-and-retry"
+    guard = ZERO_PROJECTION_FACTOR * dist
+    while True:
+        s1 = step_increments(w1[0], w1[1], lam1, guard)
+        s2 = step_increments(w2[0], w2[1], lam2, guard)
+        if s1 == s2 == (0.0, 0.0):
+            break
+        q1, q2 = advance_param(p1, *s1), advance_param(p2, *s2)
+        bound = dist if revert and max(lam1, lam2) > LAMBDA_FLOOR else math.inf
+        ndist, nw1, nw2 = _evaluate(charts[0].flat, charts[1].flat,
+                                    q1.theta, q1.phi, q2.theta, q2.phi, bound)
+        if nw1 is None:  # rejected
+            lam1, lam2, toggle = _halved(lam1, lam2, toggle)
+            continue
+        overshoot = ndist > dist and not revert
+        if overshoot:
+            lam1, lam2, toggle = _halved(lam1, lam2, toggle)
+        p1, p2, dist, w1, w2 = q1, q2, ndist, nw1, nw2
+        break
     return SolverState(
         k=state.k + 1,
-        params=(SurfaceParam(t1, h1), SurfaceParam(t2, h2)),
+        params=(p1, p2),
         distance=dist,
         lambdas=(lam1, lam2),
         prev_distance=state.distance,
@@ -624,12 +608,8 @@ def solve(
     p1, p2, dist, w1, w2, lam1 = _begin(e1, e2, init, config.lambda0)
     trace: list[StepRecord] | None = [] if config.record_trace else None
 
-    # the loop runs each round itself, on plain locals: it repeats the float
-    # operations of ``_round``, ``step_increments``, ``_halved`` and
-    # ``_metrics`` in their order, and the step views (``iterate_once``,
-    # ``convergence_metrics``), which call those helpers, reproduce its
-    # trace bit for bit. A SolverState is built only for the contact
-    # hand-off.
+    # each round runs on plain locals, as ``iterate_once`` says; a
+    # SolverState is built only for the contact hand-off
     charts = (_chart(e1, 0), _chart(e2, 0))
     K1, K2 = charts[0].flat, charts[1].flat
     t1, h1, t2, h2, lam2 = p1.theta, p1.phi, p2.theta, p2.phi, lam1

@@ -285,6 +285,50 @@ def test_solve_concentric_pair_is_input_error(tmp_path, capsys):
     assert captured.err == "surfslide: error: concentric bodies have no center line\n"
 
 
+def _strict_json(text):
+    """``text`` parsed as RFC 8259 JSON, which has no NaN or Infinity."""
+
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_records_print_non_finite_floats_as_null(tmp_path, capsys):
+    # coincident start witnesses have eps_n NaN, unit spheres 1e300 apart an
+    # infinite distance, and a sweep with no converged run a NaN spread
+    sphere = {"semi_axes": [0.5, 0.5, 0.5], "center": [0, 0, 0], "euler": [0, 0, 0]}
+    path = tmp_path / "coincident.json"
+    path.write_text(json.dumps({
+        "name": "coincident", "e1": sphere,
+        "e2": {**sphere, "center": [0, 1, 0], "euler": [PI, 0, 0]},
+    }))
+    assert main(["solve", str(path)]) == 6
+    record = _strict_json(capsys.readouterr().out)
+    assert record["final_eps"]["eps_n"] is None and record["distance"] == 0.0
+
+    path = _spheres_file(tmp_path, "far", 1.0, 1e300)
+    assert main(["solve", path, "--max-iter", "5"]) == 2
+    record = _strict_json(capsys.readouterr().out)
+    assert record["distance"] is None and record["final_eps"]["eps_d"] is None
+
+    argv = ["sweep", "system-I", "--param", "lambda0", "--values", "0.05", "--max-iter", "1"]
+    assert main([*argv, "--json"]) == 2
+    doc = _strict_json(capsys.readouterr().out)
+    assert doc["distance_spread"] is None and doc["runs"][0]["status"] == "max-iter"
+
+
+def test_records_round_trip_finite_floats(capsys):
+    sc = builtin_scenario("system-I")
+    res = solve(sc.e1, sc.e2, sc.init, sc.config())
+    assert main(["solve", "system-I"]) == 0
+    record = _strict_json(capsys.readouterr().out)
+    assert record["distance"] == res.distance
+    assert record["params1"] + record["params2"] == [
+        res.params[0].theta, res.params[0].phi, res.params[1].theta, res.params[1].phi]
+    assert tuple(record["final_eps"].values()) == res.final_eps
+
+
 def test_solve_verify_includes_oracle(capsys):
     assert main(["solve", "system-II-aligned", "--verify"]) == 0
     record = json.loads(capsys.readouterr().out)
@@ -548,6 +592,28 @@ def test_sweep_init_seed_json(capsys):
 
 def test_sweep_missing_values_is_input_error(capsys):
     assert main(["sweep", "system-I", "--param", "lambda0"]) == 4
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sweep", "system-I", "--param", "lambda0", "--values", "a,b"], "bad --values list"),
+        (["sweep", "system-I", "--param", "lambda0", "--values", ","], "--values list is empty"),
+        (["sweep", "system-I", "--param", "init-seed", "--count", "0"], "--count must be >= 1"),
+        (["bench", "system-I", "--steps", "-1"], "--steps must be >= 0"),
+        (["solve", "DIR"], "cannot read"),
+        (["solve", "system-I", "--max-iter", "0"], "max_iter must be >= 1"),
+    ],
+    ids=["sweep-values-a-b", "sweep-values-comma", "sweep-count-0", "bench-steps-minus-1",
+         "solve-directory", "solve-max-iter-0"],
+)
+def test_input_errors_exit_4_with_message(argv, message, tmp_path, capsys):
+    # DIR stands for a directory, which no scenario reader can open
+    assert main([str(tmp_path) if a == "DIR" else a for a in argv]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("surfslide: error: ") and message in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_bench_zero_steps(capsys):

@@ -387,6 +387,8 @@ def test_line_entry_miss_raises():
         line_surface_entry(e, [0, 0, 5], [0, 0, 3])
     with pytest.raises(NoIntersectionError):
         line_surface_entry(e, [5, 5, 5], [5, 5, -5])
+    with pytest.raises(NoIntersectionError, match="degenerate segment"):
+        line_surface_entry(e, [0, 0, 5], [0, 0, 5])
 
 
 def test_ray_exit_matches_numpy_reference():

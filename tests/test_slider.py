@@ -229,6 +229,31 @@ def _bits(*values):
     return tuple(math.nan.hex() if v is None else float(v).hex() for v in values)
 
 
+@pytest.mark.parametrize("mode", ["accept-and-continue", "revert-and-retry"])
+def test_step_view_round_across_the_theta_wrap(mode):
+    # witness 1 starts just below theta = 2 pi and its pull carries it past:
+    # advance_param wraps it, as solve's round canonicalizes it
+    rng = np.random.default_rng(3)
+    e1 = Ellipsoid(tuple(rng.uniform(0.5, 1.0, 3)), (0, 0, 0), (0, 0, 0))
+    center2 = (3.0 * math.cos(0.3), 3.0 * math.sin(0.3), 0.0)  # off e1's theta = 0.3
+    e2 = Ellipsoid(tuple(rng.uniform(0.3, 0.8, 3)), center2, tuple(rng.uniform(0, 2 * PI, 3)))
+    theta2, phi2 = rng.uniform((0, 1), (2 * PI, 2)).tolist()
+    init = (SurfaceParam(2 * PI - 0.01, 1.4), SurfaceParam(theta2, phi2))
+    cfg = SolverConfig(overshoot_mode=mode, record_trace=True)
+    s0 = initial_state(e1, e2, init, cfg)
+    s1 = iterate_once(s0, cfg, (e1, e2))
+    assert s1.params[0].theta < s0.params[0].theta - PI  # wrapped
+    res = solve(e1, e2, init, cfg)
+    assert all(CHART_POLE_MARGIN < r.phi1 < PI - CHART_POLE_MARGIN
+               and CHART_POLE_MARGIN < r.phi2 < PI - CHART_POLE_MARGIN for r in res.trace[:2])
+    row = res.trace[1]
+    p1, p2 = s1.params
+    assert (s1.k, s1.overshoot) == (row.k, row.overshoot_flag)
+    assert _bits(p1.theta, p1.phi, p2.theta, p2.phi, s1.distance, *s1.lambdas) == _bits(
+        row.theta1, row.phi1, row.theta2, row.phi2, row.distance, row.lambda1, row.lambda2)
+    assert _bits(*convergence_metrics(s1, s0)[:2]) == _bits(row.eps_d, row.eps_n)
+
+
 def _stop_decision(cfg, k, eps):
     """What ``solve`` decides at step ``k`` of a separated pair from its
     metrics ``eps`` and the tolerances of ``cfg``: (status, criteria), or
@@ -251,7 +276,7 @@ def _stop_decision(cfg, k, eps):
 @pytest.mark.parametrize("mode", ["accept-and-continue", "revert-and-retry"])
 def test_step_views_reproduce_the_solve_trace(mode):
     # iterate_once and convergence_metrics are views of the rules solve's
-    # loop repeats inline (_round, step_increments, _halved, _metrics):
+    # loop repeats inline (step_increments, advance_param, _halved, _metrics):
     # driven by hand they give its trace rows bit for bit, and at the last
     # row the stop solve reported
     rng = np.random.default_rng(2024)
