@@ -5,14 +5,16 @@ When the sliding search drives the separation below the contact threshold
 sigma, the configuration is either tangent (the two outward normals are
 anti-aligned) or interpenetrating (each witness point sits inside the other
 ellipsoid). For the overlap case a continuation pushes each witness along
-the other body's negated normal, which drives the pair to the
-maximum-overlap points. It has its own step, on global frames, read for
-both witnesses by one float kernel (``_depth_evaluate``) that rounds as
-the frame kernel and ``implicit_value`` do. It calls the step scaling
-(``step_increments``), the alternating halving (``_halved``) and the stop
-metrics (``_metrics``, two-step eps_d included) whose arithmetic ``solve``'s
-loop repeats inline; like ``solve``, it keeps its state in plain float
-locals.
+the other body's negated normal. Once both witnesses lie inside the other
+body beyond sigma, it stops on a stationary step or on ``solve``'s stop
+metrics, and it reports the witness distance there; that stop need not be
+a point where the segment runs along both normals. It has its own step, on
+global frames, read for both witnesses by one float kernel
+(``_depth_evaluate``) that rounds as the frame kernel and
+``implicit_value`` do. It calls the step scaling (``step_increments``),
+the alternating halving (``_halved``) and the stop metrics (``_metrics``,
+two-step eps_d included) whose arithmetic ``solve``'s loop repeats inline;
+like ``solve``, it keeps its state in plain float locals.
 """
 
 from __future__ import annotations
@@ -196,16 +198,18 @@ def penetration_depth(
     config: SolverConfig = SolverConfig(),
 ) -> ContactReport:
     """Continue an overlapping search from the witness params
-    ``entry_params`` to the maximum-overlap pair.
+    ``entry_params`` and report the distance between its last witnesses as
+    the depth.
 
     While the witness points interpenetrate (or sit within sigma), each is
     pushed along the negated normal of the other body, re-read every step;
     once both points pop outside beyond sigma, the regular tension pull
-    resumes. At the fixed point the connecting segment leaves each witness
-    point against its own outward normal, and its length is the depth. Once
-    both points lie inside the other body, beyond sigma, the search stops
-    on a stationary step or on ``solve``'s metrics (``_metrics``): eps_d,
-    eps_n against the maximum-overlap alignment, or eps_lambda.
+    resumes. Once both points lie inside the other body, beyond sigma, the
+    search stops on a stationary step or on ``solve``'s metrics
+    (``_metrics``): eps_d, eps_n (the segment against n1 and along n2), or
+    eps_lambda. The depth is the witness distance at that stop. The segment
+    need not leave each witness against its own normal there, nor need the
+    two normals be anti-parallel.
 
     The loop keeps (theta, phi), the distances and the lambdas in plain
     float locals, as ``solve`` does: each step reads both witnesses from
@@ -241,8 +245,8 @@ def penetration_depth(
         dth2, dph2 = step_increments(th2, ph2, lam2, guard)
 
         if dn1 is not None:
-            # both witnesses inside beyond sigma; at maximum overlap the
-            # segment runs against n1 and along n2
+            # both witnesses inside beyond sigma; eps_n reads the segment
+            # against n1 and along n2
             eps_d, eps_n, eps_lambda = _metrics(dist, d_1, d_2, dn1, dn2, lam1, lam2)
             if (
                 (dth1 == 0.0 and dph1 == 0.0 and dth2 == 0.0 and dph2 == 0.0)

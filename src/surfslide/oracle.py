@@ -12,11 +12,8 @@ two searches is kept.
 The search solves exactly only the lattice points that can still win. Each
 level runs one warm Newton pass on every point, which lands at or before
 the point's root and so gives a certified lower bound on its distance; only
-the points whose bound does not exceed the best distance so far (about 1%
-of them) get an exact foot solve. A call takes a median 2.3-2.8 ms on a
-2-core Xeon (min of five calls on each of the seven builtin scenarios and
-40 random separated pairs), about 1.7 times less than with every point
-solved exactly.
+the points whose bound does not exceed the best distance so far get an
+exact foot solve.
 """
 
 from __future__ import annotations

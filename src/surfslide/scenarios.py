@@ -21,8 +21,8 @@ Unknown keys are rejected so typos fail loudly.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
+from math import pi, sqrt
 
 from .geometry import Ellipsoid, SurfaceParam
 from .slider import SolverConfig
@@ -51,109 +51,73 @@ class Scenario:
         return SolverConfig(**(self.config_overrides or {}))
 
 
-# System III's second bodies by label (lower case: a semi-axis ten times
-# shorter), and the names of builtin_scenarios(), known without building it
-_SYSTEM_III_SHAPES = {"ABC": (0.2, 0.4, 0.6), "aBC": (0.02, 0.4, 0.6),
-                      "abC": (0.02, 0.04, 0.6), "abc": (0.02, 0.04, 0.06)}
-BUILTIN_NAMES = ("system-I", "system-II-aligned", "system-II-rotated",
-                 *(f"system-III-{label}" for label in _SYSTEM_III_SHAPES))
-
-
-def _support_point_distance(e1: Ellipsoid, e2: Ellipsoid) -> float:
-    """|X02 - X01| - a1 - c2: valid when e1's a-axis and e2's -c-axis both
-    face along the center line."""
-    dx = [e2.center[i] - e1.center[i] for i in range(3)]
-    return math.sqrt(sum(v * v for v in dx)) - e1.semi_axes[0] - e2.semi_axes[2]
-
-
-def builtin_scenarios() -> list[Scenario]:
-    """The seven demonstration systems, exactly as tabulated.
-
-    The rotated centers are stored as the printed value 1.0607 rather than
-    1.5/sqrt(2); see the README note on expected distances.
-    """
-    pi = math.pi
-    scenarios = []
-
-    scenarios.append(
-        Scenario(
-            name="system-I",
-            e1=Ellipsoid((1.0, 0.6, 0.4), (-1.5, 0.0, 0.0), (0.0, pi / 6, 0.0)),
-            e2=Ellipsoid((0.6, 0.7, 0.5), (1.0, 0.5, 0.5), (0.0, 0.0, pi / 4)),
-            init=(
-                SurfaceParam(7 * pi / 6, 2 * pi / 3),
-                SurfaceParam(11 * pi / 6, pi / 2),
-            ),
-            config_overrides={"lambda0": 0.05},
-            expected=(
-                1.2856,
-                "tabulated reference value; under the stored orientation "
-                "convention the lattice oracle gives 1.26203",
-            ),
+# The seven demonstration systems in their listed order, exactly as
+# tabulated: each one's two bodies as (semi_axes, center, euler), its start
+# as (theta1, phi1, theta2, phi2) or None, and its expected distance with
+# provenance (a distance None is the support-point distance). The rotated
+# systems share one pose per body, with the printed center 1.0607 rather
+# than 1.5/sqrt(2); see the README note on expected distances.
+_ROTATED_1 = ((-1.0607, 0.0, -1.0607), (0.0, -pi / 4, 0.0))  # (center, euler)
+_ROTATED_2 = ((1.0607, 0.0, 1.0607), (0.0, pi / 4, 0.0))
+_SYSTEM_II_PROVENANCE = (
+    "analytic support-point distance |dX0| - a1 - c2 "
+    "(the tabulated reference quotes 1.4, which conflicts with this arithmetic)"
+)
+_BUILTINS = {
+    "system-I": (
+        ((1.0, 0.6, 0.4), (-1.5, 0.0, 0.0), (0.0, pi / 6, 0.0)),
+        ((0.6, 0.7, 0.5), (1.0, 0.5, 0.5), (0.0, 0.0, pi / 4)),
+        (7 * pi / 6, 2 * pi / 3, 11 * pi / 6, pi / 2),
+        (1.2856, "tabulated reference value; under the stored orientation "
+                 "convention the lattice oracle gives 1.26203"),
+    ),
+    "system-II-aligned": (
+        ((1.0, 0.6, 0.4), (-1.5, 0.0, 0.0), (0.0, 0.0, 0.0)),
+        ((1.0, 0.6, 0.4), (1.5, 0.0, 0.0), (0.0, pi / 2, 0.0)),
+        None,
+        (None, _SYSTEM_II_PROVENANCE),
+    ),
+    "system-II-rotated": (
+        ((1.0, 0.6, 0.4), *_ROTATED_1),
+        ((1.0, 0.6, 0.4), *_ROTATED_2),
+        None,
+        (None, _SYSTEM_II_PROVENANCE),
+    ),
+    # System III's second bodies by label (lower case: a semi-axis ten
+    # times shorter)
+    **{
+        f"system-III-{label}": (
+            ((0.2, 0.4, 0.6), *_ROTATED_1),
+            (axes, *_ROTATED_2),
+            (4 * pi / 3, pi / 3, 7 * pi / 4, pi / 2),
+            (None, "analytic support-point distance, oracle-verified"),
         )
-    )
-
-    e1 = Ellipsoid((1.0, 0.6, 0.4), (-1.5, 0.0, 0.0), (0.0, 0.0, 0.0))
-    e2 = Ellipsoid((1.0, 0.6, 0.4), (1.5, 0.0, 0.0), (0.0, pi / 2, 0.0))
-    scenarios.append(
-        Scenario(
-            name="system-II-aligned",
-            e1=e1,
-            e2=e2,
-            config_overrides={"lambda0": 0.05},
-            expected=(
-                _support_point_distance(e1, e2),
-                "analytic support-point distance |dX0| - a1 - c2 "
-                "(the tabulated reference quotes 1.4, which conflicts "
-                "with this arithmetic)",
-            ),
-        )
-    )
-
-    e1 = Ellipsoid((1.0, 0.6, 0.4), (-1.0607, 0.0, -1.0607), (0.0, -pi / 4, 0.0))
-    e2 = Ellipsoid((1.0, 0.6, 0.4), (1.0607, 0.0, 1.0607), (0.0, pi / 4, 0.0))
-    scenarios.append(
-        Scenario(
-            name="system-II-rotated",
-            e1=e1,
-            e2=e2,
-            config_overrides={"lambda0": 0.05},
-            expected=(
-                _support_point_distance(e1, e2),
-                "analytic support-point distance |dX0| - a1 - c2 "
-                "(the tabulated reference quotes 1.4, which conflicts "
-                "with this arithmetic)",
-            ),
-        )
-    )
-
-    for label, axes in _SYSTEM_III_SHAPES.items():
-        e1 = Ellipsoid((0.2, 0.4, 0.6), (-1.0607, 0.0, -1.0607), (0.0, -pi / 4, 0.0))
-        e2 = Ellipsoid(axes, (1.0607, 0.0, 1.0607), (0.0, pi / 4, 0.0))
-        scenarios.append(
-            Scenario(
-                name=f"system-III-{label}",
-                e1=e1,
-                e2=e2,
-                init=(
-                    SurfaceParam(4 * pi / 3, pi / 3),
-                    SurfaceParam(7 * pi / 4, pi / 2),
-                ),
-                config_overrides={"lambda0": 0.05},
-                expected=(
-                    _support_point_distance(e1, e2),
-                    "analytic support-point distance, oracle-verified",
-                ),
-            )
-        )
-    return scenarios
+        for label, axes in (("ABC", (0.2, 0.4, 0.6)), ("aBC", (0.02, 0.4, 0.6)),
+                            ("abC", (0.02, 0.04, 0.6)), ("abc", (0.02, 0.04, 0.06)))
+    },
+}
+BUILTIN_NAMES = tuple(_BUILTINS)
 
 
 def builtin_scenario(name: str) -> Scenario:
-    """The builtin ``name``; other names raise KeyError before any body is built."""
-    if name not in BUILTIN_NAMES:
+    """The builtin ``name``, built alone; other names raise KeyError before
+    any body is built."""
+    if name not in _BUILTINS:
         raise KeyError(f"unknown builtin scenario {name!r}")
-    return builtin_scenarios()[BUILTIN_NAMES.index(name)]
+    body1, body2, start, (distance, provenance) = _BUILTINS[name]
+    e1, e2 = Ellipsoid(*body1), Ellipsoid(*body2)
+    if distance is None:
+        # |X02 - X01| - a1 - c2: valid when e1's a-axis and e2's -c-axis
+        # both face along the center line
+        dx = [e2.center[i] - e1.center[i] for i in range(3)]
+        distance = sqrt(sum(v * v for v in dx)) - e1.semi_axes[0] - e2.semi_axes[2]
+    init = None if start is None else (SurfaceParam(*start[:2]), SurfaceParam(*start[2:]))
+    return Scenario(name, e1, e2, init, {"lambda0": 0.05}, (distance, provenance))
+
+
+def builtin_scenarios() -> list[Scenario]:
+    """The seven demonstration systems, in table order."""
+    return [builtin_scenario(name) for name in _BUILTINS]
 
 
 # ---------------------------------------------------------------------------

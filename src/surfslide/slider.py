@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -118,8 +117,8 @@ class SolverState:
     ``params`` are (theta, phi) in ``charts``. ``pulls`` holds each
     witness's (d_theta, d_phi, d_n), its tension projected onto its unit
     tangents and normal by ``_evaluate``: the next step reads the first
-    two, eps_n the third. The global ``frames`` are computed on first
-    use."""
+    two, eps_n the third. The global ``frames`` are computed on each
+    read."""
 
     k: int
     params: tuple[SurfaceParam, SurfaceParam]
@@ -131,7 +130,7 @@ class SolverState:
     pulls: tuple
     overshoot: bool = False
 
-    @cached_property
+    @property
     def frames(self) -> tuple:
         """Both witnesses' (position, normal, tangent_theta, tangent_phi)."""
         return tuple(_frame_fast(c.flat, p.theta, p.phi) for c, p in zip(self.charts, self.params))
@@ -266,7 +265,9 @@ def _halved(lam1: float, lam2: float, toggle: int) -> tuple[float, float, int]:
 def apply_overshoot_schedule(state: SolverState, config: SolverConfig) -> SolverState:
     """Alternating step halving: when the distance grew this round, halve
     the lambda selected by the toggle and flip the toggle. A NaN
-    ``prev_distance`` (k = 0) compares false and halves nothing."""
+    ``prev_distance`` (k = 0) compares false and halves nothing.
+    ``iterate_once`` already halves on an overshoot, so applying this to
+    its result halves a second time."""
     if not state.distance > state.prev_distance:
         return state
     lam1, lam2 = state.lambdas

@@ -13,11 +13,13 @@ each report. ``tests/golden/oracle-2024.txt`` fingerprints
 ``oracle_min_distance`` on the seven builtin scenarios and 30 random
 separated pairs of seed 2024, each in both argument orders.
 ``PYTHONPATH=src python tests/test_golden.py`` rewrites all of them and
-prints, per file, how far the answers moved (see ``move_summary``); for
-the oracle set also the worst parameter move in radians, which tells ulp
-moves from lattice-point flips; for the random set also the cold solves'
-iteration mean, max and bare-eps_d stops, and the warm re-solves'
-iteration mean and max, old -> new.
+the seven shipped ``scenarios/<name>.json`` files (``save_scenario`` of
+each of ``builtin_scenarios()``), prints which scenario files changed,
+and prints, per golden file, how far the answers moved (see
+``move_summary``); for the oracle set also the worst parameter move in
+radians, which tells ulp moves from lattice-point flips; for the random
+set also the cold solves' iteration mean, max and bare-eps_d stops, and
+the warm re-solves' iteration mean and max, old -> new.
 A change meant to keep every answer must leave these files matching; a
 change that moves answers regenerates them and lists what moved.
 """
@@ -34,10 +36,11 @@ from helpers import random_overlap_pair, random_separated_pair
 from surfslide.cli import main
 from surfslide.contact import analyze
 from surfslide.oracle import oracle_min_distance
-from surfslide.scenarios import builtin_scenarios
+from surfslide.scenarios import builtin_scenarios, save_scenario
 from surfslide.slider import SolverConfig, solve
 
 GOLDEN = Path(__file__).parent / "golden"
+SHIPPED = Path(__file__).resolve().parent.parent / "scenarios"
 RANDOM_SET = GOLDEN / "random-2024.txt"
 OVERLAP_SET = GOLDEN / "overlap-2024.txt"
 ORACLE_SET = GOLDEN / "oracle-2024.txt"
@@ -254,7 +257,21 @@ def _rewrite(path: Path, lines: list[str]) -> None:
     print(move_summary(path.name, old, lines))
 
 
+def _rewrite_scenario_files() -> None:
+    """Write each builtin to ``scenarios/<name>.json`` and print which files
+    changed."""
+    changed = []
+    for sc in builtin_scenarios():
+        path = SHIPPED / f"{sc.name}.json"
+        old = path.read_bytes() if path.exists() else None
+        save_scenario(sc, path)
+        if path.read_bytes() != old:
+            changed.append(path.name)
+    print(f"scenarios/: {len(changed)} files changed {changed}")
+
+
 if __name__ == "__main__":
+    _rewrite_scenario_files()
     for sc in builtin_scenarios():
         path = GOLDEN / f"{sc.name}.csv"
         old = path.read_text().splitlines()

@@ -7,6 +7,8 @@ import pathlib
 
 import pytest
 
+from surfslide import scenarios
+from surfslide.geometry import Ellipsoid
 from surfslide.scenarios import (
     BUILTIN_NAMES,
     Scenario,
@@ -71,6 +73,42 @@ def test_shipped_scenario_files_match_builtins():
         path = SHIPPED / f"{sc.name}.json"
         assert path.exists(), path
         assert load_scenario(path) == sc
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_shipped_scenario_file_is_what_save_scenario_writes(name, tmp_path):
+    # the table is the one source of scenarios/*.json; rewrite them with
+    # ``PYTHONPATH=src python tests/test_golden.py``
+    path = tmp_path / f"{name}.json"
+    save_scenario(builtin_scenario(name), path)
+    assert (SHIPPED / f"{name}.json").read_bytes() == path.read_bytes()
+
+
+def test_builtin_scenario_agrees_with_builtin_scenarios():
+    assert [builtin_scenario(name) for name in BUILTIN_NAMES] == builtin_scenarios()
+
+
+def test_builtin_scenario_builds_only_its_own_bodies(monkeypatch):
+    built = []
+
+    def counting_ellipsoid(*args):
+        built.append(args)
+        return Ellipsoid(*args)
+
+    monkeypatch.setattr(scenarios, "Ellipsoid", counting_ellipsoid)
+    builtin_scenario("system-I")
+    assert len(built) == 2
+    with pytest.raises(KeyError):
+        builtin_scenario("system-X")
+    assert len(built) == 2
+
+
+def test_builtin_builds_share_no_config_overrides():
+    first, second = builtin_scenario("system-I"), builtin_scenario("system-I")
+    assert first.config_overrides is not second.config_overrides
+    first.config_overrides["lambda0"] = 0.1
+    assert second.config_overrides == {"lambda0": 0.05}
+    assert builtin_scenarios()[0].config().lambda0 == 0.05
 
 
 def test_scenario_dict_round_trip():
