@@ -110,8 +110,8 @@ def _record(name: str, res, wall: float) -> dict:
         "distance": res.distance,
         "params1": [p1.theta, p1.phi],
         "params2": [p2.theta, p2.phi],
-        "closest_points": [[float(v) for v in p] for p in res.closest_points],
-        "normals": [[float(v) for v in n] for n in res.normals],
+        "closest_points": [list(p) for p in res.closest_points],
+        "normals": [list(n) for n in res.normals],
         "iterations": res.iterations,
         "final_eps": {"eps_d": eps_d, "eps_n": eps_n, "eps_lambda": eps_lam},
         "wall_time_s": wall,

@@ -22,12 +22,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .geometry import POLE_TOL, TWO_PI, Ellipsoid, SurfaceParam, _canonical, _frame_fast
 from .geometry import implicit_value
 from .slider import ZERO_PROJECTION_FACTOR, SolverConfig, SolverState, _halved, _metrics
-from .slider import DistanceResult, step_increments
+from .slider import DistanceResult, Vec3, step_increments
 from .slider import advance_param  # unused; perfbench/tracer.py wraps it by this name
 
 # tolerance on |n1 . n2 + 1| for calling a sub-sigma pair tangent
@@ -52,7 +50,7 @@ class ContactReport:
     kind: str
     distance_or_depth: float
     witness_params: tuple[SurfaceParam, SurfaceParam]
-    witness_normals: tuple[np.ndarray, np.ndarray]
+    witness_normals: tuple[Vec3, Vec3]
     result: DistanceResult | None = None
 
 
@@ -89,16 +87,6 @@ def classify(
     if interpenetrating(e1, e2, P1, P2):
         return "overlapping"
     return "separated"
-
-
-def _report(kind: str, distance: float, params, normals, result=None) -> ContactReport:
-    return ContactReport(
-        kind=kind,
-        distance_or_depth=distance,
-        witness_params=params,
-        witness_normals=(np.array(normals[0]), np.array(normals[1])),
-        result=result,
-    )
 
 
 def _depth_evaluate(K1, K2, t1: float, h1: float, t2: float, h2: float, sigma: float):
@@ -265,7 +253,8 @@ def penetration_depth(
 
     kind = "overlapping" if k < config.max_iter else "max-iter"
     params = (SurfaceParam(t1, h1), SurfaceParam(t2, h2))
-    return _report(kind, dist, params, (_frame_fast(K1, t1, h1)[1], _frame_fast(K2, t2, h2)[1]))
+    normals = (_frame_fast(K1, t1, h1)[1], _frame_fast(K2, t2, h2)[1])
+    return ContactReport(kind, dist, params, normals)
 
 
 def analyze(
@@ -282,7 +271,7 @@ def analyze(
 
     result = solve(e1, e2, init, config)
     if result.status == "contact":
-        return _report("in-contact", result.distance, result.params, result.normals, result)
+        return ContactReport("in-contact", result.distance, result.params, result.normals, result)
     if separated(e1, e2, result):
-        return _report("separated", result.distance, result.params, result.normals, result)
+        return ContactReport("separated", result.distance, result.params, result.normals, result)
     return replace(penetration_depth(e1, e2, result.params, config), result=result)

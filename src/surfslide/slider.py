@@ -153,13 +153,16 @@ class StepRecord(NamedTuple):
     overshoot_flag: bool
 
 
+Vec3 = tuple[float, float, float]
+
+
 @dataclass(frozen=True, init=False)
 class DistanceResult:
     status: str
     distance: float
     params: tuple[SurfaceParam, SurfaceParam]
-    closest_points: tuple[np.ndarray, np.ndarray]
-    normals: tuple[np.ndarray, np.ndarray]
+    closest_points: tuple[Vec3, Vec3]
+    normals: tuple[Vec3, Vec3]
     iterations: int
     final_eps: tuple[float | None, float, float]
     trace: list[StepRecord] | None = None
@@ -721,8 +724,8 @@ def solve(
         distance=dist,
         params=(SurfaceParam(*_canonical_param(t1, h1, charts[0])),
                 SurfaceParam(*_canonical_param(t2, h2, charts[1]))),
-        closest_points=(np.array(f1[0]), np.array(f2[0])),
-        normals=(np.array(f1[1]), np.array(f2[1])),
+        closest_points=(f1[0], f2[0]),
+        normals=(f1[1], f2[1]),
         iterations=k,
         final_eps=(eps_d, eps_n, eps_lambda),
         trace=trace,

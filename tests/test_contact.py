@@ -1,6 +1,7 @@
 """Tests for contact classification and the penetration-depth
 continuation."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -116,7 +117,7 @@ def test_overlap_witnesses_generic_pair():
     e2 = Ellipsoid((0.8, 0.5, 0.3), (0.9, 0.2, 0.1), (0.3, -0.1, 0.2))
     report = analyze(e1, e2)
     assert report.kind == "overlapping"
-    n1, n2 = report.witness_normals
+    n1, n2 = np.asarray(report.witness_normals)
     assert abs(float(n1 @ n2) + 1.0) < 1e-6
     P1 = surface_frame(e1, report.witness_params[0]).position
     P2 = surface_frame(e2, report.witness_params[1]).position
@@ -182,7 +183,7 @@ def test_penetration_depth_from_pole_entries():
     report = penetration_depth(e1, e2, entry)
     assert report.kind == "overlapping"
     assert report.witness_params != entry
-    n1, n2 = report.witness_normals
+    n1, n2 = np.asarray(report.witness_normals)
     assert abs(float(n1 @ n2) + 1.0) < 1e-6
 
 
@@ -205,7 +206,22 @@ def test_report_params_and_normals_agree(e1, e2, config, kind):
     assert report.kind == kind
     for e, p, n in zip((e1, e2), report.witness_params, report.witness_normals):
         assert type(p) is SurfaceParam and p.is_canonical()
-        assert n.tolist() == surface_frame(e, p).normal.tolist()
+        assert np.asarray(n).tolist() == surface_frame(e, p).normal.tolist()
+
+
+def test_analyze_answer_is_a_plain_value():
+    # the witness normals, like the search result's points and normals, are
+    # float triples, so two analyses of one pair compare equal field by
+    # field and, with no trace recorded, hash alike
+    e1, e2 = random_overlap_pair(np.random.default_rng(3), 0.3)
+    a, b = analyze(e1, e2), analyze(e1, e2)
+    assert a.kind == "overlapping" and a is not b
+    assert a == b and hash(a) == hash(b)
+    depth = penetration_depth(e1, e2, a.result.params)
+    assert depth == dataclasses.replace(a, result=None)
+    for v in (*a.witness_normals, *a.result.closest_points, *a.result.normals):
+        assert type(v) is tuple and len(v) == 3
+        assert all(type(x) is float for x in v), v
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +302,7 @@ def test_overlap_witness_normals_are_not_always_anti_parallel():
         report = analyze(e1, e2, SolverConfig(max_iter=300))
         if report.kind == "overlapping":
             overlapping += 1
-            n1, n2 = report.witness_normals
+            n1, n2 = np.asarray(report.witness_normals)
             gap = abs(float(n1 @ n2) + 1.0)
             if gap > ALIGN_TOL:
                 misaligned[i] = (gap, report)

@@ -228,7 +228,7 @@ def run_symmetry(n=500, seed=105, rel_tol=1e-12, point_tol=1e-6):
         rel = abs(a.distance - b.distance) / max(1.0, a.distance)
         scale = max(1.0, max(e1.semi_axes), max(e2.semi_axes))
         point = max(
-            float(np.linalg.norm(mine - theirs)) / scale
+            float(np.linalg.norm(np.asarray(mine) - np.asarray(theirs))) / scale
             for mine, theirs in zip(a.closest_points, reversed(b.closest_points))
         )
         converged = a.status == b.status == "converged"

@@ -384,6 +384,24 @@ def test_result_records_keep_their_dataclass_behaviour():
     assert dataclasses.replace(res).distance == res.distance
 
 
+def _assert_float_triples(vectors):
+    for v in vectors:
+        assert type(v) is tuple and len(v) == 3
+        assert all(type(x) is float for x in v), v
+
+
+def test_solve_answer_is_a_plain_value():
+    # the points and normals are float triples, so two solves of one pair
+    # compare equal field by field and, with no trace recorded, hash alike
+    e1, e2 = nth_separated_pair(2024, 0)
+    a, b = solve(e1, e2), solve(e1, e2)
+    assert a.status == "converged" and a is not b
+    assert a == b and hash(a) == hash(b)
+    _assert_float_triples((*a.closest_points, *a.normals))
+    traced = solve(e1, e2, None, SolverConfig(record_trace=True))
+    assert dataclasses.replace(traced, trace=None) == a
+
+
 # ---------------------------------------------------------------------------
 # solve
 
@@ -482,7 +500,8 @@ def test_solve_converged_via_eps_n_satisfies_signature():
     res = solve(sc.e1, sc.e2, sc.init, sc.config())
     assert res.status == "converged"
     if "eps_n" in res.stop_criteria:
-        d = res.closest_points[1] - res.closest_points[0]
+        P1, P2 = np.asarray(res.closest_points)
+        d = P2 - P1
         dhat = d / np.linalg.norm(d)
         cfg = sc.config()
         assert 1.0 - res.normals[0] @ dhat < cfg.tol_n
