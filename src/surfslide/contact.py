@@ -228,7 +228,8 @@ def penetration_depth(
             if wrong_way:
                 lam1, lam2, toggle = _halved(lam1, lam2, toggle)
 
-        guard = ZERO_PROJECTION_FACTOR * (sigma if sigma > dist else dist)
+        # the push goal is a unit normal, the pull goal the segment
+        guard = ZERO_PROJECTION_FACTOR * (1.0 if push else dist)
         dth1, dph1 = step_increments(th1, ph1, lam1, guard)
         dth2, dph2 = step_increments(th2, ph2, lam2, guard)
 

@@ -45,7 +45,8 @@ from .geometry import (
 )
 
 # Eq-style step normalization is singular exactly at the solution; treat the
-# projection pair as zero below this fraction of the current separation.
+# projection pair as zero below this fraction of the goal's length (the
+# current separation, or 1 for the depth continuation's unit push).
 ZERO_PROJECTION_FACTOR = 1e-15
 
 # A witness within this angle (radians) of a pole of its chart, where a theta

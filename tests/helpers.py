@@ -218,7 +218,8 @@ def penetration_depth_by_frames(e1, e2, entry_params, config):
             if wrong_way:
                 lam1, lam2, toggle = _halved(lam1, lam2, toggle)
 
-        guard = ZERO_PROJECTION_FACTOR * (sigma if sigma > dist else dist)
+        # the push goal is a unit normal, the pull goal the segment
+        guard = ZERO_PROJECTION_FACTOR * (1.0 if push else dist)
         if push:
             g1x, g1y, g1z = -n2[0], -n2[1], -n2[2]
             g2x, g2y, g2z = -n1[0], -n1[1], -n1[2]

@@ -209,6 +209,29 @@ def test_report_params_and_normals_agree(e1, e2, config, kind):
         assert np.asarray(n).tolist() == surface_frame(e, p).normal.tolist()
 
 
+def _scaled(e, s):
+    return Ellipsoid(tuple(s * a for a in e.semi_axes), tuple(s * c for c in e.center), e.euler)
+
+
+def test_depth_scales_exactly_with_the_pair():
+    # Scaling both bodies by a power of two scales every length exactly, so
+    # a continuation whose every guard is in the units of what it guards
+    # gives the same verdict and exactly the scaled depth. Before the push
+    # guard was unit-free, 51 of these 90 depths moved at 2**40 (by up to
+    # 7e-3 relative) and 14 at 2**-40.
+    rng = np.random.default_rng(1)
+    fracs = (0.3, 0.6, 0.9)
+    config = SolverConfig(max_iter=2000)
+    for i in range(90):
+        e1, e2 = random_overlap_pair(rng, fracs[i % 3])
+        base = analyze(e1, e2, config)
+        for k in (-40, -20, 20, 40):
+            s = 2.0 ** k
+            report = analyze(_scaled(e1, s), _scaled(e2, s), config)
+            assert report.kind == base.kind, (i, k)
+            assert report.distance_or_depth == s * base.distance_or_depth, (i, k)
+
+
 def test_analyze_answer_is_a_plain_value():
     # the witness normals, like the search result's points and normals, are
     # float triples, so two analyses of one pair compare equal field by
