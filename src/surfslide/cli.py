@@ -114,6 +114,7 @@ def _record(name: str, res, wall: float) -> dict:
         "normals": [list(n) for n in res.normals],
         "iterations": res.iterations,
         "final_eps": {"eps_d": eps_d, "eps_n": eps_n, "eps_lambda": eps_lam},
+        "stop_criteria": list(res.stop_criteria),
         "wall_time_s": wall,
     }
 

@@ -329,6 +329,17 @@ def test_records_round_trip_finite_floats(capsys):
     assert tuple(record["final_eps"].values()) == res.final_eps
 
 
+@pytest.mark.parametrize("name", scenarios.BUILTIN_NAMES)
+def test_record_names_the_stop_criteria(name, capsys):
+    # the record tells a certified eps_n stop from a bare eps_d plateau
+    sc = builtin_scenario(name)
+    res = solve(sc.e1, sc.e2, sc.init, sc.config())
+    main(["solve", name])
+    record = _strict_json(capsys.readouterr().out)
+    assert record["stop_criteria"] == list(res.stop_criteria)
+    assert list(record).index("stop_criteria") == list(record).index("final_eps") + 1
+
+
 def test_solve_verify_includes_oracle(capsys):
     assert main(["solve", "system-II-aligned", "--verify"]) == 0
     record = json.loads(capsys.readouterr().out)
