@@ -79,6 +79,9 @@ def classify(
 
     Interpenetration is confirmed by interior tests on both witness points,
     not by distance alone: a small separation also occurs at near-tangency.
+    ``sigma`` is never read, because the hand-off has already compared the
+    distance with it; the argument stays only for the four-argument call
+    that ``perfbench/layers.py`` makes.
     """
     (P1, n1, *_), (P2, n2, *_) = state.frames
     dot = n1[0] * n2[0] + n1[1] * n2[1] + n1[2] * n2[2]
