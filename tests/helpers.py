@@ -88,6 +88,13 @@ def surface_point(e, p):
     return e.rotation @ local + np.asarray(e.center)
 
 
+def assert_float_triples(vectors):
+    """Each of ``vectors`` is an (x, y, z) tuple of Python floats."""
+    for v in vectors:
+        assert type(v) is tuple and len(v) == 3
+        assert all(type(x) is float for x in v), v
+
+
 def random_param(rng) -> SurfaceParam:
     return SurfaceParam(rng.uniform(0.0, 2.0 * PI), rng.uniform(0.0, PI))
 

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import penetration_depth_by_frames, random_overlap_pair
+from helpers import assert_float_triples, penetration_depth_by_frames, random_overlap_pair
 from surfslide.contact import ALIGN_TOL, analyze, classify, penetration_depth, separated
 from surfslide.geometry import Ellipsoid, SurfaceParam, implicit_value, surface_frame
 from surfslide.scenarios import builtin_scenario
@@ -216,9 +216,7 @@ def _scaled(e, s):
 def test_depth_scales_exactly_with_the_pair():
     # Scaling both bodies by a power of two scales every length exactly, so
     # a continuation whose every guard is in the units of what it guards
-    # gives the same verdict and exactly the scaled depth. Before the push
-    # guard was unit-free, 51 of these 90 depths moved at 2**40 (by up to
-    # 7e-3 relative) and 14 at 2**-40.
+    # gives the same verdict and exactly the scaled depth.
     rng = np.random.default_rng(1)
     fracs = (0.3, 0.6, 0.9)
     config = SolverConfig(max_iter=2000)
@@ -242,9 +240,7 @@ def test_analyze_answer_is_a_plain_value():
     assert a == b and hash(a) == hash(b)
     depth = penetration_depth(e1, e2, a.result.params)
     assert depth == dataclasses.replace(a, result=None)
-    for v in (*a.witness_normals, *a.result.closest_points, *a.result.normals):
-        assert type(v) is tuple and len(v) == 3
-        assert all(type(x) is float for x in v), v
+    assert_float_triples((*a.witness_normals, *a.result.closest_points, *a.result.normals))
 
 
 # ---------------------------------------------------------------------------

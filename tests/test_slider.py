@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    assert_float_triples,
     evaluate,
     nth_separated_pair,
     points_outside,
@@ -384,12 +385,6 @@ def test_result_records_keep_their_dataclass_behaviour():
     assert dataclasses.replace(res).distance == res.distance
 
 
-def _assert_float_triples(vectors):
-    for v in vectors:
-        assert type(v) is tuple and len(v) == 3
-        assert all(type(x) is float for x in v), v
-
-
 def test_solve_answer_is_a_plain_value():
     # the points and normals are float triples, so two solves of one pair
     # compare equal field by field and, with no trace recorded, hash alike
@@ -397,7 +392,7 @@ def test_solve_answer_is_a_plain_value():
     a, b = solve(e1, e2), solve(e1, e2)
     assert a.status == "converged" and a is not b
     assert a == b and hash(a) == hash(b)
-    _assert_float_triples((*a.closest_points, *a.normals))
+    assert_float_triples((*a.closest_points, *a.normals))
     traced = solve(e1, e2, None, SolverConfig(record_trace=True))
     assert dataclasses.replace(traced, trace=None) == a
 
