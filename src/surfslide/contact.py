@@ -35,12 +35,12 @@ ALIGN_TOL = 1e-6
 @dataclass(frozen=True)
 class ContactReport:
     """kind is 'separated', 'in-contact', 'overlapping', or 'max-iter'
-    when the depth continuation ran out of iterations.
+    when the depth continuation ran out of iterations, or reached a fixed
+    point that it would have held until then.
 
     distance_or_depth is positive separation, ~0 at tangency, and the
     penetration magnitude (reported positive, flagged by kind) for overlap;
-    for 'max-iter' it is the witness distance where the continuation
-    stopped.
+    for 'max-iter' it is the witness distance where the continuation ended.
 
     result is the sliding search's ``DistanceResult`` that the verdict came
     from; ``analyze`` sets it on every report, and ``penetration_depth``,
@@ -200,7 +200,9 @@ def penetration_depth(
     (``_metrics``): eps_d, eps_n (the segment against n1 and along n2), or
     eps_lambda. The depth is the witness distance at that stop. The segment
     need not leave each witness against its own normal there, nor need the
-    two normals be anti-parallel.
+    two normals be anti-parallel. Before that stop applies, a step that
+    leaves both witnesses in place would repeat until ``max_iter``
+    (the same reading, no halving), so the loop ends there as 'max-iter'.
 
     The loop keeps (theta, phi), the distances and the lambdas in plain
     float locals, as ``solve`` does: each step reads both witnesses from
@@ -217,6 +219,7 @@ def penetration_depth(
     d_1 = d_2 = math.nan  # the distances one and two steps back; ``x == x`` tests for NaN
     prev_push = False
     K1, K2 = e1._flat, e2._flat
+    kind = "max-iter"
 
     for k in range(config.max_iter + 1):
         dist, push, th1, ph1, th2, ph2, dn1, dn2 = _depth_evaluate(
@@ -246,16 +249,19 @@ def penetration_depth(
                 or eps_n < tol_n
                 or eps_lambda < tol_lambda
             ):
+                kind = "overlapping"
                 break
 
+        start = (t1, h1, t2, h2)
         t1, h1, t2, h2 = t1 + dth1, h1 + dph1, t2 + dth2, h2 + dph2
         if not (0.0 <= t1 < TWO_PI and 0.0 <= h1 <= math.pi):
             t1, h1 = _canonical(t1, h1)
         if not (0.0 <= t2 < TWO_PI and 0.0 <= h2 <= math.pi):
             t2, h2 = _canonical(t2, h2)
+        if dn1 is None and (t1, h1, t2, h2) == start:
+            break  # a fixed point with no stop test in force
         d_2, d_1, prev_push = d_1, dist, push
 
-    kind = "overlapping" if k < config.max_iter else "max-iter"
     params = (SurfaceParam(t1, h1), SurfaceParam(t2, h2))
     normals = (_frame_fast(K1, t1, h1)[1], _frame_fast(K2, t2, h2)[1])
     return ContactReport(kind, dist, params, normals)

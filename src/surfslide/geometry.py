@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -113,18 +114,19 @@ class SurfaceParam:
         return 0.0 <= self.theta < TWO_PI and 0.0 <= self.phi <= math.pi
 
 
-@dataclass(frozen=True)
-class SurfaceFrame:
-    """Position plus the outward normal and unit tangents at a surface point.
+Vec3 = tuple[float, float, float]
 
-    ``tangent_theta`` is None exactly when the point sits at a pole, where
-    the theta direction is degenerate.
-    """
 
-    position: np.ndarray
-    normal: np.ndarray
-    tangent_theta: np.ndarray | None
-    tangent_phi: np.ndarray
+class SurfaceFrame(NamedTuple):
+    """Position, outward unit normal and unit tangents at a surface point,
+    as global float triples (wrap one in ``np.asarray`` for vector
+    arithmetic). ``tangent_theta`` is None exactly at a pole, where the
+    theta direction is degenerate."""
+
+    position: Vec3
+    normal: Vec3
+    tangent_theta: Vec3 | None
+    tangent_phi: Vec3
 
 
 @dataclass(frozen=True, init=False)
@@ -171,11 +173,10 @@ class Ellipsoid:
 # scalar kernels (plain floats)
 
 def _frame_fast(K, theta: float, phi: float):
-    """Global-frame (position, normal, tangent_theta-or-None, tangent_phi)
-    as plain float triples, behind :func:`surface_frame`, of the body with
-    the 15-float layout ``K`` of ``Ellipsoid._flat``. ``solve`` calls it
-    only for its contact hand-off and result, and the depth continuation
-    for its report's normals; its step kernel repeats this arithmetic."""
+    """The fields of a :class:`SurfaceFrame`, as a plain tuple, of the body
+    with the 15-float layout ``K`` of ``Ellipsoid._flat``. ``solve`` calls
+    it only for its contact hand-off and result, and the depth continuation
+    for its report's normals; their step kernels repeat this arithmetic."""
     a, b, c, r00, r01, r02, r10, r11, r12, r20, r21, r22, cx, cy, cz = K
     sp, cp = math.sin(phi), math.cos(phi)
     st, ct = math.sin(theta), math.cos(theta)
@@ -230,18 +231,9 @@ def to_local_point(e: Ellipsoid, X_global) -> np.ndarray:
 
 
 def surface_frame(e: Ellipsoid, p: SurfaceParam) -> SurfaceFrame:
-    """Global-frame surface point with its unit normal and unit tangents.
-
-    ``tangent_theta`` is None at the poles, where its defining direction
-    vanishes; that degeneracy is represented, never raised.
-    """
-    pos, n, et, ep = _frame_fast(e._flat, p.theta, p.phi)
-    return SurfaceFrame(
-        np.array(pos),
-        np.array(n),
-        None if et is None else np.array(et),
-        np.array(ep),
-    )
+    """The global-frame ``SurfaceFrame`` at ``p``, as ``SolverState.frames``
+    reads it in the canonical chart; at a pole ``tangent_theta`` is None."""
+    return SurfaceFrame(*_frame_fast(e._flat, p.theta, p.phi))
 
 
 def implicit_value(e: Ellipsoid, X_global) -> float:

@@ -36,7 +36,9 @@ from .geometry import (
     TWO_PI,
     Ellipsoid,
     NoIntersectionError,
+    SurfaceFrame,
     SurfaceParam,
+    Vec3,
     _canonical,
     _frame_fast,
     _unit_param,
@@ -132,9 +134,10 @@ class SolverState:
     overshoot: bool = False
 
     @property
-    def frames(self) -> tuple:
-        """Both witnesses' (position, normal, tangent_theta, tangent_phi)."""
-        return tuple(_frame_fast(c.flat, p.theta, p.phi) for c, p in zip(self.charts, self.params))
+    def frames(self) -> tuple[SurfaceFrame, SurfaceFrame]:
+        """Both witnesses' ``SurfaceFrame``s at ``params`` in ``charts``."""
+        return tuple(SurfaceFrame(*_frame_fast(c.flat, p.theta, p.phi))
+                     for c, p in zip(self.charts, self.params))
 
 
 class StepRecord(NamedTuple):
@@ -152,9 +155,6 @@ class StepRecord(NamedTuple):
     eps_d: float
     eps_n: float
     overshoot_flag: bool
-
-
-Vec3 = tuple[float, float, float]
 
 
 @dataclass(frozen=True, init=False)

@@ -71,7 +71,7 @@ def evaluate(e1, p1, e2, p2):
     surface_frame's positions, followed by what the solver's round
     evaluator gives there on the canonical charts: d12's length and both
     witnesses' pulls (d_theta, d_phi, d_n), of d12 and of -d12."""
-    d12 = tuple(surface_frame(e2, p2).position - surface_frame(e1, p1).position)
+    d12 = tuple(np.asarray(surface_frame(e2, p2).position) - surface_frame(e1, p1).position)
     return (d12, *_evaluate(_chart(e1, 0).flat, _chart(e2, 0).flat,
                             p1.theta, p1.phi, p2.theta, p2.phi))
 

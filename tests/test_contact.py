@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from helpers import assert_float_triples, penetration_depth_by_frames, random_overlap_pair
+from surfslide import contact
 from surfslide.contact import ALIGN_TOL, analyze, classify, penetration_depth, separated
 from surfslide.geometry import Ellipsoid, SurfaceParam, implicit_value, surface_frame
 from surfslide.scenarios import builtin_scenario
@@ -140,7 +141,7 @@ def test_overlap_witnesses_anti_parallel_to_segment_axis_aligned():
         n1, n2 = report.witness_normals
         P1 = surface_frame(e1, report.witness_params[0]).position
         P2 = surface_frame(e2, report.witness_params[1]).position
-        d = P2 - P1
+        d = np.subtract(P2, P1)
         dhat = d / np.linalg.norm(d)
         # the segment runs against n1 and along n2
         assert abs(float(dhat @ n1) + 1.0) < 1e-6
@@ -206,7 +207,7 @@ def test_report_params_and_normals_agree(e1, e2, config, kind):
     assert report.kind == kind
     for e, p, n in zip((e1, e2), report.witness_params, report.witness_normals):
         assert type(p) is SurfaceParam and p.is_canonical()
-        assert np.asarray(n).tolist() == surface_frame(e, p).normal.tolist()
+        assert n == surface_frame(e, p).normal
 
 
 def _scaled(e, s):
@@ -302,6 +303,32 @@ def test_continuation_matches_frame_reference_at_poles_and_max_iter(swap):
     config = SolverConfig(max_iter=200)
     entry = solve(*bodies, None, config).params
     assert _assert_matches_reference(*bodies, entry, config) == "max-iter"
+
+
+@pytest.mark.parametrize("swap", [False, True])
+def test_continuation_exits_at_a_fixed_point(monkeypatch, swap):
+    # A sphere inside another: once the pushes fall below their guard, the
+    # steps leave both witnesses in place while the stop test is not in
+    # force, so every later step would repeat the same null move. The loop
+    # ends there with the report that all max_iter steps give.
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return depth_evaluate(*args)
+
+    depth_evaluate = contact._depth_evaluate
+    monkeypatch.setattr(contact, "_depth_evaluate", spy)
+    bodies = (_sphere(1.0, (0, 0, 0)), _sphere(0.3, (0.5, 0, 0)))
+    if swap:
+        bodies = bodies[::-1]
+    config = SolverConfig()
+    report = analyze(*bodies, config)
+    assert report.kind == "max-iter"
+    assert 1 <= len(calls) <= 2
+    got = _hex(report.kind, report.distance_or_depth, report.witness_params,
+               report.witness_normals)
+    assert got == _hex(*penetration_depth_by_frames(*bodies, report.result.params, config))
 
 
 def test_overlap_witness_normals_are_not_always_anti_parallel():

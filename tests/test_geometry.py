@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    assert_float_triples,
     line_surface_entry_numpy,
     random_overlap_pair,
     ray_exit_numpy,
@@ -16,7 +17,9 @@ from helpers import (
 from surfslide.geometry import (
     Ellipsoid,
     NoIntersectionError,
+    SurfaceFrame,
     SurfaceParam,
+    _frame_fast,
     euler_from_rotation,
     implicit_value,
     line_surface_entry,
@@ -25,7 +28,7 @@ from surfslide.geometry import (
     surface_frame,
     to_local_point,
 )
-from surfslide.slider import _ray_exit
+from surfslide.slider import SolverConfig, _ray_exit, initial_state
 
 PI = math.pi
 
@@ -249,6 +252,30 @@ def test_frame_pole_has_no_theta_tangent():
         f = surface_frame(e, SurfaceParam(0.7, phi))
         assert f.tangent_theta is None
         assert np.allclose(f.normal, [0, 0, 1 if phi == 0.0 else -1], atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "init",
+    [
+        (SurfaceParam(1.1, 0.9), SurfaceParam(4.0, 2.2)),
+        (SurfaceParam(0.3, 0.0), SurfaceParam(1.2, PI)),  # both at a pole
+    ],
+)
+def test_frame_is_one_plain_value(init):
+    # surface_frame, the frame kernel and a state's frames give one value:
+    # a SurfaceFrame of Python-float triples that compares with == and
+    # hashes, with no theta tangent at a pole
+    e1 = Ellipsoid((1.3, 0.5, 0.9), (1, -2, 0.5), (0.2, -0.6, 1.9))
+    e2 = Ellipsoid((0.4, 0.7, 0.2), (4, 1, -1), (-1.0, 0.4, 0.3))
+    state = initial_state(e1, e2, init, SolverConfig())
+    assert state.params == init
+    for e, p, from_state in zip((e1, e2), init, state.frames):
+        f = surface_frame(e, p)
+        assert type(f) is SurfaceFrame and type(from_state) is SurfaceFrame
+        assert f == SurfaceFrame(*_frame_fast(e._flat, p.theta, p.phi)) == from_state
+        assert hash(f) == hash(from_state)
+        assert (f.tangent_theta is None) == (p.phi in (0.0, PI))
+        assert_float_triples(v for v in f if v is not None)
 
 
 def test_frame_unit_and_orthogonal():

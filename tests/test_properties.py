@@ -93,11 +93,12 @@ def run_frame_orthogonality(n=500, seed=102):
         fr = surface_frame(e, p)
         if fr.tangent_theta is None:  # pole: theta tangent undefined
             continue
-        nt = abs(float(fr.normal @ fr.tangent_theta))
-        np_ = abs(float(fr.normal @ fr.tangent_phi))
+        normal, et, ep = map(np.asarray, (fr.normal, fr.tangent_theta, fr.tangent_phi))
+        nt = abs(float(normal @ et))
+        np_ = abs(float(normal @ ep))
         assert nt < 1e-10, f"case {done}: N.r_theta = {nt:.3e}"
         assert np_ < 1e-10, f"case {done}: N.r_phi = {np_:.3e}"
-        for v in (fr.normal, fr.tangent_theta, fr.tangent_phi):
+        for v in (normal, et, ep):
             assert abs(np.linalg.norm(v) - 1.0) < 1e-12
         done += 1
 
@@ -124,13 +125,15 @@ def run_pull_kernel_matches_frame(n=600, seed=110):
         tol = 1e-13 * float(np.linalg.norm(g))
         for e, p, goal, (dth, dph, dn) in zip(bodies, params, (g, -g), pulls):
             fr = surface_frame(e, p)
-            assert abs(dph - float(fr.tangent_phi @ goal)) <= tol, f"case {case}: d_phi"
-            assert abs(dn - float(fr.normal @ goal)) <= tol, f"case {case}: d_n"
+            normal, ep = np.asarray(fr.normal), np.asarray(fr.tangent_phi)
+            assert abs(dph - float(ep @ goal)) <= tol, f"case {case}: d_phi"
+            assert abs(dn - float(normal @ goal)) <= tol, f"case {case}: d_n"
             if fr.tangent_theta is None:
                 poles += 1
                 assert dth == 0.0, f"case {case}: d_theta {dth!r} at a pole"
             else:
-                assert abs(dth - float(fr.tangent_theta @ goal)) <= tol, f"case {case}: d_theta"
+                et = np.asarray(fr.tangent_theta)
+                assert abs(dth - float(et @ goal)) <= tol, f"case {case}: d_theta"
     assert poles > 0, "no case reached a pole"
 
 
@@ -160,10 +163,11 @@ def _aligned_pair(rng):
             break
     gap = rng.uniform(1.0, 2.0)
     r = rng.uniform(0.1, 0.5)
-    c2 = fr.position + (gap + r) * fr.normal
+    normal = np.asarray(fr.normal)
+    c2 = np.asarray(fr.position) + (gap + r) * normal
     # orient the sphere so its theta=0, phi=pi/2 point faces the ellipsoid:
     # first rotation column = -normal, completed to a right-handed frame
-    x = -fr.normal
+    x = -normal
     helper = np.array([1.0, 0.0, 0.0])
     if abs(float(x @ helper)) > 0.9:
         helper = np.array([0.0, 1.0, 0.0])
