@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 from .geometry import POLE_TOL, TWO_PI, Ellipsoid, SurfaceParam, _canonical, _frame_fast
 from .geometry import implicit_value
 from .slider import ZERO_PROJECTION_FACTOR, SolverConfig, SolverState, _halved, _metrics
-from .slider import DistanceResult, Vec3, step_increments
+from .slider import DistanceResult, Vec3, _support, step_increments
 from .slider import advance_param  # unused; perfbench/tracer.py wraps it by this name
 
 # tolerance on |n1 . n2 + 1| for calling a sub-sigma pair tangent
@@ -62,10 +62,25 @@ def interpenetrating(e1: Ellipsoid, e2: Ellipsoid, P1, P2) -> bool:
 def separated(e1: Ellipsoid, e2: Ellipsoid, result) -> bool:
     """True when a solve result describes a genuinely separated pair.
     Converged states can still interpenetrate (spurious stationary pairs on
-    overlapping bodies), so interiority counts as well as the status."""
+    overlapping bodies), and a stop on the intersection curve has neither
+    witness strictly inside the other body. So besides the status and
+    interiority, the support gap along the unit witness segment u,
+    s(u) = (c2 - c1).u - |M1^T u| - |M2^T u|, a lower bound on the signed
+    distance (weak duality), must be positive: that proves the bodies
+    disjoint. A zero-length segment proves nothing."""
     if result.status in ("contact", "overlap"):
         return False
-    return not interpenetrating(e1, e2, *result.closest_points)
+    P1, P2 = result.closest_points
+    if interpenetrating(e1, e2, P1, P2):
+        return False
+    dx, dy, dz = P2[0] - P1[0], P2[1] - P1[1], P2[2] - P1[2]
+    n = math.hypot(dx, dy, dz)  # a sum of squares overflows on far pairs
+    if not n > 0.0:
+        return False
+    ux, uy, uz = dx / n, dy / n, dz / n
+    (x1, y1, z1), (x2, y2, z2) = e1.center, e2.center
+    gap = (x2 - x1) * ux + (y2 - y1) * uy + (z2 - z1) * uz
+    return gap - _support(e1, ux, uy, uz) - _support(e2, ux, uy, uz) > 0.0
 
 
 def classify(

@@ -458,21 +458,22 @@ def _foot(K, X):
                        r20 * px + r21 * py + r22 * pz + cz)
 
 
-def _start(e1: Ellipsoid, e2: Ellipsoid, init) -> tuple[SurfaceParam, SurfaceParam]:
-    """``init``, which must be canonical, or without it the cold start. With
-    r = c2 - c1 and u = r/|r|, the support-function gap s(u) = |r| -
-    |M1^T u| - |M2^T u| bounds the distance from below. When it is
-    positive, the bodies are disjoint and the witnesses start after two
-    rounds of alternating projections (Cheney & Goldstein, Proc. AMS 1959),
-    every projected point outside the other body: P1 = foot of c2 on e1,
-    P2 = foot of P1 on e2, then P1 = foot of P2 on e1, P2 = foot of P1 on
-    e2. Otherwise each witness starts where the ray from its center toward
-    the other center leaves its surface (concentric pairs raise
-    NoIntersectionError)."""
+def _start(e1: Ellipsoid, e2: Ellipsoid, init) -> tuple[SurfaceParam, SurfaceParam, bool]:
+    """``init``, which must be canonical, or without it the cold start, and
+    whether the pair overlaps for certain. With r = c2 - c1 and u = r/|r|,
+    the support-function gap s(u) = |r| - |M1^T u| - |M2^T u| bounds the
+    distance from below. When it is positive, the bodies are disjoint and
+    the witnesses start after two rounds of alternating projections
+    (Cheney & Goldstein, Proc. AMS 1959), every projected point outside the
+    other body: P1 = foot of c2 on e1, P2 = foot of P1 on e2, then P1 =
+    foot of P2 on e1, P2 = foot of P1 on e2. Otherwise each witness starts
+    where the ray from its center toward the other center leaves its
+    surface, and the pair overlaps for certain when a center lies inside
+    the other body (concentric pairs raise NoIntersectionError)."""
     if init is not None:
         if not (init[0].is_canonical() and init[1].is_canonical()):
             raise ValueError("initial surface parameters must be canonical")
-        return init
+        return init[0], init[1], False
     (x1, y1, z1), (x2, y2, z2) = e1.center, e2.center
     rx, ry, rz = x2 - x1, y2 - y1, z2 - z1
     r = math.sqrt(rx * rx + ry * ry + rz * rz)
@@ -483,18 +484,19 @@ def _start(e1: Ellipsoid, e2: Ellipsoid, init) -> tuple[SurfaceParam, SurfacePar
             for _ in range(2):
                 u1, X = _foot(e1._flat, X)
                 u2, X = _foot(e2._flat, X)
-            return SurfaceParam(*_unit_param(*u1)), SurfaceParam(*_unit_param(*u2))
-    return _ray_exit(e1, e2.center), _ray_exit(e2, e1.center)
+            return SurfaceParam(*_unit_param(*u1)), SurfaceParam(*_unit_param(*u2)), False
+    return _ray_exit(e1, e2.center), _ray_exit(e2, e1.center), _center_inside(e1, e2)
 
 
 def _begin(e1: Ellipsoid, e2: Ellipsoid, init, lambda0: float):
     """Pass k = 0, shared by ``solve`` and ``initial_state``: the start from
     ``_start``, evaluated on the canonical charts, and the step both
     lambdas begin with (``_start_step``). Returns (p1, p2, dist, w1, w2,
-    lam)."""
-    p1, p2 = _start(e1, e2, init)
+    lam, overlap), with ``_start``'s certain ``overlap``."""
+    p1, p2, overlap = _start(e1, e2, init)
     dist, w1, w2 = _evaluate(e1._flat, e2._flat, p1.theta, p1.phi, p2.theta, p2.phi)
-    return p1, p2, dist, w1, w2, _start_step(lambda0, init is not None, dist, w1[2], w2[2])
+    lam = _start_step(lambda0, init is not None, dist, w1[2], w2[2])
+    return p1, p2, dist, w1, w2, lam, overlap
 
 
 def initial_state(
@@ -503,16 +505,14 @@ def initial_state(
     init: tuple[SurfaceParam, SurfaceParam] | None,
     config: SolverConfig,
 ) -> SolverState:
-    """State at k = 0, from ``_start``: ``init`` or, without it, two rounds
-    of alternating projections when the center direction separates the
-    bodies, the ray exits between the centers otherwise. A pair with a
-    center inside the other body overlaps for certain and has no start to
-    slide from: without ``init`` it raises NoIntersectionError (``solve``
-    reports it as ``overlap``). A step view of the first pass of
-    ``solve``'s loop."""
-    if init is None and _center_inside(e1, e2):
+    """State at k = 0, from ``_begin``'s start. A cold pair that ``_start``
+    finds overlapping for certain (a center inside the other body) has no
+    start to slide from: it raises NoIntersectionError (``solve`` reports
+    it as ``overlap``). A step view of the first pass of ``solve``'s
+    loop."""
+    p1, p2, dist, w1, w2, lam, overlap = _begin(e1, e2, init, config.lambda0)
+    if overlap:
         raise NoIntersectionError("a center lies inside the other body")
-    p1, p2, dist, w1, w2, lam = _begin(e1, e2, init, config.lambda0)
     return SolverState(
         k=0,
         params=(p1, p2),
@@ -601,16 +601,16 @@ def solve(
     off to the contact classifier before any stop test. Without ``init``
     the search starts from ``_start``: two rounds of alternating
     projections when the center direction separates the bodies, else the
-    ray exits between the centers. A pair where a center lies inside the
-    other body overlaps for certain: it is reported as ``overlap`` at k = 0
-    from those ray exits, for the contact continuation to start from
-    (concentric pairs raise NoIntersectionError). A witness within
+    ray exits between the centers. A pair that ``_start`` finds
+    overlapping for certain (a center inside the other body) is reported
+    as ``overlap`` at k = 0 from those ray exits, for the contact
+    continuation to start from (concentric pairs raise
+    NoIntersectionError). A witness within
     CHART_POLE_MARGIN of a pole of its chart carries on in another chart;
     ``params`` and the trace rows are always in the canonical chart.
     """
     sigma = config.resolve_sigma(e1, e2)
-    certain_overlap = init is None and _center_inside(e1, e2)
-    p1, p2, dist, w1, w2, lam1 = _begin(e1, e2, init, config.lambda0)
+    p1, p2, dist, w1, w2, lam1, certain_overlap = _begin(e1, e2, init, config.lambda0)
     trace: list[StepRecord] | None = [] if config.record_trace else None
 
     # each round runs on plain locals, as ``iterate_once`` says; a

@@ -99,6 +99,12 @@ def random_param(rng) -> SurfaceParam:
     return SurfaceParam(rng.uniform(0.0, 2.0 * PI), rng.uniform(0.0, PI))
 
 
+def support_reach(e, u) -> float:
+    """|M^T u|, the reach of e's support function in the unit direction u,
+    M = R diag(semi-axes)."""
+    return float(np.linalg.norm((e.rotation * np.asarray(e.semi_axes)).T @ u))
+
+
 def random_overlap_pair(rng, frac):
     """Semi-axes log-uniform in [0.2, 1], aspect ratio at most 5, both
     bodies centered at the origin; then e2's center moves to

@@ -7,7 +7,13 @@ import math
 import numpy as np
 import pytest
 
-from helpers import assert_float_triples, penetration_depth_by_frames, random_overlap_pair
+from helpers import (
+    assert_float_triples,
+    penetration_depth_by_frames,
+    random_overlap_pair,
+    random_separated_pair,
+    support_reach,
+)
 from surfslide import contact
 from surfslide.contact import ALIGN_TOL, analyze, classify, penetration_depth, separated
 from surfslide.geometry import Ellipsoid, SurfaceParam, implicit_value, surface_frame
@@ -352,7 +358,7 @@ def test_overlap_witness_normals_are_not_always_anti_parallel():
             gap = abs(float(n1 @ n2) + 1.0)
             if gap > ALIGN_TOL:
                 misaligned[i] = (gap, report)
-    assert overlapping == 152
+    assert overlapping == 162
     assert sorted(misaligned) == [109, 237]
     assert misaligned[109][0] == pytest.approx(4.56e-4, rel=1e-2)
     assert misaligned[237][0] == pytest.approx(5.65e-3, rel=1e-2)
@@ -360,3 +366,33 @@ def test_overlap_witness_normals_are_not_always_anti_parallel():
         default = analyze(*pairs[i])
         assert default.distance_or_depth == report.distance_or_depth
         assert default.witness_params == report.witness_params
+
+
+def test_separated_verdicts_carry_a_positive_support_gap():
+    # A slider stop on the intersection curve (d ~ 1e-8) has neither
+    # witness strictly inside the other body, so interiority alone once let
+    # 16 overlapping pairs of overlap-analyze seed 1 pass as separated. A
+    # positive support gap s(u) = (c2 - c1).u - |M1^T u| - |M2^T u| along
+    # the witness segment proves the pair disjoint; it is read here with
+    # numpy, not with the program's support function. Truly separated
+    # pairs keep their verdict and solve's distance.
+    rng = np.random.default_rng(1)
+    config = SolverConfig(max_iter=300)
+    verdicts = 0
+    for i in range(400):
+        e1, e2 = random_overlap_pair(rng, (0.3, 0.6, 0.9)[i % 3])
+        report = analyze(e1, e2, config)
+        if report.kind == "separated":
+            P1, P2 = np.asarray(report.result.closest_points)
+            u = (P2 - P1) / np.linalg.norm(P2 - P1)
+            r = np.asarray(e2.center) - np.asarray(e1.center)
+            gap = float(r @ u) - support_reach(e1, u) - support_reach(e2, u)
+            assert gap > 0.0, f"pair {i}: separated with support gap {gap:.3e}"
+            verdicts += 1
+    assert verdicts > 100
+    rng = np.random.default_rng(2024)
+    for i in range(200):
+        e1, e2 = random_separated_pair(rng)
+        report = analyze(e1, e2)
+        assert report.kind == "separated", f"pair {i}: {report.kind}"
+        assert report.distance_or_depth == solve(e1, e2).distance

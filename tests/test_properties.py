@@ -21,6 +21,7 @@ from helpers import (
     random_overlap_pair,
     random_param,
     random_separated_pair,
+    support_reach,
     surface_point,
 )
 from surfslide.geometry import (
@@ -387,12 +388,6 @@ def run_warm_tracking(chains=20, steps=16, seed=115):
     return warm_iterations, cold_iterations
 
 
-def _support(e: Ellipsoid, u: np.ndarray) -> float:
-    """|M^T u|, the reach of e's support function in the unit direction u,
-    M = R diag(semi-axes)."""
-    return float(np.linalg.norm((e.rotation * np.asarray(e.semi_axes)).T @ u))
-
-
 def _projections(e1: Ellipsoid, e2: Ellipsoid, rounds: int = 2):
     """``rounds`` rounds of alternating projections from e2's center, each
     foot from the oracle: P1 = foot of c2 (then of P2) on e1, P2 = foot of
@@ -425,7 +420,7 @@ def run_cold_start_points(n=500, seed=111):
             e1, e2 = random_separated_pair(rng)
         r = np.asarray(e2.center) - np.asarray(e1.center)
         u = r / np.linalg.norm(r)
-        gap = float(np.linalg.norm(r)) - _support(e1, u) - _support(e2, -u)
+        gap = float(np.linalg.norm(r)) - support_reach(e1, u) - support_reach(e2, -u)
         inside = implicit_value(e1, e2.center) < 0.0 or implicit_value(e2, e1.center) < 0.0
         branches[2 if gap > 0.0 else int(inside)] += 1
         if not gap > 0.0:

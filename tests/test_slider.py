@@ -15,6 +15,7 @@ from helpers import (
     random_separated_pair,
     surface_point,
 )
+from surfslide import slider
 from surfslide.geometry import (
     Ellipsoid,
     NoIntersectionError,
@@ -456,7 +457,30 @@ def test_contained_body_is_not_a_separated_pair():
         _spheres(1.0, (0, 0, 0), 0.3, (0.5, 0, 0)),
         _spheres(0.3, (0.5, 0, 0), 1.0, (0, 0, 0)),
     ):
-        assert solve(e1, e2).status == "overlap"
+        res = solve(e1, e2)
+        assert res.status == "overlap" and res.iterations == 0
+        with pytest.raises(NoIntersectionError):
+            initial_state(e1, e2, None, SolverConfig())
+
+
+def test_only_the_ray_exit_start_tests_for_a_center_inside(monkeypatch):
+    # the cold start reports a certain overlap from its ray-exit branch; a
+    # positive support gap along the center line already proves the pair
+    # disjoint, so the projection start never tests the centers
+    calls = []
+
+    def counted(e1, e2):
+        calls.append((e1, e2))
+        return center_inside(e1, e2)
+
+    center_inside = slider._center_inside
+    monkeypatch.setattr(slider, "_center_inside", counted)
+    sc = builtin_scenario("system-I")
+    assert solve(sc.e1, sc.e2).status == "converged"
+    assert calls == []
+    overlapping = _spheres(1.0, (0, 0, 0), 1.0, (1.5, 0, 0))
+    solve(*overlapping)
+    assert calls == [overlapping]
 
 
 def test_start_below_contact_threshold_is_contact():
