@@ -54,25 +54,17 @@ class ContactReport:
     result: DistanceResult | None = None
 
 
-def interpenetrating(e1: Ellipsoid, e2: Ellipsoid, P1, P2) -> bool:
-    """Whether each witness point lies strictly inside the other body."""
-    return implicit_value(e2, P1) < 0.0 and implicit_value(e1, P2) < 0.0
-
-
 def separated(e1: Ellipsoid, e2: Ellipsoid, result) -> bool:
-    """True when a solve result describes a genuinely separated pair.
-    Converged states can still interpenetrate (spurious stationary pairs on
-    overlapping bodies), and a stop on the intersection curve has neither
-    witness strictly inside the other body. So besides the status and
-    interiority, the support gap along the unit witness segment u,
-    s(u) = (c2 - c1).u - |M1^T u| - |M2^T u|, a lower bound on the signed
-    distance (weak duality), must be positive: that proves the bodies
-    disjoint. A zero-length segment proves nothing."""
+    """True when a solve result describes a genuinely separated pair: its
+    status is not 'contact' or 'overlap', and the support gap along the unit
+    witness segment u, s(u) = (c2 - c1).u - |M1^T u| - |M2^T u|, a lower
+    bound on the signed distance (weak duality), is positive, which proves
+    the bodies disjoint. That rejects interpenetrating witnesses (s < 0
+    there) and stops on the intersection curve alike. A zero-length segment
+    proves nothing."""
     if result.status in ("contact", "overlap"):
         return False
     P1, P2 = result.closest_points
-    if interpenetrating(e1, e2, P1, P2):
-        return False
     dx, dy, dz = P2[0] - P1[0], P2[1] - P1[1], P2[2] - P1[2]
     n = math.hypot(dx, dy, dz)  # a sum of squares overflows on far pairs
     if not n > 0.0:
@@ -92,17 +84,17 @@ def classify(
     """Sort a sub-sigma (or converged) state into in-contact / overlapping /
     separated.
 
-    Interpenetration is confirmed by interior tests on both witness points,
-    not by distance alone: a small separation also occurs at near-tangency.
-    ``sigma`` is never read, because the hand-off has already compared the
-    distance with it; the argument stays only for the four-argument call
-    that ``perfbench/layers.py`` makes.
+    Interpenetration is confirmed by the interior test of each witness in
+    the other body, not by distance alone: a small separation also occurs
+    at near-tangency. ``sigma`` is never read, because the hand-off has
+    already compared the distance with it; the argument stays only for the
+    four-argument call that ``perfbench/layers.py`` makes.
     """
     (P1, n1, *_), (P2, n2, *_) = state.frames
     dot = n1[0] * n2[0] + n1[1] * n2[1] + n1[2] * n2[2]
     if abs(dot + 1.0) < ALIGN_TOL:
         return "in-contact"
-    if interpenetrating(e1, e2, P1, P2):
+    if implicit_value(e2, P1) < 0.0 and implicit_value(e1, P2) < 0.0:
         return "overlapping"
     return "separated"
 

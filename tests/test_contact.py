@@ -396,3 +396,21 @@ def test_separated_verdicts_carry_a_positive_support_gap():
         report = analyze(e1, e2)
         assert report.kind == "separated", f"pair {i}: {report.kind}"
         assert report.distance_or_depth == solve(e1, e2).distance
+
+
+def test_separated_reads_no_interior_test(monkeypatch):
+    # Witnesses inside each other mean overlapping bodies, whose signed
+    # distance, and with it every support gap, is negative; so the support
+    # gap alone decides `separated`, and it makes no implicit-value read.
+    reads = []
+
+    def counted(e, X):
+        reads.append(X)
+        return implicit_value(e, X)
+
+    monkeypatch.setattr(contact, "implicit_value", counted)
+    rng = np.random.default_rng(2024)
+    for i in range(200):
+        e1, e2 = random_separated_pair(rng)
+        assert separated(e1, e2, solve(e1, e2)), f"pair {i}"
+    assert reads == []
