@@ -169,7 +169,7 @@ def _depth_evaluate(K1, K2, t1: float, h1: float, t2: float, h2: float, sigma: f
     inside2 = x * x + y * y + z * z - 1.0 < 0.0
 
     dx, dy, dz = X2 - X1, Y2 - Y1, Z2 - Z1
-    dist = math.sqrt(dx ** 2 + dy ** 2 + dz ** 2)
+    dist = math.sqrt(dx * dx + dy * dy + dz * dz)
     push = dist < sigma or inside1 or inside2
     if push:  # -n2 pushes the point on e1, -n1 the point on e2
         g1x, g1y, g1z = -n2x, -n2y, -n2z

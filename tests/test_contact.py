@@ -414,3 +414,18 @@ def test_separated_reads_no_interior_test(monkeypatch):
         e1, e2 = random_separated_pair(rng)
         assert separated(e1, e2, solve(e1, e2)), f"pair {i}"
     assert reads == []
+
+
+@pytest.mark.parametrize("swap", [False, True], ids=["e1-e2", "e2-e1"])
+def test_penetration_depth_survives_a_segment_whose_square_overflows(swap):
+    # spheres of radius 1e155 with centers 1.5e155 apart: the witness
+    # segment's squared length overflows to inf, which the continuation must
+    # carry as a float instead of raising OverflowError. The depth at this
+    # scale is not pinned.
+    e1 = _sphere(1e155, (0, 0, 0))
+    e2 = _sphere(1e155, (1.5e155, 0, 0))
+    pair = (e2, e1) if swap else (e1, e2)
+    entry = (SurfaceParam(0.0, math.pi / 2), SurfaceParam(math.pi, math.pi / 2))
+    report = penetration_depth(*pair, entry)
+    assert isinstance(report, contact.ContactReport)
+    assert report.kind in ("overlapping", "max-iter")
