@@ -252,7 +252,5 @@ def load_scenario(path) -> Scenario:
         raise ScenarioFormatError(f"{path}: not UTF-8: {exc.reason} at byte {exc.start}") from exc
     try:
         return scenario_from_dict(doc)
-    except ScenarioFormatError as exc:
-        raise ScenarioFormatError(f"{path}: {exc}") from exc
-    except ValueError as exc:
+    except ValueError as exc:  # ScenarioFormatError included
         raise ScenarioFormatError(f"{path}: {exc}") from exc
