@@ -409,7 +409,7 @@ def main(argv=None) -> int:
     try:
         return handler(args)
     except (CliError, OSError, NoIntersectionError) as exc:
-        # NoIntersectionError: a concentric pair has no center line to start from
+        # NoIntersectionError: a center line that is 0 or overflows has no ray to start on
         print(f"surfslide: error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -164,10 +164,6 @@ class Ellipsoid:
         """The cached 3x3 body-to-global rotation matrix."""
         return np.array(self._flat[3:12]).reshape(3, 3)
 
-    @property
-    def max_semi_axis(self) -> float:
-        return max(self.semi_axes)
-
 
 # ---------------------------------------------------------------------------
 # scalar kernels (plain floats)

@@ -129,11 +129,18 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
+def _float(x, field) -> float:
+    try:  # JSON allows integer literals beyond the float range, such as 10^400
+        return float(x)
+    except OverflowError:
+        raise ScenarioFormatError(f"{field} holds a number too large for a float") from None
+
+
 def _require_vec3(obj, field, where):
     v = obj.get(field)
     if not isinstance(v, list) or len(v) != 3 or not all(map(_is_number, v)):
         raise ScenarioFormatError(f"{where}.{field} must be a list of 3 numbers")
-    return tuple(float(x) for x in v)
+    return tuple(_float(x, f"{where}.{field}") for x in v)
 
 
 def _parse_ellipsoid(obj, where):
@@ -192,16 +199,14 @@ def scenario_from_dict(doc: dict) -> Scenario:
         raw = doc["init"]
         if not isinstance(raw, list) or len(raw) != 4 or not all(map(_is_number, raw)):
             raise ScenarioFormatError("init must be [theta1, phi1, theta2, phi2]")
-        pairs = []
-        for theta, phi in ((raw[0], raw[1]), (raw[2], raw[3])):
-            p = SurfaceParam(float(theta), float(phi))
+        theta1, phi1, theta2, phi2 = (_float(v, "init") for v in raw)
+        init = (SurfaceParam(theta1, phi1), SurfaceParam(theta2, phi2))
+        for p in init:
             if not p.is_canonical():
                 raise ScenarioFormatError(
-                    f"init ({theta}, {phi}) outside the canonical parameter range "
+                    f"init ({p.theta}, {p.phi}) outside the canonical parameter range "
                     "(0 <= theta < 2*pi, 0 <= phi <= pi)"
                 )
-            pairs.append(p)
-        init = (pairs[0], pairs[1])
 
     overrides = {}
     for key in _CONFIG_KEYS:
@@ -211,7 +216,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
                 raise ScenarioFormatError(f"{key} must be a number")
             if key == "max_iter" and isinstance(v, float) and not v.is_integer():
                 raise ScenarioFormatError(f"max_iter must be a finite whole number, not {v!r}")
-            overrides[key] = int(v) if key == "max_iter" else float(v)
+            overrides[key] = int(v) if key == "max_iter" else _float(v, key)
     if overrides:
         SolverConfig(**overrides)  # validates ranges
 
@@ -219,12 +224,10 @@ def scenario_from_dict(doc: dict) -> Scenario:
     if "expected" in doc:
         exp = doc["expected"]
         if not isinstance(exp, dict) or set(exp) - _EXPECTED_KEYS:
-            raise ScenarioFormatError(
-                "expected must be {distance, provenance}"
-            )
+            raise ScenarioFormatError("expected must be {distance, provenance}")
         if "distance" not in exp or not _is_number(exp["distance"]):
             raise ScenarioFormatError("expected.distance must be a number")
-        expected = (float(exp["distance"]), str(exp.get("provenance", "")))
+        expected = (_float(exp["distance"], "expected.distance"), str(exp.get("provenance", "")))
 
     return Scenario(
         name=doc["name"],

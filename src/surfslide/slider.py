@@ -42,9 +42,8 @@ from .geometry import (
     _canonical,
     _frame_fast,
     _unit_param,
-    implicit_value,
-    line_surface_entry,
 )
+from .geometry import line_surface_entry  # unused; perfbench/tracer.py wraps it by this name
 
 # Eq-style step normalization is singular exactly at the solution; treat the
 # projection pair as zero below this fraction of the goal's length (the
@@ -399,24 +398,22 @@ def _evaluate(K1, K2, t1: float, h1: float, t2: float, h2: float, bound: float =
     return dist, w1, w2
 
 
-def _center_inside(e1: Ellipsoid, e2: Ellipsoid) -> bool:
-    """Whether a center lies inside the other body. That proves the pair
-    overlaps, and leaves the center-to-center segment without a crossing
-    of one of the surfaces."""
-    return implicit_value(e2, e1.center) < 0.0 or implicit_value(e1, e2.center) < 0.0
-
-
-def _ray_exit(e: Ellipsoid, toward) -> SurfaceParam:
-    """Where the ray from e's center toward ``toward`` leaves e's surface.
-    Unlike the center-to-center segment, the ray reaches the surface even
-    when ``toward`` lies inside e."""
-    c = e.center
-    d = (float(toward[0]) - c[0], float(toward[1]) - c[1], float(toward[2]) - c[2])
-    n = math.sqrt(np.array(d).dot(d))  # numpy's dot, as in np.linalg.norm
-    if n == 0.0:
+def _ray_exit(e: Ellipsoid, toward) -> tuple[SurfaceParam, bool]:
+    """Where the ray from e's center toward ``toward`` leaves e's surface,
+    and whether ``toward`` lies inside e: the (theta, phi) of w, the body
+    offset R^T (toward - c) over the semi-axes, and whether w.w - 1 (bit
+    for bit ``implicit_value(e, toward)``) is negative."""
+    a, b, c, r00, r01, r02, r10, r11, r12, r20, r21, r22, cx, cy, cz = e._flat
+    dx, dy, dz = float(toward[0]) - cx, float(toward[1]) - cy, float(toward[2]) - cz
+    nn = dx * dx + dy * dy + dz * dz  # squares that underflow count as concentric
+    if nn == 0.0:
         raise NoIntersectionError("concentric bodies have no center line")
-    s = 2.0 * e.max_semi_axis / n
-    return line_surface_entry(e, (c[0] + s * d[0], c[1] + s * d[1], c[2] + s * d[2]), c)
+    if nn == math.inf:
+        raise NoIntersectionError("the center line's squared length overflows")
+    x = (r00 * dx + r10 * dy + r20 * dz) / a
+    y = (r01 * dx + r11 * dy + r21 * dz) / b
+    z = (r02 * dx + r12 * dy + r22 * dz) / c
+    return SurfaceParam(*_unit_param(x, y, z)), x * x + y * y + z * z - 1.0 < 0.0
 
 
 def _support(e: Ellipsoid, ux: float, uy: float, uz: float) -> float:
@@ -485,7 +482,9 @@ def _start(e1: Ellipsoid, e2: Ellipsoid, init) -> tuple[SurfaceParam, SurfacePar
                 u1, X = _foot(e1._flat, X)
                 u2, X = _foot(e2._flat, X)
             return SurfaceParam(*_unit_param(*u1)), SurfaceParam(*_unit_param(*u2)), False
-    return _ray_exit(e1, e2.center), _ray_exit(e2, e1.center), _center_inside(e1, e2)
+    p1, inside2 = _ray_exit(e1, e2.center)
+    p2, inside1 = _ray_exit(e2, e1.center)
+    return p1, p2, inside1 or inside2
 
 
 def _begin(e1: Ellipsoid, e2: Ellipsoid, init, lambda0: float):

@@ -119,6 +119,26 @@ def random_overlap_pair(rng, frac):
     return e1, Ellipsoid(e2.semi_axes, tuple(c2), e2.euler)
 
 
+def high_aspect_ellipsoid(rng):
+    """A body of aspect A = 10^U(4, 8) at the origin: semi-axes 1, A^-u
+    with u ~ U(0, 1), and 1/A, log-uniform between the extremes, in random
+    order, and uniform orientation angles."""
+    aspect = 10.0 ** rng.uniform(4.0, 8.0)
+    axes = rng.permutation([1.0, aspect ** -rng.uniform(0.0, 1.0), 1.0 / aspect])
+    return Ellipsoid(tuple(axes.tolist()), (0.0, 0.0, 0.0), tuple(rng.uniform(-PI, PI, 3)))
+
+
+def high_aspect_pair(rng):
+    """Two ``high_aspect_ellipsoid`` bodies, e2's center moved to
+    U(0, 1.5) * (max a1 + max a2) in a random direction: from concentric
+    through overlapping to separated."""
+    e1, e2 = high_aspect_ellipsoid(rng), high_aspect_ellipsoid(rng)
+    u = rng.normal(size=3)
+    u /= np.linalg.norm(u)
+    c2 = rng.uniform(0.0, 1.5) * (max(e1.semi_axes) + max(e2.semi_axes)) * u
+    return e1, Ellipsoid(e2.semi_axes, tuple(c2.tolist()), e2.euler)
+
+
 def disk_pair(rng):
     """A (300, 300, 0.5) disk centered at the origin in the xy plane, and
     a random body (semi-axes log-uniform in [1e-3, 1], aspect ratio at
@@ -196,7 +216,7 @@ def ray_exit_numpy(e, toward):
     n = float(np.linalg.norm(d))
     if n == 0.0:
         raise NoIntersectionError("concentric bodies have no center line")
-    return line_surface_entry_numpy(e, c + (2.0 * e.max_semi_axis / n) * d, c)
+    return line_surface_entry_numpy(e, c + (2.0 * max(e.semi_axes) / n) * d, c)
 
 
 def penetration_depth_by_frames(e1, e2, entry_params, config):

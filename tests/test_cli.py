@@ -285,6 +285,80 @@ def test_solve_concentric_pair_is_input_error(tmp_path, capsys):
     assert captured.err == "surfslide: error: concentric bodies have no center line\n"
 
 
+@pytest.mark.parametrize(
+    "radius, x1, x2, message",
+    [
+        (1e-200, 0.0, 3e-200, "concentric bodies have no center line"),
+        (1.0, -1e308, 1e308, "the center line's squared length overflows"),
+    ],
+    ids=["squares-underflow", "squares-overflow"],
+)
+def test_solve_center_line_beyond_the_float_range_is_input_error(
+    radius, x1, x2, message, tmp_path, capsys
+):
+    # spheres of radius 1e-200 whose centers lie 3e-200 apart: the center
+    # line's squares underflow to 0, as for concentric bodies; centers at
+    # +-1e308: the center line itself overflows
+    sphere = {"semi_axes": [radius] * 3, "euler": [0, 0, 0]}
+    doc = {"name": "far", "e1": {**sphere, "center": [x1, 0, 0]},
+           "e2": {**sphere, "center": [x2, 0, 0]}}
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(doc))
+    assert main(["solve", str(path)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"surfslide: error: {message}\n"
+
+
+def test_solve_thin_body_with_its_center_inside_exits_without_traceback(tmp_path, capsys):
+    # a (1e-6, 1, 1) disk at the origin, inside a unit sphere at (0.5, 0, 0):
+    # a ray exit found as a segment's entry loses the disk's surface to
+    # cancellation here (implicit value 1.9e-4), and the start must not raise
+    doc = {
+        "name": "thin",
+        "e1": {"semi_axes": [1e-6, 1, 1], "center": [0, 0, 0], "euler": [0, 0, 0]},
+        "e2": {"semi_axes": [1, 1, 1], "center": [0.5, 0, 0], "euler": [0, 0, 0]},
+    }
+    path = tmp_path / "thin.json"
+    path.write_text(json.dumps(doc))
+    assert main(["solve", str(path)]) == 2
+    record = json.loads(capsys.readouterr().out)
+    assert record["status"] == "overlap" and record["contact_kind"] == "max-iter"
+
+
+HUGE = 10**400  # a JSON integer literal beyond the float range
+
+
+@pytest.mark.parametrize(
+    "field",
+    [f"{body}.{key}" for body in ("e1", "e2") for key in ("semi_axes", "center", "euler")]
+    + ["init", "lambda0", "tol_d", "tol_n", "tol_lambda", "expected.distance"],
+)
+def test_scenario_number_too_large_for_a_float_is_input_error(field, tmp_path, capsys):
+    # float() refuses such an integer with OverflowError, not ValueError
+    doc = {
+        "name": "huge",
+        "e1": {"semi_axes": [1, 1, 1], "center": [0, 0, 0], "euler": [0, 0, 0]},
+        "e2": {"semi_axes": [1, 1, 1], "center": [3, 0, 0], "euler": [0, 0, 0]},
+    }
+    head, _, key = field.partition(".")
+    if field == "init":
+        doc["init"] = [HUGE, 1.0, 0.5, 1.0]
+    elif head == "expected":
+        doc["expected"] = {"distance": HUGE}
+    elif key:
+        doc[head][key] = [HUGE, 1, 1]
+    else:
+        doc[field] = HUGE
+    with pytest.raises(scenarios.ScenarioFormatError, match=field):
+        scenarios.scenario_from_dict(doc)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    assert main(["solve", str(path)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("surfslide: error: ") and field in err and "Traceback" not in err
+
+
 def _strict_json(text):
     """``text`` parsed as RFC 8259 JSON, which has no NaN or Infinity."""
 

@@ -17,9 +17,11 @@ the seven shipped ``scenarios/<name>.json`` files (``save_scenario`` of
 each of ``builtin_scenarios()``), prints which scenario files changed,
 and prints, per golden file, how far the answers moved (see
 ``move_summary``); for the oracle set also the worst parameter move in
-radians, which tells ulp moves from lattice-point flips; for the random
-set also the cold solves' iteration mean, max and bare-eps_d stops, and
-the warm re-solves' iteration mean and max, old -> new.
+radians, which tells ulp moves from lattice-point flips; for the overlap
+set also the worst witness-param move in radians and the worst move of
+any normal component; for the random set also the cold solves' iteration
+mean, max and bare-eps_d stops, and the warm re-solves' iteration mean
+and max, old -> new.
 A change meant to keep every answer must leave these files matching; a
 change that moves answers regenerates them and lists what moved.
 """
@@ -206,7 +208,12 @@ def move_summary(name: str, old: list[str], new: list[str]) -> str:
         f"{iterations}, worst relative distance move {worst:.2g}"
     )
     if name == ORACLE_SET.name:
-        summary += f", worst parameter move {_worst_param_move(old, new):.2g} rad"
+        summary += f", worst parameter move {_worst_move(old, new, range(3, 7), True):.2g} rad"
+    if name == OVERLAP_SET.name:
+        summary += (
+            f", worst witness-param move {_worst_move(old, new, range(4, 8), True):.2g} rad"
+            f", worst normal-component move {_worst_move(old, new, range(8, 14)):.2g}"
+        )
     if name == RANDOM_SET.name:
         (m0, x0, b0), (m1, x1, b1) = _solve_stats(old, "cold"), _solve_stats(new, "cold")
         (wm0, wx0, _), (wm1, wx1, _) = _solve_stats(old, "warm"), _solve_stats(new, "warm")
@@ -219,20 +226,21 @@ def move_summary(name: str, old: list[str], new: list[str]) -> str:
     return summary
 
 
-def _worst_param_move(old: list[str], new: list[str]) -> float:
-    """The largest move of any of the four params, in radians (theta
-    moves across 0 = 2 pi count the short way), over the oracle set's calls
-    that both versions answered."""
-    def params(lines):
-        return {tuple(f[:2]): [float.fromhex(v) for v in f[3:]]
-                for f in map(str.split, lines) if len(f) == 7}
+def _worst_move(old: list[str], new: list[str], columns: range, angles: bool = False) -> float:
+    """The largest move of any value in the fields ``columns``, over the
+    lines both versions answered (keyed by their first two fields). With
+    ``angles`` the fields are (theta, phi) pairs in radians, and theta
+    moves across 0 = 2 pi count the short way."""
+    def values(lines):
+        return {tuple(f[:2]): [float.fromhex(f[i]) for i in columns]
+                for f in map(str.split, lines) if len(f) > columns[-1]}
 
-    a, b = params(old), params(new)
+    a, b = values(old), values(new)
     worst = 0.0
     for key in a.keys() & b.keys():
         for i, (x, y) in enumerate(zip(a[key], b[key])):
             move = abs(y - x)
-            if i % 2 == 0:  # theta
+            if angles and i % 2 == 0:  # theta
                 move = min(move, 2.0 * math.pi - move)
             worst = max(worst, move)
     return worst

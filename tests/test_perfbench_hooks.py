@@ -93,7 +93,8 @@ def test_layer_bench_measures_every_metric(tmp_path, monkeypatch):
     monkeypatch.setattr(layers._per_call_ns, "__defaults__", (layers.BLOCKS, layers.BLOCK_SECONDS))
     mods = SimpleNamespace(**{m: _module(m) for m in run.LAYER_MODULES})
     wl = WORKLOADS["overlap-analyze"](mods, 1, 12, str(tmp_path))
-    assert any(mods.slider._center_inside(e1, e2) for e1, e2 in wl.pairs)
+    inside = mods.geometry.implicit_value
+    assert any(inside(e2, e1.center) < 0 or inside(e1, e2.center) < 0 for e1, e2 in wl.pairs)
     rng = np.random.default_rng(1)
     separated = [random_separated_pair(mods.geometry, rng) for _ in range(4)]
     metrics = layers.measure(mods, wl.pairs, separated, str(tmp_path), lambda n: 1.0)

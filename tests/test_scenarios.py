@@ -186,6 +186,8 @@ def test_scenario_rejects_max_iter_that_is_not_a_whole_number(value):
     with pytest.raises(ScenarioFormatError, match="max_iter must be a finite whole number"):
         scenario_from_dict({**_minimal_doc(), "max_iter": value})
     assert scenario_from_dict({**_minimal_doc(), "max_iter": 50.0}).config().max_iter == 50
+    # any integer, even one beyond the float range
+    assert scenario_from_dict({**_minimal_doc(), "max_iter": 10**400}).config().max_iter == 10**400
 
 
 BOOLEAN_FILE = (

@@ -464,23 +464,24 @@ def test_contained_body_is_not_a_separated_pair():
 
 
 def test_only_the_ray_exit_start_tests_for_a_center_inside(monkeypatch):
-    # the cold start reports a certain overlap from its ray-exit branch; a
-    # positive support gap along the center line already proves the pair
-    # disjoint, so the projection start never tests the centers
+    # the cold start reports a certain overlap from its ray exits, which
+    # also tell whether each center lies inside the other body; a positive
+    # support gap along the center line already proves the pair disjoint,
+    # so the projection start never takes a ray exit
     calls = []
 
-    def counted(e1, e2):
-        calls.append((e1, e2))
-        return center_inside(e1, e2)
+    def counted(e, toward):
+        calls.append((e, toward))
+        return ray_exit(e, toward)
 
-    center_inside = slider._center_inside
-    monkeypatch.setattr(slider, "_center_inside", counted)
+    ray_exit = slider._ray_exit
+    monkeypatch.setattr(slider, "_ray_exit", counted)
     sc = builtin_scenario("system-I")
     assert solve(sc.e1, sc.e2).status == "converged"
     assert calls == []
-    overlapping = _spheres(1.0, (0, 0, 0), 1.0, (1.5, 0, 0))
-    solve(*overlapping)
-    assert calls == [overlapping]
+    e1, e2 = _spheres(1.0, (0, 0, 0), 1.0, (1.5, 0, 0))
+    solve(e1, e2)
+    assert calls == [(e1, e2.center), (e2, e1.center)]
 
 
 def test_start_below_contact_threshold_is_contact():
@@ -584,7 +585,7 @@ def test_recharted_run_reports_canonical_params():
     assert res.status == "converged"
     phis = [r.phi1 for r in res.trace] + [r.phi2 for r in res.trace]
     assert min(min(phi, PI - phi) for phi in phis) < CHART_POLE_MARGIN
-    scale = max(e1.max_semi_axis, e2.max_semi_axis)
+    scale = max(*e1.semi_axes, *e2.semi_axes)
     for p, e, point in zip(res.params, (e1, e2), res.closest_points):
         assert p.is_canonical()
         assert np.linalg.norm(surface_point(e, p) - point) < 1e-12 * scale
