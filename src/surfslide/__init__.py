@@ -6,6 +6,7 @@ from .slider import DistanceResult, SolverConfig, StepRecord, solve
 from .oracle import (
     OracleRangeError,
     OverlapSuspectedError,
+    dual_distance,
     oracle_min_distance,
     point_to_ellipsoid,
 )
@@ -25,6 +26,7 @@ __all__ = [
     "SurfaceParam",
     "analyze",
     "builtin_scenarios",
+    "dual_distance",
     "load_scenario",
     "oracle_min_distance",
     "point_to_ellipsoid",

@@ -5,7 +5,10 @@ Subcommands
 solve
     Run one scenario (builtin name or file path), print a result record as
     JSON, optionally write the per-iteration CSV trace and cross-check the
-    distance against the lattice oracle.
+    distance against an oracle: the support-function dual's bracket
+    (``oracle_distance`` its upper end, ``oracle_lower_bound`` its lower
+    end), or the lattice oracle's distance where the dual finds no
+    direction of positive gap (overlapping or touching pairs).
 sweep
     Re-solve a scenario over a list of lambda0 values or over seeded random
     initializations and report the distance spread.
@@ -37,7 +40,12 @@ from dataclasses import replace
 # perfbench/tracer.py wraps cli.contact_analyze by that name
 from .contact import analyze as contact_analyze, separated
 from .geometry import NoIntersectionError, SurfaceParam
-from .oracle import OracleRangeError, OverlapSuspectedError, oracle_min_distance
+from .oracle import (
+    OracleRangeError,
+    OverlapSuspectedError,
+    dual_distance,
+    oracle_min_distance,
+)
 from .scenarios import (
     _CONFIG_KEYS,
     Scenario,
@@ -230,9 +238,13 @@ def cmd_solve(args) -> int:
         record["contact_value"] = -value if report.kind == "overlapping" else value
     if args.verify:
         try:
-            oracle_d, _ = oracle_min_distance(sc.e1, sc.e2)
+            dual = dual_distance(sc.e1, sc.e2)
+            # the lattice checks the pairs the dual cannot bracket
+            oracle_d = oracle_min_distance(sc.e1, sc.e2)[0] if dual is None else dual[1]
             record["oracle_distance"] = oracle_d
             record["oracle_gap"] = abs(res.distance - oracle_d)
+            if dual is not None:
+                record["oracle_lower_bound"] = dual[0]
         except (OverlapSuspectedError, OracleRangeError) as exc:
             record["oracle_distance"] = None
             record["oracle_error"] = str(exc)

@@ -419,6 +419,25 @@ def test_solve_verify_includes_oracle(capsys):
     record = json.loads(capsys.readouterr().out)
     assert record["oracle_distance"] == pytest.approx(1.6, abs=1e-5)
     assert record["oracle_gap"] < 1e-5
+    # a separated pair takes the dual's bracket
+    assert record["oracle_distance"] == pytest.approx(1.6, rel=0.0, abs=1e-12)
+    assert record["oracle_lower_bound"] <= record["distance"]
+    assert record["oracle_gap"] == abs(record["distance"] - record["oracle_distance"])
+
+
+def test_solve_verify_on_touching_spheres_takes_the_lattice(tmp_path, capsys, monkeypatch):
+    # g(u) <= 0 for every u of a touching pair: the dual has no bracket,
+    # and the lattice checks the pair
+    calls = []
+    lattice = cli.oracle_min_distance
+    monkeypatch.setattr(cli, "oracle_min_distance", lambda *a: calls.append(a) or lattice(*a))
+    body = {"semi_axes": [1, 1, 1], "center": [0, 0, 0], "euler": [0, 0, 0]}
+    path = tmp_path / "touching.json"
+    path.write_text(json.dumps({"name": "touching", "e1": body, "e2": {**body, "center": [2, 0, 0]}}))
+    main(["solve", str(path), "--verify"])
+    record = json.loads(capsys.readouterr().out)
+    assert len(calls) == 1
+    assert "oracle_lower_bound" not in record
 
 
 def _body_pair_file(tmp_path, name, center2, euler2=(0, 0, 0)):

@@ -11,7 +11,10 @@ fingerprints ``contact.analyze`` on 60 overlapping pairs of seed 2024
 it pins today's verdicts, the wrong ones included, and every field of
 each report. ``tests/golden/oracle-2024.txt`` fingerprints
 ``oracle_min_distance`` on the seven builtin scenarios and 30 random
-separated pairs of seed 2024, each in both argument orders.
+separated pairs of seed 2024, each in both argument orders, and
+``tests/golden/dual-2024.txt`` fingerprints ``dual_distance`` on the same
+calls: the bracket, both witnesses and the direction u at 17 significant
+digits.
 ``PYTHONPATH=src python tests/test_golden.py`` rewrites all of them and
 the seven shipped ``scenarios/<name>.json`` files (``save_scenario`` of
 each of ``builtin_scenarios()``), prints which scenario files changed,
@@ -21,7 +24,8 @@ radians, which tells ulp moves from lattice-point flips; for the overlap
 set also the worst witness-param move in radians and the worst move of
 any normal component; for the random set also the cold solves' iteration
 mean, max and bare-eps_d stops, and the warm re-solves' iteration mean
-and max, old -> new.
+and max, old -> new; for the dual set the distance is the bracket's
+upper end.
 A change meant to keep every answer must leave these files matching; a
 change that moves answers regenerates them and lists what moved.
 """
@@ -37,7 +41,7 @@ import pytest
 from helpers import random_overlap_pair, random_separated_pair
 from surfslide.cli import main
 from surfslide.contact import analyze
-from surfslide.oracle import oracle_min_distance
+from surfslide.oracle import dual_distance, oracle_min_distance
 from surfslide.scenarios import builtin_scenarios, save_scenario
 from surfslide.slider import SolverConfig, solve
 
@@ -46,6 +50,7 @@ SHIPPED = Path(__file__).resolve().parent.parent / "scenarios"
 RANDOM_SET = GOLDEN / "random-2024.txt"
 OVERLAP_SET = GOLDEN / "overlap-2024.txt"
 ORACLE_SET = GOLDEN / "oracle-2024.txt"
+DUAL_SET = GOLDEN / "dual-2024.txt"
 OVERLAP_FRACS = (0.3, 0.6, 0.9)
 
 
@@ -134,24 +139,32 @@ def test_overlap_set_matches_golden():
     assert len(got) == len(want), f"{len(got)} reports, golden {len(want)}"
 
 
+def _oracle_calls():
+    """(pair, order, e1, e2) for the oracle sets: the seven builtins and 30
+    random separated pairs of seed 2024 (named by scenario or case number),
+    each in both argument orders."""
+    rng = np.random.default_rng(2024)
+    pairs = [(sc.name, sc.e1, sc.e2) for sc in builtin_scenarios()]
+    pairs += [(f"{case:03d}", *random_separated_pair(rng)) for case in range(30)]
+    for name, e1, e2 in pairs:
+        yield name, "12", e1, e2
+        yield name, "21", e2, e1
+
+
 def oracle_set_fingerprint() -> list[str]:
     """One line per ``oracle_min_distance`` call: the pair (scenario name
     or case number), the argument order, then the distance and both params
     as ``float.hex``, or the name of the exception it raised."""
-    rng = np.random.default_rng(2024)
-    pairs = [(sc.name, sc.e1, sc.e2) for sc in builtin_scenarios()]
-    pairs += [(f"{case:03d}", *random_separated_pair(rng)) for case in range(30)]
     lines = []
-    for name, e1, e2 in pairs:
-        for order, (a, b) in (("12", (e1, e2)), ("21", (e2, e1))):
-            head = f"{name} {order}"
-            try:
-                dist, (p1, p2) = oracle_min_distance(a, b)
-            except Exception as exc:
-                lines.append(f"{head} {type(exc).__name__}")
-                continue
-            values = (dist, p1.theta, p1.phi, p2.theta, p2.phi)
-            lines.append(" ".join([head, *(v.hex() for v in values)]))
+    for name, order, a, b in _oracle_calls():
+        head = f"{name} {order}"
+        try:
+            dist, (p1, p2) = oracle_min_distance(a, b)
+        except Exception as exc:
+            lines.append(f"{head} {type(exc).__name__}")
+            continue
+        values = (dist, p1.theta, p1.phi, p2.theta, p2.phi)
+        lines.append(" ".join([head, *(v.hex() for v in values)]))
     return lines
 
 
@@ -160,6 +173,30 @@ def test_oracle_set_matches_golden():
     want = ORACLE_SET.read_text().splitlines()
     for g, w in zip(got, want):
         assert g == w, f"oracle-2024.txt differs:\n  got  {g}\n  want {w}"
+    assert len(got) == len(want), f"{len(got)} calls, golden {len(want)}"
+
+
+def dual_set_fingerprint() -> list[str]:
+    """One line per ``dual_distance`` call on the oracle set's pairs: the
+    pair, the argument order, then lower, upper, x1, x2 and u at 17
+    significant digits, or None."""
+    lines = []
+    for name, order, a, b in _oracle_calls():
+        res = dual_distance(a, b)
+        if res is None:
+            lines.append(f"{name} {order} None")
+            continue
+        lower, upper, x1, x2, u = res
+        values = (lower, upper, *x1, *x2, *u)
+        lines.append(" ".join([name, order, *(f"{v:.17g}" for v in values)]))
+    return lines
+
+
+def test_dual_set_matches_golden():
+    got = dual_set_fingerprint()
+    want = DUAL_SET.read_text().splitlines()
+    for g, w in zip(got, want):
+        assert g == w, f"dual-2024.txt differs:\n  got  {g}\n  want {w}"
     assert len(got) == len(want), f"{len(got)} calls, golden {len(want)}"
 
 
@@ -180,6 +217,10 @@ def _answers(name: str, lines: list[str]) -> dict:
             f = line.split()
             error = f[2] if len(f) == 3 else None
             out[tuple(f[:2])] = (line, error, None, None if error else float.fromhex(f[2]))
+        elif name == DUAL_SET.name:
+            f = line.split()
+            none = f[2] if len(f) == 3 else None
+            out[tuple(f[:2])] = (line, none, None, None if none else float(f[3]))
         else:
             f = line.split()
             out[f[0]] = (line, f[2], None, float.fromhex(f[3]) if len(f) > 3 else None)
@@ -289,3 +330,4 @@ if __name__ == "__main__":
     _rewrite(RANDOM_SET, random_set_fingerprint())
     _rewrite(OVERLAP_SET, overlap_set_fingerprint())
     _rewrite(ORACLE_SET, oracle_set_fingerprint())
+    _rewrite(DUAL_SET, dual_set_fingerprint())

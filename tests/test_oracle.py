@@ -1,7 +1,10 @@
-"""Tests for the reference solvers: exact point projection and the
-two-way coarse-to-fine lattice search."""
+"""Tests for the reference solvers: exact point projection, the two-way
+coarse-to-fine lattice search and the support-function dual."""
 
+import ast
+import functools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from helpers import (
     disk_pair,
     oracle_min_distance_exhaustive,
     points_outside,
+    random_overlap_pair,
     random_separated_pair,
     surface_point,
 )
@@ -18,6 +22,7 @@ from surfslide.geometry import Ellipsoid, implicit_value, surface_frame
 from surfslide.oracle import (
     OracleRangeError,
     OverlapSuspectedError,
+    dual_distance,
     oracle_min_distance,
     point_to_ellipsoid,
 )
@@ -239,8 +244,9 @@ def test_oracle_rejects_lengths_it_cannot_keep_finite(semi_axis, center2):
     e1 = Ellipsoid((semi_axis,) * 3, (0, 0, 0), (0, 0, 0))
     e2 = Ellipsoid((semi_axis,) * 3, (center2, 0, 0), (0, 0, 0))
     for a, b in ((e1, e2), (e2, e1)):
-        with pytest.raises(OracleRangeError, match="lattice arithmetic"):
-            oracle_min_distance(a, b)
+        for search in (oracle_min_distance, dual_distance):
+            with pytest.raises(OracleRangeError, match="lattice arithmetic"):
+                search(a, b)
 
 
 def _pinning_pairs(family, seed, n):
@@ -308,3 +314,149 @@ def test_oracle_searches_both_surfaces(seed, draw):
     assert np.linalg.norm(P1 - P2) == pytest.approx(dist, rel=1e-9)
     swapped, _ = oracle_min_distance(e2, e1)
     assert abs(swapped - res.distance) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# dual_distance
+
+EPS = np.finfo(float).eps
+
+
+@functools.cache
+def _dual_suite(family):
+    """The separated pairs of one suite of the dual's property tests."""
+    if family == "builtins":
+        return [(sc.e1, sc.e2) for sc in builtin_scenarios()]
+    if family == "random-2024":
+        rng = np.random.default_rng(2024)
+        return [random_separated_pair(rng) for _ in range(200)]
+    if family == "aspect-300":
+        rng = np.random.default_rng(112)
+        return [random_separated_pair(rng, lo=0.002, hi=2.0, max_aspect=300.0)
+                for _ in range(200)]
+    if family == "aspect-1000":
+        rng = np.random.default_rng(113)
+        return [random_separated_pair(rng, lo=1e-3, hi=1e3, max_aspect=1000.0)
+                for _ in range(150)]
+    rng = np.random.default_rng(114)
+    return [disk_pair(rng) for _ in range(30)]
+
+
+# The worst relative bracket (upper - lower) / upper of each suite, over
+# both argument orders, as measured; a change that widens one shows. The
+# disk's comes from its lower bound's round-off allowance, which grows
+# with the support offsets (up to about 200 along the disk) against gaps
+# down to 1e-2.
+DUAL_WORST_BRACKET = {
+    "builtins": 3.9e-15,
+    "random-2024": 1.3e-14,
+    "aspect-300": 1.4e-14,
+    "aspect-1000": 8.8e-15,
+    "disk": 5.9e-12,
+}
+
+# Separated pairs on which dual_distance finds no direction of positive
+# gap, as (suite, case, order): none.
+DUAL_NONE_CASES = []
+
+
+@pytest.mark.parametrize("family", list(DUAL_WORST_BRACKET))
+def test_dual_brackets_every_separated_pair(family):
+    nones, worst = [], 0.0
+    for case, (e1, e2) in enumerate(_dual_suite(family)):
+        found = []
+        for order, (a, b) in enumerate(((e1, e2), (e2, e1))):
+            res = dual_distance(a, b)
+            if res is None:
+                nones.append((family, case, order))
+                continue
+            lower, upper, x1, x2, u = res
+            assert lower <= upper, (case, order)
+            assert abs(implicit_value(a, x1)) <= 1e-12
+            assert abs(implicit_value(b, x2)) <= 1e-12
+            worst = max(worst, (upper - lower) / upper)
+            found.append(res)
+        if len(found) == 2:
+            (lo12, up12, _, _, u12), (lo21, up21, _, _, u21) = found
+            assert abs(lo21 - lo12) <= 1e-12 * up12 and abs(up21 - up12) <= 1e-12 * up12
+            assert max(abs(p + q) for p, q in zip(u12, u21)) <= 1e-12
+    assert nones == [c for c in DUAL_NONE_CASES if c[0] == family]
+    assert worst <= DUAL_WORST_BRACKET[family]
+
+
+@pytest.mark.parametrize("family", list(DUAL_WORST_BRACKET))
+def test_dual_bracket_scales_exactly(family):
+    # every operation is homogeneous in length: a power-of-two scale
+    # carries through bit for bit
+    for e1, e2 in _dual_suite(family):
+        lower, upper, x1, x2, u = dual_distance(e1, e2)
+        for f in (2.0**20, 2.0**-20):
+            scaled = [Ellipsoid(tuple(f * a for a in e.semi_axes),
+                                tuple(f * c for c in e.center), e.euler) for e in (e1, e2)]
+            got = dual_distance(*scaled)
+            assert got == (f * lower, f * upper, tuple(f * c for c in x1),
+                           tuple(f * c for c in x2), u)
+
+
+def test_dual_bracket_holds_the_lattice_distance():
+    # about 200 pairs: the lattice's exact surface-point distance is never
+    # below the dual's lower bound and agrees with its upper one at the
+    # lattice's resolution
+    pairs = [*_dual_suite("builtins"), *_dual_suite("random-2024")[:60],
+             *_dual_suite("aspect-300")[:50], *_dual_suite("aspect-1000")[:50],
+             *_dual_suite("disk")]
+    assert len(pairs) == 197
+    for e1, e2 in pairs:
+        lower, upper, _, _, _ = dual_distance(e1, e2)
+        lattice, _ = oracle_min_distance(e1, e2)
+        assert lower <= lattice * (1.0 + 4.0 * EPS)
+        assert abs(upper - lattice) <= 1e-5 * max(1.0, lattice)
+
+
+def test_dual_finds_no_bracket_where_a_center_is_inside():
+    # a center inside the other body makes g(u) < 0 for every u; the
+    # pairs with no center inside may be separated (mostly at frac 0.9)
+    rng = np.random.default_rng(1)
+    inside = 0
+    for case in range(450):
+        e1, e2 = random_overlap_pair(rng, (0.3, 0.6, 0.9)[case % 3])
+        res = dual_distance(e1, e2)
+        if implicit_value(e1, e2.center) < 0.0 or implicit_value(e2, e1.center) < 0.0:
+            inside += 1
+            assert res is None, case
+        elif res is not None:
+            assert 0.0 < res[0] <= res[1], case
+    assert inside == 122
+
+
+def test_dual_finds_no_bracket_for_touching_or_concentric_pairs():
+    sphere = Ellipsoid((1, 1, 1), (0, 0, 0), (0, 0, 0))
+    assert dual_distance(sphere, Ellipsoid((1, 1, 1), (2, 0, 0), (0, 0, 0))) is None
+    assert dual_distance(sphere, Ellipsoid((0.5, 0.3, 0.2), (0, 0, 0), (0.1, 0.2, 0.3))) is None
+
+
+def test_dual_step_cap(monkeypatch):
+    # without steps, only the start r/|r| counts: a pair whose start has
+    # a negative gap gets None, one whose start is the answer its bracket
+    disk, body = _dual_suite("disk")[0]
+    spheres = (Ellipsoid((1, 1, 1), (0, 0, 0), (0, 0, 0)),
+               Ellipsoid((0.5, 0.5, 0.5), (3, 4, 0), (0, 0, 0)))
+    assert dual_distance(disk, body) is not None
+    monkeypatch.setattr(oracle, "DUAL_MAX_STEPS", 0)
+    assert dual_distance(disk, body) is None
+    lower, upper, _, _, _ = dual_distance(*spheres)
+    assert lower <= 3.5 <= upper <= 3.5 * (1.0 + EPS)
+
+
+def test_oracle_imports_nothing_from_the_solver():
+    # the oracle grades the solver, so it must share none of its arithmetic
+    path = Path(oracle.__file__)
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            assert module.split(".")[-1] not in ("slider", "contact"), ast.dump(node)
+            if node.level:
+                assert not {a.name for a in node.names} & {"slider", "contact"}
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                assert alias.name.split(".")[-1] not in ("slider", "contact")
