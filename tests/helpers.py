@@ -6,7 +6,6 @@ import math
 
 import numpy as np
 
-from surfslide import oracle
 from surfslide.geometry import (
     Ellipsoid,
     NoIntersectionError,
@@ -285,63 +284,3 @@ def penetration_depth_by_frames(e1, e2, entry_params, config):
 
     kind = "overlapping" if k < config.max_iter else "max-iter"
     return kind, dist, (SurfaceParam(t1, h1), SurfaceParam(t2, h2)), (n1, n2)
-
-
-def oracle_min_distance_exhaustive(e1, e2):
-    """``oracle.oracle_min_distance`` with an exact foot solve for every
-    lattice point of every level, a reference for the pruned search: the
-    same lattice, refine schedule, interior checks and two-way choice, and
-    the same (distance, (p1, p2)) result or exception."""
-    gt, gp = oracle.GRID_THETA, oracle.GRID_PHI
-    bodies, others = (e1, e2), (e2, e1)
-    own_axes = np.array([e1.semi_axes, e2.semi_axes])
-    axes = np.repeat(own_axes[::-1, :, None], gt * gp, axis=2)
-    R = np.array([e2.rotation.T @ e1.rotation, e1.rotation.T @ e2.rotation])
-    T = np.array([to_local_point(e2, np.asarray(e1.center)),
-                  to_local_point(e1, np.asarray(e2.center))])[:, :, None]
-
-    theta_c = np.array([PI, PI])
-    phi_c = np.array([PI / 2.0, PI / 2.0])
-    theta_hw, phi_hw = PI, PI / 2.0
-    i_theta, i_phi = np.arange(gt, dtype=float), np.arange(gp, dtype=float)
-    pts = np.empty((2, 3, gt, gp))
-    best = [None, None]
-    for level in range(oracle.REFINE_LEVELS + 1):
-        lo_t, hi_t = theta_c - theta_hw, theta_c + theta_hw
-        lo_p, hi_p = np.maximum(0.0, phi_c - phi_hw), np.minimum(PI, phi_c + phi_hw)
-        thetas = i_theta * ((hi_t - lo_t) / gt)[:, None] + lo_t[:, None]
-        phis = i_phi * ((hi_p - lo_p) / (gp - 1))[:, None] + lo_p[:, None]
-        phis[:, -1] = hi_p
-        sin_ph = np.sin(phis)
-        np.multiply(np.cos(thetas)[:, :, None],
-                    (own_axes[:, 0, None] * sin_ph)[:, None, :], out=pts[:, 0])
-        np.multiply(np.sin(thetas)[:, :, None],
-                    (own_axes[:, 1, None] * sin_ph)[:, None, :], out=pts[:, 1])
-        pts[:, 2] = (own_axes[:, 2, None] * np.cos(phis))[:, None, :]
-        q = R @ pts.reshape(2, 3, gt * gp)
-        q += T
-        if np.any(np.sum((q / axes) ** 2, axis=1) <= 1.0):
-            raise oracle.OverlapSuspectedError(
-                "a sampled surface point of one body lies inside the other"
-            )
-        feet = oracle._foot_points_local(axes, q)
-        dists = np.sqrt(np.sum((q - feet) ** 2, axis=1))
-        for h, i in enumerate(np.argmin(dists, axis=1)):
-            if best[h] is None or dists[h, i] < best[h][0]:
-                best[h] = (float(dists[h, i]), float(thetas[h, i // gp]),
-                           float(phis[h, i % gp]), feet[h, :, i])
-            theta_c[h], phi_c[h] = best[h][1], best[h][2]
-        theta_hw *= oracle.REFINE_SHRINK
-        phi_hw *= oracle.REFINE_SHRINK
-
-    found = []
-    for body, other, (dist, th, ph, foot) in zip(bodies, others, best):
-        if implicit_value(body, other.rotation @ foot + np.asarray(other.center)) <= 0.0:
-            raise oracle.OverlapSuspectedError(
-                "a closest point of one body lies inside the other"
-            )
-        found.append((dist, SurfaceParam.canonical(th, ph), param_from_local_point(other, foot)))
-    (dist1, p1, p2), (dist2, q2, q1) = found
-    if dist2 < dist1:
-        return dist2, (q1, q2)
-    return dist1, (p1, p2)
