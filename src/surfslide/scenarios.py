@@ -240,6 +240,9 @@ def scenario_from_dict(doc: dict) -> Scenario:
 
 
 def save_scenario(sc: Scenario, path) -> None:
+    """Write ``sc`` to ``path`` as indented JSON. A plain truncating
+    ``open``: unlike ``cli.write_trace``, no timed path rewrites a scenario
+    file over and over, so its cost on the filesystem does not matter."""
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(scenario_to_dict(sc), fh, indent=2)
         fh.write("\n")

@@ -1,12 +1,17 @@
 """End-to-end tests of the command-line front end."""
 
+import errno
 import json
 import math
+import os
+import stat
 from dataclasses import replace
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from helpers import nth_separated_pair
+from helpers import nth_separated_pair, random_separated_pair
 from surfslide import cli, scenarios, slider
 from surfslide.cli import build_parser, main, write_trace
 from surfslide.contact import analyze as contact_analyze, separated
@@ -14,6 +19,7 @@ from surfslide.scenarios import builtin_scenario, load_scenario, scenario_to_dic
 from surfslide.slider import SolverConfig, solve
 
 PI = math.pi
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def _overlap_scenario_file(tmp_path):
@@ -236,8 +242,9 @@ def test_solve_tangent_spheres_exit_contact(gap, tmp_path, capsys):
 
 @pytest.mark.filterwarnings("error")
 def test_coincident_start_witnesses_are_contact(tmp_path, capsys):
-    # the center-line start puts both witnesses on the same point, 0 apart:
-    # contact, with nothing divided by the zero distance
+    # s(u) = 0 along the center line, so the cold start takes the ray exits
+    # between the centers, which put both witnesses on the same point, 0
+    # apart: contact, with nothing divided by the zero distance
     doc = {
         "name": "coincident",
         "e1": {"semi_axes": [0.5, 0.5, 0.5], "center": [0, 0, 0], "euler": [0, 0, 0]},
@@ -706,13 +713,15 @@ def test_sweep_missing_values_is_input_error(capsys):
         (["sweep", "system-I", "--param", "init-seed", "--count", "0"], "--count must be >= 1"),
         (["bench", "system-I", "--steps", "-1"], "--steps must be >= 0"),
         (["solve", "DIR"], "cannot read"),
+        (["solve", "system-I", "--trace", "DIR"], "Is a directory"),
         (["solve", "system-I", "--max-iter", "0"], "max_iter must be >= 1"),
     ],
     ids=["sweep-values-a-b", "sweep-values-comma", "sweep-count-0", "bench-steps-minus-1",
-         "solve-directory", "solve-max-iter-0"],
+         "solve-directory", "solve-trace-directory", "solve-max-iter-0"],
 )
 def test_input_errors_exit_4_with_message(argv, message, tmp_path, capsys):
-    # DIR stands for a directory, which no scenario reader can open
+    # DIR stands for a directory, which no scenario reader or trace writer
+    # can open
     assert main([str(tmp_path) if a == "DIR" else a for a in argv]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -809,3 +818,79 @@ def test_write_trace_rows(tmp_path):
         "1,-0,1e-300,6.2831853071795862,3.1415926535897931,"
         "0.33333333333333331,0.025000000000000001,0.050000000000000003,1e-13,inf,1",
     ]
+
+
+def test_solve_trace_rewrites_a_stale_file_in_place(tmp_path, capsys):
+    # system-I's 134 rows, then system-II-aligned's one row over them, then
+    # system-I over that shorter file: each result is byte-equal to a fresh
+    # write, and the file is the same file throughout
+    path = tmp_path / "t.csv"
+    inodes = set()
+    for name in ("system-I", "system-II-aligned", "system-I"):
+        assert main(["solve", name, "--trace", str(path)]) == 0
+        assert path.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
+        inodes.add(path.stat().st_ino)
+    capsys.readouterr()
+    assert len(inodes) == 1
+
+
+def test_write_trace_creates_a_file_with_the_mode_open_gives(tmp_path):
+    new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+    write_trace(str(new), [])
+    with open(ref, "w"):
+        pass
+    assert new.read_text() == cli.TRACE_COLUMNS + "\n"
+    assert stat.S_IMODE(new.stat().st_mode) == stat.S_IMODE(ref.stat().st_mode)
+
+
+def test_solve_trace_to_a_device(capsys):
+    assert main(["solve", "system-I", "--trace", os.devnull]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "converged"
+
+
+def test_solve_trace_write_failing_midway_keeps_only_the_bytes_written(
+    tmp_path, capsys, monkeypatch
+):
+    # the disk fills after 100 bytes of system-II-aligned's trace, written
+    # over system-I's longer one: exit 4, and the file holds those 100 bytes
+    # and no row of the stale trace
+    path = tmp_path / "t.csv"
+    assert main(["solve", "system-I", "--trace", str(path)]) == 0
+    real_write = os.write
+    calls = []
+
+    def write_then_fail(fd, data):
+        calls.append(len(data))
+        if len(calls) > 1:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return real_write(fd, data[:100])
+
+    monkeypatch.setattr(cli.os, "write", write_then_fail)
+    assert main(["solve", "system-II-aligned", "--trace", str(path)]) == 4
+    monkeypatch.undo()
+    want = (GOLDEN / "system-II-aligned.csv").read_bytes()
+    assert calls == [len(want), len(want) - 100]
+    assert path.read_bytes() == want[:100]
+    captured = capsys.readouterr()
+    assert captured.err.startswith("surfslide: error: ") and "Traceback" not in captured.err
+
+
+def test_solve_verify_on_separated_pairs_never_takes_the_lattice(tmp_path, capsys, monkeypatch):
+    # the benchmark's cli-verify op: the dual brackets the seven builtins and
+    # random separated pairs, so the lattice, about four times the cost of
+    # the rest of the op, is never called
+    calls = []
+    lattice = cli.oracle_min_distance
+    monkeypatch.setattr(cli, "oracle_min_distance", lambda *a: calls.append(a) or lattice(*a))
+    refs = [sc.name for sc in scenarios.builtin_scenarios()]
+    rng = np.random.default_rng(11)
+    for j in range(20):
+        e1, e2 = random_separated_pair(rng)
+        path = str(tmp_path / f"random-{j:02d}.json")
+        scenarios.save_scenario(scenarios.Scenario(name=f"random-{j}", e1=e1, e2=e2), path)
+        refs.append(path)
+    trace = str(tmp_path / "t.csv")
+    for ref in refs:
+        main(["solve", ref, "--verify", "--trace", trace])
+        assert "oracle_lower_bound" in json.loads(capsys.readouterr().out)
+    assert calls == []

@@ -485,8 +485,9 @@ def test_only_the_ray_exit_start_tests_for_a_center_inside(monkeypatch):
 
 
 def test_start_below_contact_threshold_is_contact():
-    # the center-line start is already optimal, 1e-7 apart, below sigma =
-    # 1e-6: the contact hand-off precedes the eps_n stop, cold and warm
+    # s(u) = 1e-7 > 0, so the cold start's two projection rounds land on the
+    # optimum, 1e-7 apart, below sigma = 1e-6: the contact hand-off precedes
+    # the eps_n stop, cold and warm
     e1, e2 = _spheres(1.0, (0, 0, 0), 1.0, (2 + 1e-7, 0, 0))
     cold = solve(e1, e2)
     assert cold.status == "contact" and cold.iterations == 0
