@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 from .geometry import POLE_TOL, TWO_PI, Ellipsoid, SurfaceParam, _canonical, _frame_fast
 from .geometry import implicit_value
 from .slider import ZERO_PROJECTION_FACTOR, SolverConfig, SolverState, _halved, _metrics
-from .slider import DistanceResult, Vec3, _support, step_increments
+from .slider import DistanceResult, Vec3, _segment_gap, step_increments
 from .slider import advance_param  # unused; perfbench/tracer.py wraps it by this name
 
 # tolerance on |n1 . n2 + 1| for calling a sub-sigma pair tangent
@@ -59,20 +59,13 @@ def separated(e1: Ellipsoid, e2: Ellipsoid, result) -> bool:
     status is not 'contact' or 'overlap', and the support gap along the unit
     witness segment u, s(u) = (c2 - c1).u - |M1^T u| - |M2^T u|, a lower
     bound on the signed distance (weak duality), is positive, which proves
-    the bodies disjoint. That rejects interpenetrating witnesses (s < 0
-    there) and stops on the intersection curve alike. A zero-length segment
-    proves nothing."""
+    the bodies disjoint (``slider._segment_gap``, which the warm start's
+    projection round tests too). That rejects interpenetrating witnesses
+    (s < 0 there) and stops on the intersection curve alike. A zero-length
+    segment proves nothing."""
     if result.status in ("contact", "overlap"):
         return False
-    P1, P2 = result.closest_points
-    dx, dy, dz = P2[0] - P1[0], P2[1] - P1[1], P2[2] - P1[2]
-    n = math.hypot(dx, dy, dz)  # a sum of squares overflows on far pairs
-    if not n > 0.0:
-        return False
-    ux, uy, uz = dx / n, dy / n, dz / n
-    (x1, y1, z1), (x2, y2, z2) = e1.center, e2.center
-    gap = (x2 - x1) * ux + (y2 - y1) * uy + (z2 - z1) * uz
-    return gap - _support(e1, ux, uy, uz) - _support(e2, ux, uy, uz) > 0.0
+    return _segment_gap(e1, e2, *result.closest_points) > 0.0
 
 
 def classify(

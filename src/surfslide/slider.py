@@ -19,7 +19,9 @@ after two rounds of alternating foot-point projections, and its steps at
 ``lambda0``. A warm start (given ``init``, say the answer before a small
 move) is usually almost aligned already, so its steps start at the size of
 the correction it still needs: WARM_STEP_SCALE times its misalignment
-angle, when that is below ``lambda0``.
+angle, when that is below ``lambda0``. Such a start on a pair that its own
+witness segment proves disjoint first runs one round of the same
+projections, seeded at its second witness.
 """
 
 from __future__ import annotations
@@ -455,18 +457,44 @@ def _foot(K, X):
                        r20 * px + r21 * py + r22 * pz + cz)
 
 
+def _segment_gap(e1: Ellipsoid, e2: Ellipsoid, P1, P2) -> float:
+    """The support gap along the unit segment u from the global point P1 to
+    P2, s(u) = (c2 - c1).u - |M1^T u| - |M2^T u|: a lower bound on the
+    signed distance (weak duality), so a positive s(u) proves the bodies
+    disjoint. NaN when the segment has no length, which proves nothing."""
+    dx, dy, dz = P2[0] - P1[0], P2[1] - P1[1], P2[2] - P1[2]
+    n = math.hypot(dx, dy, dz)  # a sum of squares overflows on far pairs
+    if not n > 0.0:
+        return math.nan
+    ux, uy, uz = dx / n, dy / n, dz / n
+    (x1, y1, z1), (x2, y2, z2) = e1.center, e2.center
+    gap = (x2 - x1) * ux + (y2 - y1) * uy + (z2 - z1) * uz
+    return gap - _support(e1, ux, uy, uz) - _support(e2, ux, uy, uz)
+
+
+def _projected(e1: Ellipsoid, e2: Ellipsoid, X, rounds: int) -> tuple[SurfaceParam, SurfaceParam]:
+    """The witnesses after ``rounds`` rounds of alternating projections
+    (Cheney & Goldstein, Proc. AMS 1959) from the global point ``X``, which
+    must lie outside e1 of a disjoint pair: P1 = foot of X on e1, P2 = foot
+    of P1 on e2, then P1 = foot of P2 on e1, and so on. Each projected
+    point lies outside the other body, as ``_foot`` requires, and no round
+    lengthens the segment."""
+    for _ in range(rounds):
+        u1, X = _foot(e1._flat, X)
+        u2, X = _foot(e2._flat, X)
+    return SurfaceParam(*_unit_param(*u1)), SurfaceParam(*_unit_param(*u2))
+
+
 def _start(e1: Ellipsoid, e2: Ellipsoid, init) -> tuple[SurfaceParam, SurfaceParam, bool]:
     """``init``, which must be canonical, or without it the cold start, and
     whether the pair overlaps for certain. With r = c2 - c1 and u = r/|r|,
     the support-function gap s(u) = |r| - |M1^T u| - |M2^T u| bounds the
     distance from below. When it is positive, the bodies are disjoint and
-    the witnesses start after two rounds of alternating projections
-    (Cheney & Goldstein, Proc. AMS 1959), every projected point outside the
-    other body: P1 = foot of c2 on e1, P2 = foot of P1 on e2, then P1 =
-    foot of P2 on e1, P2 = foot of P1 on e2. Otherwise each witness starts
-    where the ray from its center toward the other center leaves its
-    surface, and the pair overlaps for certain when a center lies inside
-    the other body (concentric pairs raise NoIntersectionError)."""
+    the witnesses start after two rounds of ``_projected`` from c2.
+    Otherwise each witness starts where the ray from its center toward the
+    other center leaves its surface, and the pair overlaps for certain when
+    a center lies inside the other body (concentric pairs raise
+    NoIntersectionError)."""
     if init is not None:
         if not (init[0].is_canonical() and init[1].is_canonical()):
             raise ValueError("initial surface parameters must be canonical")
@@ -477,24 +505,32 @@ def _start(e1: Ellipsoid, e2: Ellipsoid, init) -> tuple[SurfaceParam, SurfacePar
     if r > 0.0:
         ux, uy, uz = rx / r, ry / r, rz / r
         if r - _support(e1, ux, uy, uz) - _support(e2, -ux, -uy, -uz) > 0.0:
-            X = e2.center
-            for _ in range(2):
-                u1, X = _foot(e1._flat, X)
-                u2, X = _foot(e2._flat, X)
-            return SurfaceParam(*_unit_param(*u1)), SurfaceParam(*_unit_param(*u2)), False
+            return (*_projected(e1, e2, e2.center, 2), False)
     p1, inside2 = _ray_exit(e1, e2.center)
     p2, inside1 = _ray_exit(e2, e1.center)
     return p1, p2, inside1 or inside2
 
 
-def _begin(e1: Ellipsoid, e2: Ellipsoid, init, lambda0: float):
+def _begin(e1: Ellipsoid, e2: Ellipsoid, init, config: SolverConfig):
     """Pass k = 0, shared by ``solve`` and ``initial_state``: the start from
     ``_start``, evaluated on the canonical charts, and the step both
-    lambdas begin with (``_start_step``). Returns (p1, p2, dist, w1, w2,
-    lam, overlap), with ``_start``'s certain ``overlap``."""
+    lambdas begin with (``_start_step``). A warm start that would take a
+    step below lambda0, whose eps_n has not yet met tol_n, and whose own
+    witness segment has a positive ``_segment_gap`` (the pair is disjoint)
+    first runs one round of ``_projected`` from its P2, and is read and
+    sized again there; any other start stays as given. Returns (p1, p2,
+    dist, w1, w2, lam, overlap), with ``_start``'s certain ``overlap``."""
     p1, p2, overlap = _start(e1, e2, init)
-    dist, w1, w2 = _evaluate(e1._flat, e2._flat, p1.theta, p1.phi, p2.theta, p2.phi)
-    lam = _start_step(lambda0, init is not None, dist, w1[2], w2[2])
+    K1, K2 = e1._flat, e2._flat
+    dist, w1, w2 = _evaluate(K1, K2, p1.theta, p1.phi, p2.theta, p2.phi)
+    lam = _start_step(config.lambda0, init is not None, dist, w1[2], w2[2])
+    if lam < config.lambda0:  # a warm start, misaligned (eps_n > 0)
+        eps_n = _metrics(dist, math.nan, math.nan, w1[2], w2[2], lam, lam)[1]
+        P1, P2 = _frame_fast(K1, p1.theta, p1.phi)[0], _frame_fast(K2, p2.theta, p2.phi)[0]
+        if eps_n >= config.tol_n and _segment_gap(e1, e2, P1, P2) > 0.0:
+            p1, p2 = _projected(e1, e2, P2, 1)
+            dist, w1, w2 = _evaluate(K1, K2, p1.theta, p1.phi, p2.theta, p2.phi)
+            lam = _start_step(config.lambda0, True, dist, w1[2], w2[2])
     return p1, p2, dist, w1, w2, lam, overlap
 
 
@@ -509,7 +545,7 @@ def initial_state(
     start to slide from: it raises NoIntersectionError (``solve`` reports
     it as ``overlap``). A step view of the first pass of ``solve``'s
     loop."""
-    p1, p2, dist, w1, w2, lam, overlap = _begin(e1, e2, init, config.lambda0)
+    p1, p2, dist, w1, w2, lam, overlap = _begin(e1, e2, init, config)
     if overlap:
         raise NoIntersectionError("a center lies inside the other body")
     return SolverState(
@@ -594,8 +630,12 @@ def solve(
     step yet, so it stops on eps_n alone. Both steps start at lambda0; a
     warm start (given ``init``) whose misalignment eps_n gives a smaller
     WARM_STEP_SCALE * sqrt(2 eps_n) starts at that, the size of the
-    correction it still needs (see ``_start_step``). Hitting max_iter or
-    the lambda floor is reported as a status, not an exception.
+    correction it still needs (see ``_start_step``). Unless its eps_n
+    already meets tol_n, such a start on a pair that its own witness
+    segment proves disjoint first runs one projection round from its P2,
+    and k = 0 (trace row 0 included) reads the witnesses after that round
+    (see ``_begin``). Hitting max_iter or the lambda floor is reported as
+    a status, not an exception.
     Separations below the contact threshold, the start's included, hand
     off to the contact classifier before any stop test. Without ``init``
     the search starts from ``_start``: two rounds of alternating
@@ -609,7 +649,7 @@ def solve(
     ``params`` and the trace rows are always in the canonical chart.
     """
     sigma = config.resolve_sigma(e1, e2)
-    p1, p2, dist, w1, w2, lam1, certain_overlap = _begin(e1, e2, init, config.lambda0)
+    p1, p2, dist, w1, w2, lam1, certain_overlap = _begin(e1, e2, init, config)
     trace: list[StepRecord] | None = [] if config.record_trace else None
 
     # each round runs on plain locals, as ``iterate_once`` says; a
