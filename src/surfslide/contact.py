@@ -190,7 +190,9 @@ def penetration_depth(
 ) -> ContactReport:
     """Continue an overlapping search from the witness params
     ``entry_params`` and report the distance between its last witnesses as
-    the depth.
+    the depth. ``analyze`` passes ``solve``'s last params: the ray exits
+    between the centers when the cold start's chord test certified the
+    overlap, else the witnesses where the slide stopped.
 
     While the witness points interpenetrate (or sit within sigma), each is
     pushed along the negated normal of the other body, re-read every step;
@@ -274,9 +276,12 @@ def analyze(
     init: tuple[SurfaceParam, SurfaceParam] | None = None,
 ) -> ContactReport:
     """Full pipeline: run the sliding search, which decides contact, and
-    continue to the penetration depth when the pair is not separated. The
-    report carries the search's result, trace included when ``config``
-    records one."""
+    continue to the penetration depth when the pair is not separated. A
+    cold pair whose center line runs inside both bodies for longer than
+    sigma (``slider._start``'s chord test) is ``overlap`` at k = 0, so its
+    continuation starts from the ray exits with no slide. The report
+    carries the search's result, trace included when ``config`` records
+    one."""
     from .slider import solve
 
     result = solve(e1, e2, init, config)

@@ -16,12 +16,16 @@ chart.
 
 A cold start between bodies that the center direction separates begins
 after two rounds of alternating foot-point projections, and its steps at
-``lambda0``. A warm start (given ``init``, say the answer before a small
-move) is usually almost aligned already, so its steps start at the size of
-the correction it still needs: WARM_STEP_SCALE times its misalignment
-angle, when that is below ``lambda0``. Such a start on a pair that its own
-witness segment proves disjoint first runs one round of the same
-projections, seeded at its second witness.
+``lambda0``. Any other cold start begins where the center line leaves each
+body; when the two chords that the bodies cut from that line share a
+stretch longer than the contact threshold, the pair overlaps for certain
+and ``solve`` reports it at once, with no slide. A warm start (given
+``init``, say the answer before a small move) is usually almost aligned
+already, so its steps start at the size of the correction it still needs:
+WARM_STEP_SCALE times its misalignment angle, when that is below
+``lambda0``. Such a start on a pair that its own witness segment proves
+disjoint first runs one round of the same projections, seeded at its
+second witness.
 """
 
 from __future__ import annotations
@@ -400,11 +404,11 @@ def _evaluate(K1, K2, t1: float, h1: float, t2: float, h2: float, bound: float =
     return dist, w1, w2
 
 
-def _ray_exit(e: Ellipsoid, toward) -> tuple[SurfaceParam, bool]:
+def _ray_exit(e: Ellipsoid, toward) -> tuple[SurfaceParam, float]:
     """Where the ray from e's center toward ``toward`` leaves e's surface,
-    and whether ``toward`` lies inside e: the (theta, phi) of w, the body
-    offset R^T (toward - c) over the semi-axes, and whether w.w - 1 (bit
-    for bit ``implicit_value(e, toward)``) is negative."""
+    and how far from the center it does: the (theta, phi) of w, the body
+    offset R^T (toward - c) over the semi-axes, and the reach
+    |toward - c| / |w|. A w.w that underflows to 0 reaches inf."""
     a, b, c, r00, r01, r02, r10, r11, r12, r20, r21, r22, cx, cy, cz = e._flat
     dx, dy, dz = float(toward[0]) - cx, float(toward[1]) - cy, float(toward[2]) - cz
     nn = dx * dx + dy * dy + dz * dz  # squares that underflow count as concentric
@@ -415,7 +419,9 @@ def _ray_exit(e: Ellipsoid, toward) -> tuple[SurfaceParam, bool]:
     x = (r00 * dx + r10 * dy + r20 * dz) / a
     y = (r01 * dx + r11 * dy + r21 * dz) / b
     z = (r02 * dx + r12 * dy + r22 * dz) / c
-    return SurfaceParam(*_unit_param(x, y, z)), x * x + y * y + z * z - 1.0 < 0.0
+    ww = x * x + y * y + z * z
+    reach = math.sqrt(nn) / math.sqrt(ww) if ww > 0.0 else math.inf
+    return SurfaceParam(*_unit_param(x, y, z)), reach
 
 
 def _support(e: Ellipsoid, ux: float, uy: float, uz: float) -> float:
@@ -485,16 +491,21 @@ def _projected(e1: Ellipsoid, e2: Ellipsoid, X, rounds: int) -> tuple[SurfacePar
     return SurfaceParam(*_unit_param(*u1)), SurfaceParam(*_unit_param(*u2))
 
 
-def _start(e1: Ellipsoid, e2: Ellipsoid, init) -> tuple[SurfaceParam, SurfaceParam, bool]:
+def _start(e1: Ellipsoid, e2: Ellipsoid, init,
+           sigma: float) -> tuple[SurfaceParam, SurfaceParam, bool]:
     """``init``, which must be canonical, or without it the cold start, and
     whether the pair overlaps for certain. With r = c2 - c1 and u = r/|r|,
     the support-function gap s(u) = |r| - |M1^T u| - |M2^T u| bounds the
     distance from below. When it is positive, the bodies are disjoint and
     the witnesses start after two rounds of ``_projected`` from c2.
     Otherwise each witness starts where the ray from its center toward the
-    other center leaves its surface, and the pair overlaps for certain when
-    a center lies inside the other body (concentric pairs raise
-    NoIntersectionError)."""
+    other center leaves its surface, and the chord test certifies overlap:
+    e1 holds the center line from c1 out to its reach rho1, e2 holds it
+    from c2 back to rho2, so rho1 + rho2 > |r| + ``sigma`` (the contact
+    threshold, which keeps round-off on touching pairs from counting) puts
+    a stretch of the line inside both bodies. That covers every pair with
+    a center, or a ray exit, more than sigma inside the other body along
+    the line. Concentric pairs raise NoIntersectionError."""
     if init is not None:
         if not (init[0].is_canonical() and init[1].is_canonical()):
             raise ValueError("initial surface parameters must be canonical")
@@ -506,21 +517,23 @@ def _start(e1: Ellipsoid, e2: Ellipsoid, init) -> tuple[SurfaceParam, SurfacePar
         ux, uy, uz = rx / r, ry / r, rz / r
         if r - _support(e1, ux, uy, uz) - _support(e2, -ux, -uy, -uz) > 0.0:
             return (*_projected(e1, e2, e2.center, 2), False)
-    p1, inside2 = _ray_exit(e1, e2.center)
-    p2, inside1 = _ray_exit(e2, e1.center)
-    return p1, p2, inside1 or inside2
+    p1, reach1 = _ray_exit(e1, e2.center)
+    p2, reach2 = _ray_exit(e2, e1.center)
+    return p1, p2, reach1 + reach2 > r + sigma
 
 
-def _begin(e1: Ellipsoid, e2: Ellipsoid, init, config: SolverConfig):
+def _begin(e1: Ellipsoid, e2: Ellipsoid, init, config: SolverConfig, sigma: float):
     """Pass k = 0, shared by ``solve`` and ``initial_state``: the start from
-    ``_start``, evaluated on the canonical charts, and the step both
-    lambdas begin with (``_start_step``). A warm start that would take a
-    step below lambda0, whose eps_n has not yet met tol_n, and whose own
-    witness segment has a positive ``_segment_gap`` (the pair is disjoint)
-    first runs one round of ``_projected`` from its P2, and is read and
-    sized again there; any other start stays as given. Returns (p1, p2,
-    dist, w1, w2, lam, overlap), with ``_start``'s certain ``overlap``."""
-    p1, p2, overlap = _start(e1, e2, init)
+    ``_start``, whose chord test reads the contact threshold ``sigma``,
+    evaluated on the canonical charts, and the step both lambdas begin
+    with (``_start_step``). A warm start that would take a step below
+    lambda0, whose eps_n has not yet met tol_n, and whose own witness
+    segment has a positive ``_segment_gap`` (the pair is disjoint) first
+    runs one round of ``_projected`` from its P2, and is read and sized
+    again there; any other start stays as given. Returns (p1, p2,
+    dist, w1, w2, lam, overlap), with ``_start``'s certain ``overlap``:
+    then p1 and p2 are the ray exits, and no later pass runs."""
+    p1, p2, overlap = _start(e1, e2, init, sigma)
     K1, K2 = e1._flat, e2._flat
     dist, w1, w2 = _evaluate(K1, K2, p1.theta, p1.phi, p2.theta, p2.phi)
     lam = _start_step(config.lambda0, init is not None, dist, w1[2], w2[2])
@@ -541,13 +554,14 @@ def initial_state(
     config: SolverConfig,
 ) -> SolverState:
     """State at k = 0, from ``_begin``'s start. A cold pair that ``_start``
-    finds overlapping for certain (a center inside the other body) has no
-    start to slide from: it raises NoIntersectionError (``solve`` reports
-    it as ``overlap``). A step view of the first pass of ``solve``'s
-    loop."""
-    p1, p2, dist, w1, w2, lam, overlap = _begin(e1, e2, init, config)
+    finds overlapping for certain (its center line has a stretch inside
+    both bodies) has no start to slide from: it raises NoIntersectionError
+    (``solve`` reports it as ``overlap``). A step view of the first pass
+    of ``solve``'s loop."""
+    sigma = config.resolve_sigma(e1, e2)
+    p1, p2, dist, w1, w2, lam, overlap = _begin(e1, e2, init, config, sigma)
     if overlap:
-        raise NoIntersectionError("a center lies inside the other body")
+        raise NoIntersectionError("the center line runs inside both bodies")
     return SolverState(
         k=0,
         params=(p1, p2),
@@ -640,16 +654,16 @@ def solve(
     off to the contact classifier before any stop test. Without ``init``
     the search starts from ``_start``: two rounds of alternating
     projections when the center direction separates the bodies, else the
-    ray exits between the centers. A pair that ``_start`` finds
-    overlapping for certain (a center inside the other body) is reported
-    as ``overlap`` at k = 0 from those ray exits, for the contact
-    continuation to start from (concentric pairs raise
-    NoIntersectionError). A witness within
+    ray exits between the centers. A pair that ``_start``'s chord test
+    finds overlapping for certain (a stretch of the center line, longer
+    than sigma, inside both bodies) is reported as ``overlap`` at k = 0
+    from those ray exits, for the contact continuation to start from
+    (concentric pairs raise NoIntersectionError). A witness within
     CHART_POLE_MARGIN of a pole of its chart carries on in another chart;
     ``params`` and the trace rows are always in the canonical chart.
     """
     sigma = config.resolve_sigma(e1, e2)
-    p1, p2, dist, w1, w2, lam1, certain_overlap = _begin(e1, e2, init, config)
+    p1, p2, dist, w1, w2, lam1, certain_overlap = _begin(e1, e2, init, config, sigma)
     trace: list[StepRecord] | None = [] if config.record_trace else None
 
     # each round runs on plain locals, as ``iterate_once`` says; a

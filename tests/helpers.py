@@ -180,6 +180,28 @@ def rotation_matrix_numpy(alpha, beta, gamma):
     )
 
 
+def body_offset_numpy(e, X):
+    """The offset of the global point X from e's center, rotated into e's
+    body frame by ``rotation_matrix_numpy`` and divided by the semi-axes:
+    X lies strictly inside e when its squared norm is below 1."""
+    R = rotation_matrix_numpy(*e.euler)
+    return R.T @ (np.asarray(X, dtype=float) - np.asarray(e.center)) / np.asarray(e.semi_axes)
+
+
+def center_chords_numpy(e1, e2):
+    """The center line's length r = |c2 - c1| and how far it runs inside
+    each body, all in numpy, a reference for the chord test of the cold
+    start: the line holds e1 from c1 out to rho1 = r / |w1|, w1 the body
+    offset of c2 in e1, and e2 from c2 back to rho2 = r / |w2|. An offset
+    of length 0 gives an unbounded reach."""
+    r = float(np.linalg.norm(np.asarray(e2.center) - np.asarray(e1.center)))
+    reaches = []
+    for e, other in ((e1, e2), (e2, e1)):
+        w = float(np.linalg.norm(body_offset_numpy(e, other.center)))
+        reaches.append(r / w if w > 0.0 else math.inf)
+    return r, reaches[0], reaches[1]
+
+
 def line_surface_entry_numpy(e, A, B):
     """The segment-entry parameters computed all in numpy, a reference for
     ``geometry.line_surface_entry``: both ends rotated into the body, the

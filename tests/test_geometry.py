@@ -422,23 +422,27 @@ def test_ray_exit_matches_numpy_reference():
     # the ray-exit starts of 400 overlap-recipe pairs on each of four seeds,
     # both bodies' (swapping the pair gives the same two): the closed form
     # agrees with the all-numpy segment entry to 1e-14 rad, puts its exit
-    # on the surface, and reports whether the other center lies inside as
-    # implicit_value does. Each exit segment, in both directions, stays
-    # bit for bit on the all-numpy formula.
+    # on the surface, and reaches as far from the center as the numpy exit
+    # does, to 1e-14 relative, so past the other center exactly where
+    # implicit_value puts that center inside. Each exit segment, in both
+    # directions, stays bit for bit on the all-numpy formula.
     for seed in (1, 2, 3, 2024):
         rng = np.random.default_rng(seed)
         for i in range(400):
             pair = random_overlap_pair(rng, (0.3, 0.6, 0.9)[i % 3])
             for e, other in (pair, pair[::-1]):
-                got, inside = _ray_exit(e, other.center)
+                got, reach = _ray_exit(e, other.center)
                 want = ray_exit_numpy(e, other.center)
                 dtheta = abs(got.theta - want.theta)
                 assert min(dtheta, 2 * PI - dtheta) <= 1e-14, (seed, i, got, want)
                 assert abs(got.phi - want.phi) <= 1e-14, (seed, i, got, want)
                 assert abs(implicit_value(e, surface_point(e, got))) <= 1e-14, (seed, i)
-                assert inside == (implicit_value(e, other.center) < 0.0), (seed, i)
                 c = np.asarray(e.center)
                 d = np.asarray(other.center) - c
+                reach_numpy = float(np.linalg.norm(surface_point(e, want) - c))
+                assert abs(reach - reach_numpy) <= 1e-14 * reach_numpy, (seed, i, reach)
+                inside = implicit_value(e, other.center) < 0.0
+                assert (reach > np.linalg.norm(d)) == inside, (seed, i)
                 far = c + (2.0 * max(e.semi_axes) / np.linalg.norm(d)) * d
                 for A, B in ((far, c), (c, far)):
                     got, want = line_surface_entry(e, A, B), line_surface_entry_numpy(e, A, B)

@@ -21,8 +21,8 @@ each of ``builtin_scenarios()``), prints which scenario files changed,
 and prints, per golden file, how far the answers moved (see
 ``move_summary``); for the oracle set also the worst parameter move in
 radians, which tells ulp moves from lattice-point flips; for the overlap
-set also the worst witness-param move in radians and the worst move of
-any normal component; for the random set also the cold solves' iteration
+set also the worst witness-param move in radians, the worst move of
+any normal component and the count of each report kind; for the random set also the cold solves' iteration
 mean, max and bare-eps_d stops, and the warm re-solves' iteration mean
 and max, old -> new; for the dual set the distance is the bracket's
 upper end.
@@ -33,6 +33,7 @@ change that moves answers regenerates them and lists what moved.
 import contextlib
 import io
 import math
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -251,9 +252,13 @@ def move_summary(name: str, old: list[str], new: list[str]) -> str:
     if name == ORACLE_SET.name:
         summary += f", worst parameter move {_worst_move(old, new, range(3, 7), True):.2g} rad"
     if name == OVERLAP_SET.name:
+        kinds = [Counter(x[1] for x in answers.values()) for answers in (a, b)]
+        counts = ", ".join(f"{kind} {kinds[0][kind]} -> {kinds[1][kind]}"
+                           for kind in sorted(kinds[0].keys() | kinds[1].keys()))
         summary += (
             f", worst witness-param move {_worst_move(old, new, range(4, 8), True):.2g} rad"
             f", worst normal-component move {_worst_move(old, new, range(8, 14)):.2g}"
+            f"; kinds: {counts}"
         )
     if name == RANDOM_SET.name:
         (m0, x0, b0), (m1, x1, b1) = _solve_stats(old, "cold"), _solve_stats(new, "cold")

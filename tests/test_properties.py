@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    center_chords_numpy,
     disk_pair,
     evaluate,
     high_aspect_pair,
@@ -486,12 +487,13 @@ def run_cold_start_points(n=500, seed=111):
     are two rounds of alternating projections, rebuilt here from the
     oracle's foot points, on their surfaces and at least s apart.
     Elsewhere the params are the ray exits between the centers, bit for
-    bit: those of the start state, or, where a center lies inside the
-    other body and ``initial_state`` has no start, those of ``solve``'s
-    overlap verdict."""
+    bit: those of the start state, or, where the center line's chords
+    (from numpy) share more than sigma and ``initial_state`` has no start,
+    those of ``solve``'s overlap verdict. Every pair with a center inside
+    the other body is among the latter."""
     rng = np.random.default_rng(seed)
     cfg = SolverConfig()
-    branches = [0, 0, 0]  # ray exits, center inside, projections
+    branches = [0, 0, 0]  # ray exits, certified overlaps, projections
     for case in range(n):
         if case % 2:
             e1, e2 = random_overlap_pair(rng, rng.uniform(0.1, 1.5))
@@ -501,12 +503,13 @@ def run_cold_start_points(n=500, seed=111):
         u = r / np.linalg.norm(r)
         gap = float(np.linalg.norm(r)) - support_reach(e1, u) - support_reach(e2, -u)
         inside = implicit_value(e1, e2.center) < 0.0 or implicit_value(e2, e1.center) < 0.0
-        branches[2 if gap > 0.0 else int(inside)] += 1
+        length, rho1, rho2 = center_chords_numpy(e1, e2)
+        certified = rho1 + rho2 > length + cfg.resolve_sigma(e1, e2)
+        branches[2 if gap > 0.0 else int(certified)] += 1
         if not gap > 0.0:
-            (p1, inside2), (p2, inside1) = _ray_exit(e1, e2.center), _ray_exit(e2, e1.center)
-            assert (inside1 or inside2) == inside, f"case {case}"
-            want = (p1, p2)
-            if inside:
+            assert certified or not inside, f"case {case}"
+            want = (_ray_exit(e1, e2.center)[0], _ray_exit(e2, e1.center)[0])
+            if certified:
                 with pytest.raises(NoIntersectionError):
                     initial_state(e1, e2, None, cfg)
                 res = solve(e1, e2, None, cfg)
@@ -525,7 +528,7 @@ def run_cold_start_points(n=500, seed=111):
             miss = float(np.abs(position - x).max())
             assert miss <= 1e-12 * scale, f"case {case}: projection off by {miss:.3e}"
         assert state.distance >= gap * (1.0 - 1e-12), f"case {case}: {state.distance} < s {gap}"
-    assert min(branches) > 0, f"branches (ray exits, center inside, projections): {branches}"
+    assert min(branches) > 0, f"branches (ray exits, certified, projections): {branches}"
 
 
 def run_extreme_aspect(seed, lo, hi, max_aspect, n=150):

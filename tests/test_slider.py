@@ -9,13 +9,17 @@ import pytest
 
 from helpers import (
     assert_float_triples,
+    body_offset_numpy,
+    center_chords_numpy,
     evaluate,
     nth_separated_pair,
     points_outside,
+    random_overlap_pair,
     random_separated_pair,
     surface_point,
 )
 from surfslide import slider
+from surfslide.contact import analyze
 from surfslide.geometry import (
     Ellipsoid,
     NoIntersectionError,
@@ -463,11 +467,86 @@ def test_contained_body_is_not_a_separated_pair():
             initial_state(e1, e2, None, SolverConfig())
 
 
+def _certified(e1, e2) -> bool:
+    """Whether the cold start proves the pair overlapping, which leaves
+    ``initial_state`` no start to give."""
+    try:
+        initial_state(e1, e2, None, SolverConfig())
+    except NoIntersectionError:
+        return True
+    return False
+
+
+def _strictly_inside(e, X) -> bool:
+    w = body_offset_numpy(e, X)
+    return float(w @ w) < 1.0
+
+
+def test_chord_test_certifies_a_stretch_inside_both_bodies():
+    # The overlap recipe, seeds 1-5 (2,000 pairs). The center line holds e1
+    # on (-rho1, rho1) from c1 and e2 on (r - rho2, r + rho2); at the middle
+    # of their shared stretch, found here in numpy, every certified pair
+    # has a point strictly inside both bodies. Every pair with a center
+    # inside the other body is certified, and swapping the arguments
+    # certifies the same pairs. Counts pinned: the chord test proves 1,079
+    # overlaps, where a center inside the other body proves 528.
+    certified = centers_inside = 0
+    for seed in range(1, 6):
+        rng = np.random.default_rng(seed)
+        for i in range(400):
+            e1, e2 = random_overlap_pair(rng, (0.3, 0.6, 0.9)[i % 3])
+            got = _certified(e1, e2)
+            assert _certified(e2, e1) == got, (seed, i)
+            inside = _strictly_inside(e1, e2.center) or _strictly_inside(e2, e1.center)
+            assert got or not inside, (seed, i)
+            if got:
+                r, rho1, rho2 = center_chords_numpy(e1, e2)
+                mid = 0.5 * (max(-rho1, r - rho2) + min(rho1, r + rho2))
+                c1, c2 = np.asarray(e1.center), np.asarray(e2.center)
+                X = c1 + (mid / r) * (c2 - c1)
+                assert _strictly_inside(e1, X) and _strictly_inside(e2, X), (seed, i)
+            certified += got
+            centers_inside += inside
+    assert (certified, centers_inside) == (1079, 528)
+
+
+def test_touching_spheres_are_never_certified():
+    # 2,000 tangent sphere pairs: radii log-uniform in [0.01, 100], the
+    # second center at r1 + r2 in a random direction, random rotations.
+    # Their chords meet only to round-off, which the sigma margin keeps
+    # from counting as a shared stretch: none is certified, and analyze
+    # calls every one in-contact.
+    rng = np.random.default_rng(7)
+    for i in range(2000):
+        r1, r2 = 10.0 ** rng.uniform(-2.0, 2.0, 2)
+        c1 = rng.uniform(-1.0, 1.0, 3)
+        u = rng.normal(size=3)
+        u /= np.linalg.norm(u)
+        e1 = Ellipsoid((r1, r1, r1), tuple(c1), tuple(rng.uniform(-math.pi, math.pi, 3)))
+        e2 = Ellipsoid((r2, r2, r2), tuple(c1 + (r1 + r2) * u),
+                       tuple(rng.uniform(-math.pi, math.pi, 3)))
+        assert not _certified(e1, e2), i
+        assert analyze(e1, e2).kind == "in-contact", i
+
+
+def test_an_underflowing_body_offset_is_certified():
+    # c2 lies 1e-150 from c1, inside a sphere of radius 1e200: the body
+    # offset 1e-350 underflows to 0, so the ray from c1 stays inside e1
+    # without end. That proves the overlap instead of dividing by zero.
+    e1, e2 = _spheres(1e200, (0, 0, 0), 1.0, (1e-150, 0, 0))
+    for a, b in ((e1, e2), (e2, e1)):
+        assert slider._ray_exit(a, b.center)[1] == (math.inf if a is e1 else 1.0)
+        with pytest.raises(NoIntersectionError, match="inside both bodies"):
+            initial_state(a, b, None, SolverConfig())
+        res = solve(a, b)
+        assert res.status == "overlap" and res.iterations == 0
+
+
 def test_only_the_ray_exit_start_tests_for_a_center_inside(monkeypatch):
-    # the cold start reports a certain overlap from its ray exits, which
-    # also tell whether each center lies inside the other body; a positive
-    # support gap along the center line already proves the pair disjoint,
-    # so the projection start never takes a ray exit
+    # the cold start certifies overlap from its ray exits, whose reaches
+    # along the center line give the chord test; a positive support gap
+    # along the center line already proves the pair disjoint, so the
+    # projection start never takes a ray exit
     calls = []
 
     def counted(e, toward):
