@@ -1,4 +1,5 @@
-"""Ellipsoid geometry: rotations, the parametric surface, and local frames.
+"""Ellipsoid geometry: rotations, the parametric surface, local frames and
+the support function.
 
 Everything here is a pure function of its inputs. ``Ellipsoid`` values are
 immutable after construction, so they can be shared freely across threads.
@@ -171,8 +172,9 @@ class Ellipsoid:
 def _frame_fast(K, theta: float, phi: float):
     """The fields of a :class:`SurfaceFrame`, as a plain tuple, of the body
     with the 15-float layout ``K`` of ``Ellipsoid._flat``. ``solve`` calls
-    it only for its contact hand-off and result, and the depth continuation
-    for its report's normals; their step kernels repeat this arithmetic."""
+    it for its contact hand-off and result, and for the witness segment of
+    a misaligned warm start (``_begin``); the depth continuation for its
+    report's normals. Their step kernels repeat this arithmetic."""
     a, b, c, r00, r01, r02, r10, r11, r12, r20, r21, r22, cx, cy, cz = K
     sp, cp = math.sin(phi), math.cos(phi)
     st, ct = math.sin(theta), math.cos(theta)
@@ -215,6 +217,29 @@ def _frame_fast(K, theta: float, phi: float):
         r20 * qx + r21 * qy + r22 * qz,
     )
     return pos, normal, et, ep
+
+
+def _reach(K, ux: float, uy: float, uz: float):
+    """The body-axis vector w = diag(a) R^T u of the body with the flat
+    layout ``K``, and its length s(u) = sqrt(u^T A u), A = R diag(a^2) R^T:
+    how far the body reaches beyond its center along the unit u. Returned
+    as (wx, wy, wz, s); -u gives exactly -w and the same s."""
+    a, b, c, r00, r01, r02, r10, r11, r12, r20, r21, r22, _, _, _ = K
+    wx = a * (r00 * ux + r10 * uy + r20 * uz)
+    wy = b * (r01 * ux + r11 * uy + r21 * uz)
+    wz = c * (r02 * ux + r12 * uy + r22 * uz)
+    return wx, wy, wz, math.sqrt(wx * wx + wy * wy + wz * wz)
+
+
+def _support_gap(K1, K2, ux: float, uy: float, uz: float):
+    """The support gap s(u) = (c2 - c1).u - s1(u) - s2(u) of the bodies
+    with flat layouts ``K1`` and ``K2`` along the unit u, with both
+    ``_reach`` tuples (at u, not -u): a lower bound on the signed distance
+    (weak duality), so a positive s(u) proves the bodies disjoint. Returned
+    as (s, h1, h2)."""
+    h1, h2 = _reach(K1, ux, uy, uz), _reach(K2, ux, uy, uz)
+    gap = (K2[12] - K1[12]) * ux + (K2[13] - K1[13]) * uy + (K2[14] - K1[14]) * uz
+    return gap - h1[3] - h2[3], h1, h2
 
 
 # ---------------------------------------------------------------------------
@@ -277,10 +302,10 @@ def line_surface_entry(e: Ellipsoid, A, B) -> SurfaceParam:
     """Parameters of the point where the segment A -> B first meets the
     surface (the entry point as seen from A).
 
-    Plain floats, except the rotation into the body and the three dot
-    products of the quadratic: those stay numpy calls, whose rounding
-    (BLAS may fuse and reorder the sums) a float rewrite would not repeat
-    bit for bit."""
+    No solver path calls it: the cold start uses ``slider._ray_exit``. It
+    stays only because the benchmark's tracer and layer bench and the
+    tests call it by name, so its numpy rotation and dot products stay as
+    they are."""
     a, b, c = e.semi_axes
     cx, cy, cz = e.center
     RT = e.rotation.T

@@ -14,18 +14,8 @@ another chart of the same body (its semi-axes cyclically shifted), whose
 poles lie on a different body axis; results are reported in the canonical
 chart.
 
-A cold start between bodies that the center direction separates begins
-after two rounds of alternating foot-point projections, and its steps at
-``lambda0``. Any other cold start begins where the center line leaves each
-body; when the two chords that the bodies cut from that line share a
-stretch longer than the contact threshold, the pair overlaps for certain
-and ``solve`` reports it at once, with no slide. A warm start (given
-``init``, say the answer before a small move) is usually almost aligned
-already, so its steps start at the size of the correction it still needs:
-WARM_STEP_SCALE times its misalignment angle, when that is below
-``lambda0``. Such a start on a pair that its own witness segment proves
-disjoint first runs one round of the same projections, seeded at its
-second witness.
+Pass k = 0 starts cold from the center line (``_start``) or warm from
+given witnesses (``_begin``).
 """
 
 from __future__ import annotations
@@ -47,6 +37,8 @@ from .geometry import (
     Vec3,
     _canonical,
     _frame_fast,
+    _reach,
+    _support_gap,
     _unit_param,
 )
 from .geometry import line_surface_entry  # unused; perfbench/tracer.py wraps it by this name
@@ -249,18 +241,16 @@ def convergence_metrics(
     return _metrics(state.distance, d_1, d_2, w1[2], w2[2], lam1, lam2)
 
 
-def _start_step(lambda0: float, warm: bool, dist: float, dn1: float, dn2: float) -> float:
-    """Both lambdas at k = 0, for witnesses ``dist`` apart whose pulls have
-    normal parts ``dn1`` and ``dn2``: ``lambda0`` on a cold start, and on
-    a warm one min(lambda0, WARM_STEP_SCALE * sqrt(2 eps_n)). Coincident
-    witnesses (eps_n NaN) and aligned ones keep ``lambda0``. A positive
-    eps_n is at least 2**-53, so a warm step is at least 7.4e-9, above
-    LAMBDA_FLOOR."""
-    if warm:
-        eps_n = _metrics(dist, math.nan, math.nan, dn1, dn2, lambda0, lambda0)[1]
-        if eps_n > 0.0:
-            return min(lambda0, WARM_STEP_SCALE * math.sqrt(2.0 * eps_n))
-    return lambda0
+def _warm_step(lambda0: float, dist: float, dn1: float, dn2: float) -> tuple[float, float]:
+    """Both lambdas of a warm start at k = 0, and its eps_n, for witnesses
+    ``dist`` apart whose pulls have normal parts ``dn1`` and ``dn2``:
+    min(lambda0, WARM_STEP_SCALE * sqrt(2 eps_n)). Coincident witnesses
+    (eps_n NaN) and aligned ones keep ``lambda0``. A positive eps_n is at
+    least 2**-53, so the step is at least 7.4e-9, above LAMBDA_FLOOR."""
+    eps_n = _metrics(dist, math.nan, math.nan, dn1, dn2, lambda0, lambda0)[1]
+    if eps_n > 0.0:
+        return min(lambda0, WARM_STEP_SCALE * math.sqrt(2.0 * eps_n)), eps_n
+    return lambda0, eps_n
 
 
 def _halved(lam1: float, lam2: float, toggle: int) -> tuple[float, float, int]:
@@ -424,15 +414,6 @@ def _ray_exit(e: Ellipsoid, toward) -> tuple[SurfaceParam, float]:
     return SurfaceParam(*_unit_param(x, y, z)), reach
 
 
-def _support(e: Ellipsoid, ux: float, uy: float, uz: float) -> float:
-    """|M^T u|, M = R diag(a): how far e reaches beyond its center along u."""
-    a, b, c, r00, r01, r02, r10, r11, r12, r20, r21, r22, _, _, _ = e._flat
-    wx = a * (r00 * ux + r10 * uy + r20 * uz)
-    wy = b * (r01 * ux + r11 * uy + r21 * uz)
-    wz = c * (r02 * ux + r12 * uy + r22 * uz)
-    return math.sqrt(wx * wx + wy * wy + wz * wz)
-
-
 def _foot(K, X):
     """Body-axis unit coordinates r and global position of the point of
     the body with flat layout ``K`` closest to the global point ``X``
@@ -442,10 +423,7 @@ def _foot(K, X):
     bracket. It stops on a step at most 1e-12 t or not positive, or after
     100 passes, never raises, and normalises r onto the surface."""
     a, b, c, r00, r01, r02, r10, r11, r12, r20, r21, r22, cx, cy, cz = K
-    dx, dy, dz = X[0] - cx, X[1] - cy, X[2] - cz
-    gx = a * (r00 * dx + r10 * dy + r20 * dz)
-    gy = b * (r01 * dx + r11 * dy + r21 * dz)
-    gz = c * (r02 * dx + r12 * dy + r22 * dz)
+    gx, gy, gz, _ = _reach(K, X[0] - cx, X[1] - cy, X[2] - cz)
     aa, bb, cc = a * a, b * b, c * c
     t = max(0.0, abs(gx) - aa, abs(gy) - bb, abs(gz) - cc)
     for _ in range(100):
@@ -464,18 +442,14 @@ def _foot(K, X):
 
 
 def _segment_gap(e1: Ellipsoid, e2: Ellipsoid, P1, P2) -> float:
-    """The support gap along the unit segment u from the global point P1 to
-    P2, s(u) = (c2 - c1).u - |M1^T u| - |M2^T u|: a lower bound on the
-    signed distance (weak duality), so a positive s(u) proves the bodies
+    """The support gap s(u) of ``_support_gap`` along the unit segment u
+    from the global point P1 to P2: a positive s(u) proves the bodies
     disjoint. NaN when the segment has no length, which proves nothing."""
     dx, dy, dz = P2[0] - P1[0], P2[1] - P1[1], P2[2] - P1[2]
     n = math.hypot(dx, dy, dz)  # a sum of squares overflows on far pairs
     if not n > 0.0:
         return math.nan
-    ux, uy, uz = dx / n, dy / n, dz / n
-    (x1, y1, z1), (x2, y2, z2) = e1.center, e2.center
-    gap = (x2 - x1) * ux + (y2 - y1) * uy + (z2 - z1) * uz
-    return gap - _support(e1, ux, uy, uz) - _support(e2, ux, uy, uz)
+    return _support_gap(e1._flat, e2._flat, dx / n, dy / n, dz / n)[0]
 
 
 def _projected(e1: Ellipsoid, e2: Ellipsoid, X, rounds: int) -> tuple[SurfaceParam, SurfaceParam]:
@@ -491,31 +465,27 @@ def _projected(e1: Ellipsoid, e2: Ellipsoid, X, rounds: int) -> tuple[SurfacePar
     return SurfaceParam(*_unit_param(*u1)), SurfaceParam(*_unit_param(*u2))
 
 
-def _start(e1: Ellipsoid, e2: Ellipsoid, init,
-           sigma: float) -> tuple[SurfaceParam, SurfaceParam, bool]:
-    """``init``, which must be canonical, or without it the cold start, and
-    whether the pair overlaps for certain. With r = c2 - c1 and u = r/|r|,
-    the support-function gap s(u) = |r| - |M1^T u| - |M2^T u| bounds the
-    distance from below. When it is positive, the bodies are disjoint and
-    the witnesses start after two rounds of ``_projected`` from c2.
-    Otherwise each witness starts where the ray from its center toward the
-    other center leaves its surface, and the chord test certifies overlap:
-    e1 holds the center line from c1 out to its reach rho1, e2 holds it
-    from c2 back to rho2, so rho1 + rho2 > |r| + ``sigma`` (the contact
-    threshold, which keeps round-off on touching pairs from counting) puts
-    a stretch of the line inside both bodies. That covers every pair with
-    a center, or a ray exit, more than sigma inside the other body along
-    the line. Concentric pairs raise NoIntersectionError."""
-    if init is not None:
-        if not (init[0].is_canonical() and init[1].is_canonical()):
-            raise ValueError("initial surface parameters must be canonical")
-        return init[0], init[1], False
+def _start(e1: Ellipsoid, e2: Ellipsoid, sigma: float) -> tuple[SurfaceParam, SurfaceParam, bool]:
+    """The cold start (no ``init``), and whether the pair overlaps for
+    certain. With r = c2 - c1 and u = r/|r|, the support gap
+    s(u) = |r| - s1(u) - s2(-u) bounds the distance from below. When it is
+    positive, the bodies are disjoint and the witnesses start after two
+    rounds of ``_projected`` from c2. Otherwise each witness starts where
+    the ray from its center toward the other center leaves its surface,
+    and the chord test certifies overlap: e1 holds the center line from c1
+    out to its reach rho1, e2 holds it from c2 back to rho2, so
+    rho1 + rho2 > |r| + ``sigma`` (the contact threshold, which keeps
+    round-off on touching pairs from counting) puts a stretch of the line
+    inside both bodies, and ``solve`` reports ``overlap`` at k = 0 with no
+    slide. That covers every pair with a center, or a ray exit, more than
+    sigma inside the other body along the line. Both steps start at
+    lambda0. Concentric pairs raise NoIntersectionError."""
     (x1, y1, z1), (x2, y2, z2) = e1.center, e2.center
     rx, ry, rz = x2 - x1, y2 - y1, z2 - z1
     r = math.sqrt(rx * rx + ry * ry + rz * rz)
     if r > 0.0:
         ux, uy, uz = rx / r, ry / r, rz / r
-        if r - _support(e1, ux, uy, uz) - _support(e2, -ux, -uy, -uz) > 0.0:
+        if r - _reach(e1._flat, ux, uy, uz)[3] - _reach(e2._flat, -ux, -uy, -uz)[3] > 0.0:
             return (*_projected(e1, e2, e2.center, 2), False)
     p1, reach1 = _ray_exit(e1, e2.center)
     p2, reach2 = _ray_exit(e2, e1.center)
@@ -523,28 +493,36 @@ def _start(e1: Ellipsoid, e2: Ellipsoid, init,
 
 
 def _begin(e1: Ellipsoid, e2: Ellipsoid, init, config: SolverConfig, sigma: float):
-    """Pass k = 0, shared by ``solve`` and ``initial_state``: the start from
-    ``_start``, whose chord test reads the contact threshold ``sigma``,
-    evaluated on the canonical charts, and the step both lambdas begin
-    with (``_start_step``). A warm start that would take a step below
-    lambda0, whose eps_n has not yet met tol_n, and whose own witness
-    segment has a positive ``_segment_gap`` (the pair is disjoint) first
-    runs one round of ``_projected`` from its P2, and is read and sized
-    again there; any other start stays as given. Returns (p1, p2,
-    dist, w1, w2, lam, overlap), with ``_start``'s certain ``overlap``:
-    then p1 and p2 are the ray exits, and no later pass runs."""
-    p1, p2, overlap = _start(e1, e2, init, sigma)
+    """Pass k = 0, shared by ``solve`` and ``initial_state``, evaluated on
+    the canonical charts. Without ``init`` it is ``_start``'s cold start,
+    whose chord test reads the contact threshold ``sigma``. A warm start
+    from ``init``, which must be canonical (say the answer before a small
+    move), is usually almost aligned already, so its steps start at the
+    size of the correction it still needs (``_warm_step``). One that would
+    take a step below lambda0, whose eps_n has not yet met tol_n, and
+    whose own witness segment has a positive ``_segment_gap`` (the pair is
+    disjoint) first runs one round of ``_projected`` from its P2, and is
+    read and sized again there; any other warm start stays as given.
+    Returns (p1, p2, dist, w1, w2, lam, overlap), with ``_start``'s
+    certain ``overlap``: then p1 and p2 are the ray exits, and no later
+    pass runs."""
     K1, K2 = e1._flat, e2._flat
+    if init is None:
+        p1, p2, overlap = _start(e1, e2, sigma)
+        dist, w1, w2 = _evaluate(K1, K2, p1.theta, p1.phi, p2.theta, p2.phi)
+        return p1, p2, dist, w1, w2, config.lambda0, overlap
+    p1, p2 = init[0], init[1]
+    if not (p1.is_canonical() and p2.is_canonical()):
+        raise ValueError("initial surface parameters must be canonical")
     dist, w1, w2 = _evaluate(K1, K2, p1.theta, p1.phi, p2.theta, p2.phi)
-    lam = _start_step(config.lambda0, init is not None, dist, w1[2], w2[2])
-    if lam < config.lambda0:  # a warm start, misaligned (eps_n > 0)
-        eps_n = _metrics(dist, math.nan, math.nan, w1[2], w2[2], lam, lam)[1]
-        P1, P2 = _frame_fast(K1, p1.theta, p1.phi)[0], _frame_fast(K2, p2.theta, p2.phi)[0]
-        if eps_n >= config.tol_n and _segment_gap(e1, e2, P1, P2) > 0.0:
+    lam, eps_n = _warm_step(config.lambda0, dist, w1[2], w2[2])
+    if lam < config.lambda0 and eps_n >= config.tol_n:
+        P2 = _frame_fast(K2, p2.theta, p2.phi)[0]
+        if _segment_gap(e1, e2, _frame_fast(K1, p1.theta, p1.phi)[0], P2) > 0.0:
             p1, p2 = _projected(e1, e2, P2, 1)
             dist, w1, w2 = _evaluate(K1, K2, p1.theta, p1.phi, p2.theta, p2.phi)
-            lam = _start_step(config.lambda0, True, dist, w1[2], w2[2])
-    return p1, p2, dist, w1, w2, lam, overlap
+            lam = _warm_step(config.lambda0, dist, w1[2], w2[2])[0]
+    return p1, p2, dist, w1, w2, lam, False
 
 
 def initial_state(
@@ -638,27 +616,18 @@ def solve(
 ) -> DistanceResult:
     """Run the sliding search until a stopping criterion fires.
 
-    Pass k = 0 of the loop evaluates the start and pass k >= 1 runs round
-    k. Any one of eps_d < tol_d, eps_n < tol_n, eps_lambda < tol_lambda
-    ends the search as converged; the start has no eps_d and takes no
-    step yet, so it stops on eps_n alone. Both steps start at lambda0; a
-    warm start (given ``init``) whose misalignment eps_n gives a smaller
-    WARM_STEP_SCALE * sqrt(2 eps_n) starts at that, the size of the
-    correction it still needs (see ``_start_step``). Unless its eps_n
-    already meets tol_n, such a start on a pair that its own witness
-    segment proves disjoint first runs one projection round from its P2,
-    and k = 0 (trace row 0 included) reads the witnesses after that round
-    (see ``_begin``). Hitting max_iter or the lambda floor is reported as
-    a status, not an exception.
+    Pass k = 0 of the loop evaluates the start, cold (``_start``) or warm
+    from ``init`` (``_begin``), with its steps; trace row 0 reads it. Pass
+    k >= 1 runs round k. Any one of eps_d < tol_d, eps_n < tol_n,
+    eps_lambda < tol_lambda ends the search as converged; the start has no
+    eps_d and takes no step yet, so it stops on eps_n alone. Hitting
+    max_iter or the lambda floor is reported as a status, not an
+    exception. A cold pair that ``_start`` finds overlapping for certain
+    is reported as ``overlap`` at k = 0 from its ray exits, for the
+    contact continuation to start from (concentric pairs raise
+    NoIntersectionError).
     Separations below the contact threshold, the start's included, hand
-    off to the contact classifier before any stop test. Without ``init``
-    the search starts from ``_start``: two rounds of alternating
-    projections when the center direction separates the bodies, else the
-    ray exits between the centers. A pair that ``_start``'s chord test
-    finds overlapping for certain (a stretch of the center line, longer
-    than sigma, inside both bodies) is reported as ``overlap`` at k = 0
-    from those ray exits, for the contact continuation to start from
-    (concentric pairs raise NoIntersectionError). A witness within
+    off to the contact classifier before any stop test. A witness within
     CHART_POLE_MARGIN of a pole of its chart carries on in another chart;
     ``params`` and the trace rows are always in the canonical chart.
     """

@@ -98,10 +98,16 @@ def random_param(rng) -> SurfaceParam:
     return SurfaceParam(rng.uniform(0.0, 2.0 * PI), rng.uniform(0.0, PI))
 
 
+def support_vector(e, u) -> np.ndarray:
+    """M^T u = diag(semi-axes) R^T u in numpy, the body-axis vector whose
+    length is e's support reach along u."""
+    return (e.rotation * np.asarray(e.semi_axes)).T @ u
+
+
 def support_reach(e, u) -> float:
     """|M^T u|, the reach of e's support function in the unit direction u,
     M = R diag(semi-axes)."""
-    return float(np.linalg.norm((e.rotation * np.asarray(e.semi_axes)).T @ u))
+    return float(np.linalg.norm(support_vector(e, u)))
 
 
 def random_overlap_pair(rng, frac):

@@ -1,5 +1,5 @@
 """Unit tests for the geometric kernel: rotations, parametric surface
-evaluation, frames, and frame conversions."""
+evaluation, frames, frame conversions and the support function."""
 
 import math
 
@@ -9,9 +9,12 @@ import pytest
 from helpers import (
     assert_float_triples,
     line_surface_entry_numpy,
+    random_ellipsoid,
     random_overlap_pair,
     ray_exit_numpy,
     rotation_matrix_numpy,
+    support_reach,
+    support_vector,
     surface_point,
 )
 from surfslide.geometry import (
@@ -20,6 +23,8 @@ from surfslide.geometry import (
     SurfaceFrame,
     SurfaceParam,
     _frame_fast,
+    _reach,
+    _support_gap,
     euler_from_rotation,
     implicit_value,
     line_surface_entry,
@@ -28,6 +33,7 @@ from surfslide.geometry import (
     surface_frame,
     to_local_point,
 )
+from surfslide.oracle import DUAL_TOL
 from surfslide.slider import SolverConfig, _ray_exit, initial_state
 
 PI = math.pi
@@ -388,6 +394,42 @@ def test_param_rejects_nan_coordinates(x):
     e = Ellipsoid((1, 1, 1), (0, 0, 0), (0, 0, 0))
     with pytest.raises(ValueError, match="off the surface"):
         param_from_local_point(e, x)
+
+
+# ---------------------------------------------------------------------------
+# support function
+
+
+def test_support_kernels_match_numpy():
+    # 1,000 seeded pairs, semi-axes 1e-3 to 1e3 at aspect <= 1000, centers
+    # spread over 1e-3 to 1e3, against the numpy M^T u. A component of w
+    # may cancel, so its round-off is a few ulps of its semi-axis, and s's
+    # and the gap's are bounded by DUAL_TOL times the terms that they sum
+    # (the budget dual_distance's lower end subtracts). A plain 1e-15
+    # relative bound on s does not hold here: where w cancels, s and the
+    # numpy reach differ by up to 3.0e-15 relative.
+    eps = 2.0**-52
+    rng = np.random.default_rng(38)
+    for i in range(1000):
+        scale = 10.0 ** rng.uniform(-3.0, 3.0)
+        e1, e2 = (Ellipsoid(e.semi_axes, tuple(rng.uniform(-scale, scale, 3)), e.euler)
+                  for e in (random_ellipsoid(rng, 1e-3, 1e3, 1000.0) for _ in range(2)))
+        u = rng.normal(size=3)
+        u /= np.linalg.norm(u)
+        spreads = []
+        for e in (e1, e2):
+            *w, s = _reach(e._flat, *u.tolist())
+            assert type(s) is float and all(type(x) is float for x in w)
+            a = np.asarray(e.semi_axes)
+            assert (np.abs(np.array(w) - support_vector(e, u)) <= 4 * eps * a).all(), (i, w)
+            spreads.append(float(a @ np.abs(w)) / s)
+            assert abs(s - support_reach(e, u)) <= DUAL_TOL * spreads[-1], (i, s)
+            assert _reach(e._flat, *(-u).tolist()) == (-w[0], -w[1], -w[2], s), i
+        g, h1, h2 = _support_gap(e1._flat, e2._flat, *u.tolist())
+        assert (h1, h2) == (_reach(e1._flat, *u.tolist()), _reach(e2._flat, *u.tolist()))
+        r = np.asarray(e2.center) - np.asarray(e1.center)
+        want = float(r @ u) - support_reach(e1, u) - support_reach(e2, u)
+        assert abs(g - want) <= DUAL_TOL * (float(np.abs(r * u).sum()) + sum(spreads)), (i, g)
 
 
 # ---------------------------------------------------------------------------

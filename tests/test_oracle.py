@@ -16,7 +16,7 @@ from helpers import (
     random_separated_pair,
     surface_point,
 )
-from surfslide import oracle
+from surfslide import geometry, oracle
 from surfslide.geometry import Ellipsoid, implicit_value, surface_frame
 from surfslide.oracle import (
     OracleRangeError,
@@ -398,15 +398,27 @@ def test_dual_step_cap(monkeypatch):
     assert lower <= 3.5 <= upper <= 3.5 * (1.0 + EPS)
 
 
-def test_oracle_imports_nothing_from_the_solver():
-    # the oracle grades the solver, so it must share none of its arithmetic
-    path = Path(oracle.__file__)
-    for node in ast.walk(ast.parse(path.read_text())):
+def _imported_names(module) -> set[str]:
+    """The last dotted part of every module that ``module``'s source
+    imports, and the names a relative ``from . import`` takes."""
+    names = set()
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
         if isinstance(node, ast.ImportFrom):
-            module = node.module or ""
-            assert module.split(".")[-1] not in ("slider", "contact"), ast.dump(node)
+            names.add((node.module or "").split(".")[-1])
             if node.level:
-                assert not {a.name for a in node.names} & {"slider", "contact"}
+                names.update(a.name for a in node.names)
         elif isinstance(node, ast.Import):
-            for alias in node.names:
-                assert alias.name.split(".")[-1] not in ("slider", "contact")
+            names.update(a.name.split(".")[-1] for a in node.names)
+    return names
+
+
+def test_oracle_imports_nothing_from_the_solver():
+    # the oracle grades the solver, so it must not reach its iteration; it
+    # shares only geometry's kernels (see the next test)
+    assert not _imported_names(oracle) & {"slider", "contact"}
+
+
+def test_geometry_is_a_leaf():
+    # the oracle and the solver share geometry's support kernels, so the
+    # oracle could reach the solver through geometry if it imported one
+    assert not _imported_names(geometry) & {"slider", "contact", "oracle", "scenarios", "cli"}

@@ -16,6 +16,7 @@ from helpers import (
     points_outside,
     random_overlap_pair,
     random_separated_pair,
+    support_reach,
     surface_point,
 )
 from surfslide import slider
@@ -43,7 +44,7 @@ from surfslide.slider import (
     initial_state,
     iterate_once,
     _foot,
-    _start_step,
+    _warm_step,
     solve,
     step_increments,
 )
@@ -744,13 +745,38 @@ def test_builtin_inits_keep_lambda0():
         assert row.lambda1 == row.lambda2 == cfg.lambda0, sc.name
 
 
-def test_start_step_keeps_lambda0_without_a_misalignment():
-    assert _start_step(0.05, False, 1.0, 0.5, 0.5) == 0.05  # cold
-    assert _start_step(0.05, True, 0.0, 0.0, 0.0) == 0.05  # coincident: eps_n NaN
-    assert _start_step(0.05, True, 1.0, 1.0, 1.0) == 0.05  # aligned: eps_n 0
-    assert _start_step(0.05, True, 1.0, 0.5, 1.0) == 0.05  # far off: capped
-    assert _start_step(0.05, True, 1.0, 1.0 - 2e-6, 1.0) == pytest.approx(1e-3)
-    assert _start_step(0.05, True, 1.0, 1.0 - 2.0**-53, 1.0) > LAMBDA_FLOOR
+def test_warm_step_keeps_lambda0_without_a_misalignment():
+    lam, eps_n = _warm_step(0.05, 0.0, 0.0, 0.0)  # coincident: eps_n NaN
+    assert lam == 0.05 and math.isnan(eps_n)
+    assert _warm_step(0.05, 1.0, 1.0, 1.0) == (0.05, 0.0)  # aligned: eps_n 0
+    assert _warm_step(0.05, 1.0, 0.5, 1.0) == (0.05, 0.5)  # far off: capped
+    lam, eps_n = _warm_step(0.05, 1.0, 1.0 - 2e-6, 1.0)
+    assert lam == pytest.approx(1e-3) and eps_n == pytest.approx(2e-6)
+    assert _warm_step(0.05, 1.0, 1.0 - 2.0**-53, 1.0)[0] > LAMBDA_FLOOR
+
+
+def test_cold_start_steps_at_lambda0():
+    # trace row 0 of a cold solve has both steps at lambda0, on seeded
+    # pairs that take each of _start's three starts, told apart in numpy:
+    # the projections (positive center-line support gap), the uncertified
+    # ray exits, and the chord-certified overlaps (solve's k = 0 overlap)
+    cfg = SolverConfig(lambda0=0.03, max_iter=1, record_trace=True)
+    rng = np.random.default_rng(11)
+    starts = [0, 0, 0]  # projections, ray exits, certified overlaps
+    for case in range(150):
+        e1, e2 = random_overlap_pair(rng, rng.uniform(0.1, 1.5))
+        r = np.asarray(e2.center) - np.asarray(e1.center)
+        u = r / np.linalg.norm(r)
+        gap = float(np.linalg.norm(r)) - support_reach(e1, u) - support_reach(e2, -u)
+        length, rho1, rho2 = center_chords_numpy(e1, e2)
+        certified = rho1 + rho2 > length + cfg.resolve_sigma(e1, e2)
+        start = 0 if gap > 0.0 else 2 if certified else 1
+        starts[start] += 1
+        res = solve(e1, e2, None, cfg)
+        assert (res.status == "overlap" and res.iterations == 0) == (start == 2), case
+        row = res.trace[0]
+        assert row.k == 0 and row.lambda1 == row.lambda2 == cfg.lambda0, case
+    assert starts == [82, 16, 52]
 
 
 # ---------------------------------------------------------------------------
