@@ -21,7 +21,8 @@ bench
 list
     Print the builtin scenarios.
 
-Exit codes: 0 converged, 1 warm/cold distance mismatch during bench,
+Exit codes: 0 converged, 1 warm/cold distance mismatch during bench (by
+more than 1e-8 of the cold distance),
 2 max-iter (of the solve or of the depth continuation), 3 lambda-floor,
 4 input error, 5 overlap during bench, 6 contact, 7 overlap.
 """
@@ -398,7 +399,7 @@ def cmd_bench(args) -> int:
 
         gap = abs(cold.distance - warm.distance)
         max_gap = max(max_gap, gap)
-        if gap > 1e-8:
+        if gap > 1e-8 * cold.distance:  # relative, so the verdict is scale-free
             print(
                 f"bench: warm/cold distance mismatch {gap:.3e} at step {step}",
                 file=sys.stderr,

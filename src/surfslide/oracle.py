@@ -3,8 +3,8 @@
 Three layers. In numpy: an exact point-to-ellipsoid projection (Newton's
 method on a concave form of the foot-point equation in the body's axis
 frame, started from a lower bound of its root so that it needs no
-bracket), and a coarse-to-fine lattice search run over both surfaces at
-once, with an exact foot solve for every lattice point. In plain floats:
+bracket), and a coarse-to-fine lattice search on each surface, run level by
+level, with an exact foot solve for every lattice point. In plain floats:
 the support-function dual of :func:`dual_distance`.
 
 Each lattice answer is the exact distance between two surface points, so
@@ -95,10 +95,9 @@ class OracleRangeError(ValueError):
 
 
 def _foot_points_local(axes: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Feet of the normals dropped from exterior local points ``q``, given
-    as (..., 3, m) arrays of m points, onto bodies with semi-axes ``axes``
-    (broadcast against ``q``, so each column may have its own); the feet
-    come back in the layout of ``q``.
+    """Feet of the normals dropped from exterior local points ``q``, a
+    (3, m) array of m points, onto the body with semi-axes ``axes``, a
+    (3, 1) column; the feet come back as a (3, m) array.
 
     The foot satisfies x_i = a_i^2 q_i / (a_i^2 + t) with t > 0 the unique
     root of F(t) = sum_i r_i^2 = 1, r_i = a_i q_i / (a_i^2 + t). Newton's
@@ -111,23 +110,18 @@ def _foot_points_local(axes: np.ndarray, q: np.ndarray) -> np.ndarray:
     and no bracket is needed. For a sphere k is linear and one step is
     exact. The step is -k/k' = F (sqrt(F) - 1) / S with
     S = sum_i r_i^2 / (a_i^2 + t); one that round-off makes negative is
-    clamped to 0. Stops once every step is at most ``POINT_TOL * t`` (a
-    step too small to change t counts as stopped), and raises RuntimeError
-    after NEWTON_MAX_PASSES passes.
+    clamped to 0. The m solves stop together, once every step is at most
+    ``POINT_TOL * t`` (a step too small to change t counts as stopped), and
+    raise RuntimeError after NEWTON_MAX_PASSES passes.
     """
-    # coordinates on axis -2: reductions over 3 contiguous rows are cheaper
-    # than over a short last axis
     a2 = axes * axes
     aq = axes * q
-    t = np.maximum(0.0, np.max(np.abs(aq) - a2, axis=-2, keepdims=True))
-    d, r2 = np.empty_like(aq), np.empty_like(aq)
+    t = np.maximum(0.0, np.max(np.abs(aq) - a2, axis=0))
     for _ in range(NEWTON_MAX_PASSES):
-        np.add(a2, t, out=d)
-        np.divide(aq, d, out=r2)
-        np.square(r2, out=r2)
-        f = np.add.reduce(r2, axis=-2, keepdims=True)
-        s = np.add.reduce(np.divide(r2, d, out=r2), axis=-2, keepdims=True)
-        t_next = t + np.maximum(0.0, f * (np.sqrt(f) - 1.0) / s)
+        d = a2 + t
+        r2 = np.square(aq / d)
+        f = r2.sum(axis=0)
+        t_next = t + np.maximum(0.0, f * (np.sqrt(f) - 1.0) / (r2 / d).sum(axis=0))
         if (t_next - t <= POINT_TOL * t_next).all():
             return a2 * q / (a2 + t_next)
         t = t_next
@@ -168,12 +162,13 @@ def oracle_min_distance(
     into the wrong basin when that body is needle-like; the other body's
     lattice finds it.
 
-    Both searches run as one array pass per level: block h of every array
-    holds body h's lattice, in the local frame of the other body. Each block
-    refines around its own best point; lattices are flattened theta-major,
-    so that np.argmin tie-breaks to the lowest (theta, phi) pair. Every
-    point of every level gets an exact foot solve, and a block's best
-    changes only on a strict improvement.
+    Each body's search runs in the other body's local frame and refines
+    around its own best point; the two run level by level, and both
+    lattices of a level are tested for overlap before either is
+    foot-solved. Lattices are flattened theta-major, so that np.argmin
+    tie-breaks to the lowest (theta, phi) pair. Every point of every level
+    gets an exact foot solve, and a search's best changes only on a strict
+    improvement.
 
     Raises :class:`OracleRangeError`, before any arithmetic, when the pair's
     lengths leave [MIN_LENGTH, MAX_LENGTH], and
@@ -183,53 +178,43 @@ def oracle_min_distance(
     """
     _check_range(e1, e2)
     gt, gp = GRID_THETA, GRID_PHI
-    bodies, others = (e1, e2), (e2, e1)
-    own_axes = np.array([e1.semi_axes, e2.semi_axes])
-    # the semi-axes each block projects onto, per column: array ops with a
-    # stride-0 operand are slower
-    axes = np.repeat(own_axes[::-1, :, None], gt * gp, axis=2)
-    R = np.array([e2.rotation.T @ e1.rotation, e1.rotation.T @ e2.rotation])
-    T = np.array([to_local_point(e2, np.asarray(e1.center)),
-                  to_local_point(e1, np.asarray(e2.center))])[:, :, None]
-
-    theta_c = np.array([math.pi, math.pi])
-    phi_c = np.array([math.pi / 2.0, math.pi / 2.0])
+    pairs = ((e1, e2), (e2, e1))
+    # per search: the semi-axes it projects onto and the move of its
+    # lattice into the other body's local frame
+    frames = [(np.asarray(other.semi_axes)[:, None], other.rotation.T @ body.rotation,
+               to_local_point(other, np.asarray(body.center))[:, None])
+              for body, other in pairs]
+    centers = [(math.pi, math.pi / 2.0)] * 2
+    best = [None, None]  # per search: (distance, theta, phi, foot on the other body)
     theta_hw, phi_hw = math.pi, math.pi / 2.0
-    i_theta, i_phi = np.arange(gt, dtype=float), np.arange(gp, dtype=float)
-    pts = np.empty((2, 3, gt, gp))
-    best = [None, None]  # per block: (distance, theta, phi, foot on the other body)
-    q, w = np.empty_like(axes), np.empty_like(axes)  # reused by every level
     for _ in range(REFINE_LEVELS + 1):
-        lo_t, hi_t = theta_c - theta_hw, theta_c + theta_hw
-        lo_p, hi_p = np.maximum(0.0, phi_c - phi_hw), np.minimum(math.pi, phi_c + phi_hw)
-        # np.linspace's arithmetic (endpoint=False for theta), without its overhead
-        thetas = i_theta * ((hi_t - lo_t) / gt)[:, None] + lo_t[:, None]
-        phis = i_phi * ((hi_p - lo_p) / (gp - 1))[:, None] + lo_p[:, None]
-        phis[:, -1] = hi_p
-        sin_ph = np.sin(phis)
-        np.multiply(np.cos(thetas)[:, :, None],
-                    (own_axes[:, 0, None] * sin_ph)[:, None, :], out=pts[:, 0])
-        np.multiply(np.sin(thetas)[:, :, None],
-                    (own_axes[:, 1, None] * sin_ph)[:, None, :], out=pts[:, 1])
-        pts[:, 2] = (own_axes[:, 2, None] * np.cos(phis))[:, None, :]
-        np.matmul(R, pts.reshape(2, 3, gt * gp), out=q)
-        q += T
-        if (np.square(np.divide(q, axes, out=w), out=w).sum(axis=1) <= 1.0).any():
-            raise OverlapSuspectedError(
-                "a sampled surface point of one body lies inside the other"
-            )
-        feet = _foot_points_local(axes, q)
-        dists = np.sqrt(np.sum(np.square(q - feet, out=w), axis=1))
-        for h, i in enumerate(np.argmin(dists, axis=1)):
-            if best[h] is None or dists[h, i] < best[h][0]:
-                best[h] = (float(dists[h, i]), float(thetas[h, i // gp]),
-                           float(phis[h, i % gp]), feet[h, :, i])
-                theta_c[h], phi_c[h] = best[h][1], best[h][2]
+        lattices = []
+        for (body, _), (axes, R, T), (theta_c, phi_c) in zip(pairs, frames, centers):
+            thetas = np.linspace(theta_c - theta_hw, theta_c + theta_hw, gt, endpoint=False)
+            phis = np.linspace(max(0.0, phi_c - phi_hw), min(math.pi, phi_c + phi_hw), gp)
+            a, b, c = body.semi_axes
+            cos_th, sin_th, sin_ph = np.cos(thetas)[:, None], np.sin(thetas)[:, None], np.sin(phis)
+            pts = np.array(np.broadcast_arrays(cos_th * (a * sin_ph), sin_th * (b * sin_ph),
+                                               c * np.cos(phis)))
+            q = R @ pts.reshape(3, gt * gp) + T
+            if (np.square(q / axes).sum(axis=0) <= 1.0).any():
+                raise OverlapSuspectedError(
+                    "a sampled surface point of one body lies inside the other"
+                )
+            lattices.append((thetas, phis, q))
+        for h, ((axes, _, _), (thetas, phis, q)) in enumerate(zip(frames, lattices)):
+            feet = _foot_points_local(axes, q)
+            dists = np.sqrt(np.square(q - feet).sum(axis=0))
+            i = np.argmin(dists)
+            if best[h] is None or dists[i] < best[h][0]:
+                best[h] = (float(dists[i]), float(thetas[i // gp]), float(phis[i % gp]),
+                           feet[:, i])
+                centers[h] = best[h][1:3]
         theta_hw *= REFINE_SHRINK
         phi_hw *= REFINE_SHRINK
 
     found = []
-    for body, other, (dist, th, ph, foot) in zip(bodies, others, best):
+    for (body, other), (dist, th, ph, foot) in zip(pairs, best):
         if implicit_value(body, other.rotation @ foot + np.asarray(other.center)) <= 0.0:
             raise OverlapSuspectedError("a closest point of one body lies inside the other")
         found.append((dist, SurfaceParam.canonical(th, ph), param_from_local_point(other, foot)))

@@ -764,6 +764,24 @@ def test_bench_small_run(capsys):
     assert doc["max_distance_gap"] <= 1e-8
 
 
+@pytest.mark.parametrize("name", ["system-I", "system-III-ABC"])
+@pytest.mark.parametrize("power", [10, 20])
+def test_bench_mismatch_bound_is_relative(tmp_path, capsys, name, power):
+    # on system-I scaled by 2^10 the first step's warm and cold distances
+    # differ by about 4.6e-8, and scaled by 2^20 by about 4.7e-5: a few
+    # 1e-11 of the distance, as at unit scale, so no mismatch is reported
+    doc = scenario_to_dict(builtin_scenario(name))
+    for tag in ("e1", "e2"):
+        for key in ("semi_axes", "center"):
+            doc[tag][key] = [2.0**power * x for x in doc[tag][key]]
+    path = tmp_path / "scaled.json"
+    path.write_text(json.dumps(doc))
+    code = main(["bench", str(path), "--steps", "50", "--seed", "1"])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert json.loads(captured.out)["max_distance_gap"] > 1e-8
+
+
 def test_bench_overlap_abort(tmp_path, capsys):
     path = _overlap_scenario_file(tmp_path)
     code = main(["bench", path, "--steps", "3", "--perturbation", "1e-3"])

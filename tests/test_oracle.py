@@ -11,6 +11,7 @@ import pytest
 
 from helpers import (
     disk_pair,
+    high_aspect_pair,
     points_outside,
     random_overlap_pair,
     random_separated_pair,
@@ -208,6 +209,52 @@ def test_oracle_detects_a_contained_body_in_both_orders():
     for e1, e2 in ((outer, inner), (inner, outer)):
         with pytest.raises(OverlapSuspectedError, match="sampled surface point"):
             oracle_min_distance(e1, e2)
+
+
+def test_oracle_overlap_exit_runs_no_foot_solve(monkeypatch):
+    # each level tests both lattices before either is foot-solved: a search
+    # that ran body by body would pay 7 foot solves on (outer, inner), and
+    # one that solved body 1 before testing body 2's lattice would pay 1
+    calls = []
+    solve_feet = oracle._foot_points_local
+
+    def counted(axes, q):
+        calls.append(q.shape)
+        return solve_feet(axes, q)
+
+    monkeypatch.setattr(oracle, "_foot_points_local", counted)
+    outer = Ellipsoid((3.0, 2.0, 2.5), (0.1, -0.2, 0.3), (0.3, 0.2, 0.1))
+    inner = Ellipsoid((0.5, 0.3, 0.4), (0.4, 0.1, 0.2), (-0.7, 0.4, 1.1))
+    spheres = (Ellipsoid((1, 1, 1), (0, 0, 0), (0, 0, 0)),
+               Ellipsoid((1, 1, 1), (1.0, 0, 0), (0, 0, 0)))
+    for e1, e2 in ((outer, inner), (inner, outer), spheres, spheres[::-1]):
+        with pytest.raises(OverlapSuspectedError, match="a sampled surface point"):
+            oracle_min_distance(e1, e2)
+        assert calls == []
+
+
+def test_oracle_answer_does_not_depend_on_the_argument_order():
+    # both searches run whichever body comes first, so swapping the
+    # arguments swaps the params and keeps the distance bit for bit, or
+    # raises the same error
+    rng = np.random.default_rng(41)
+    pairs = [high_aspect_pair(rng) for _ in range(20)]
+    pairs += [disk_pair(rng) for _ in range(20)]
+    pairs += [random_overlap_pair(rng, (0.3, 0.6, 0.9)[i % 3]) for i in range(20)]
+    pairs += [random_separated_pair(rng) for _ in range(20)]
+    raised = 0
+    for e1, e2 in pairs:
+        found = []
+        for a, b in ((e1, e2), (e2, e1)):
+            try:
+                dist, params = oracle_min_distance(a, b)
+                found.append((dist.hex(), params if a is e1 else params[::-1]))
+            except RuntimeError as exc:
+                found.append((type(exc), str(exc)))
+        assert found[0] == found[1]
+        raised += isinstance(found[0][0], type)
+    # both kinds of exit are compared
+    assert raised == 13
 
 
 @pytest.mark.parametrize(

@@ -20,6 +20,7 @@ from helpers import (
     surface_point,
 )
 from surfslide import slider
+from surfslide.cli import main as cli_main
 from surfslide.contact import analyze
 from surfslide.geometry import (
     Ellipsoid,
@@ -30,7 +31,7 @@ from surfslide.geometry import (
     surface_frame,
 )
 from surfslide.oracle import point_to_ellipsoid
-from surfslide.scenarios import builtin_scenario, builtin_scenarios
+from surfslide.scenarios import Scenario, builtin_scenario, builtin_scenarios, save_scenario
 from surfslide.slider import (
     CHART_POLE_MARGIN,
     LAMBDA_FLOOR,
@@ -843,3 +844,53 @@ def test_numpy_scalar_settings_give_plain_float_results():
     for row, want_row in zip(res.trace, want.trace):
         assert row == want_row
         assert all(type(v) is float for v in row[1:10])
+
+
+def _scale_outcome(res):
+    """The outcome class of a solve of a pair scaled by a power of ten."""
+    if res.status != "converged":
+        return f"{res.status}, non-finite" if not math.isfinite(res.distance) else res.status
+    if any(n == (0.0, 0.0, 0.0) for n in res.normals):
+        return "converged, zero normals"
+    return "converged"
+
+
+# The outcome of solve on 5 random_separated_pairs of seed 117 scaled by
+# 10^e: every class but "converged" is a failure that an exact power-of-two
+# normalization of the pair should mend, leaving this table one row.
+SCALE_OUTCOMES = {
+    -200: "NoIntersectionError",  # the squared center distance underflows
+    -150: "ZeroDivisionError",
+    -100: "ZeroDivisionError",
+    0: "converged",
+    100: "converged, zero normals",
+    140: "converged, zero normals",
+    160: "max-iter, non-finite",
+}
+
+
+def test_scale_failures_are_pinned(tmp_path):
+    rng = np.random.default_rng(117)
+    pairs = [random_separated_pair(rng) for _ in range(5)]
+
+    def scaled(pair, power):
+        f = 10.0**power
+        return tuple(Ellipsoid(tuple(f * a for a in e.semi_axes),
+                               tuple(f * c for c in e.center), e.euler) for e in pair)
+
+    got, want = {}, {}
+    for power, outcome in SCALE_OUTCOMES.items():
+        for case, pair in enumerate(pairs):
+            try:
+                res = _scale_outcome(solve(*scaled(pair, power)))
+            except (NoIntersectionError, ZeroDivisionError) as exc:
+                res = type(exc).__name__
+            got.setdefault(res, []).append((power, case))
+            want.setdefault(outcome, []).append((power, case))
+    assert got == want
+    # the CLI maps NoIntersectionError to exit 4 but lets the division by
+    # zero escape main, so a user sees a traceback
+    path = tmp_path / "tiny.json"
+    save_scenario(Scenario("tiny", *scaled(pairs[0], -100)), path)
+    with pytest.raises(ZeroDivisionError):
+        cli_main(["solve", str(path)])
