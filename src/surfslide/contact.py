@@ -8,13 +8,10 @@ ellipsoid). For the overlap case a continuation pushes each witness along
 the other body's negated normal. Once both witnesses lie inside the other
 body beyond sigma, it stops on a stationary step or on ``solve``'s stop
 metrics, and it reports the witness distance there; that stop need not be
-a point where the segment runs along both normals. It has its own step, on
-global frames, read for both witnesses by one float kernel
-(``_depth_evaluate``) that rounds as the frame kernel and
-``implicit_value`` do. It calls the step scaling (``step_increments``),
-the alternating halving (``_halved``) and the stop metrics (``_metrics``,
-two-step eps_d included) whose arithmetic ``solve``'s loop repeats inline;
-like ``solve``, it keeps its state in plain float locals.
+a point where the segment runs along both normals. Its step, on global
+frames and plain float locals, is written out inside its loop, as
+``solve``'s round is, with the arithmetic of ``step_increments``,
+``_halved`` and ``_metrics`` (two-step eps_d included) in their order.
 """
 
 from __future__ import annotations
@@ -22,10 +19,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .geometry import POLE_TOL, TWO_PI, Ellipsoid, SurfaceParam, _canonical, _frame_fast
+from .geometry import POLE_TOL, TWO_PI, Ellipsoid, SurfaceParam, _canonical
 from .geometry import implicit_value
-from .slider import ZERO_PROJECTION_FACTOR, SolverConfig, SolverState, _halved, _metrics
-from .slider import DistanceResult, Vec3, _segment_gap, step_increments
+from .slider import ZERO_PROJECTION_FACTOR, SolverConfig, SolverState
+from .slider import DistanceResult, Vec3, _segment_gap
 from .slider import advance_param  # unused; perfbench/tracer.py wraps it by this name
 
 # tolerance on |n1 . n2 + 1| for calling a sub-sigma pair tangent
@@ -92,96 +89,6 @@ def classify(
     return "separated"
 
 
-def _depth_evaluate(K1, K2, t1: float, h1: float, t2: float, h2: float, sigma: float):
-    """One continuation step's reading of the witnesses (t1, h1) on the body
-    with flat layout ``K1`` and (t2, h2) on ``K2``: their distance; whether
-    the step pushes (the witnesses within ``sigma``, or one inside the
-    other body); each goal's components along its witness's unit theta
-    tangent (0 where there is none) and phi tangent; and, when both
-    witnesses lie inside the other body beyond ``sigma``, the segment's
-    components against n1 and along n2 (else None, None). Every vector
-    rounds as in ``_frame_fast``, and the interior tests as in
-    ``implicit_value``."""
-    a1, b1, c1, p00, p01, p02, p10, p11, p12, p20, p21, p22, px1, py1, pz1 = K1
-    a2, b2, c2, q00, q01, q02, q10, q11, q12, q20, q21, q22, qx2, qy2, qz2 = K2
-    # witness 1: position, unit normal, unit theta tangent (its zero z kept
-    # in the rotation) and unit phi tangent, rotated into the global frame
-    sp, cp, st, ct = math.sin(h1), math.cos(h1), math.sin(t1), math.cos(t1)
-    x, y, z = a1 * sp * ct, b1 * sp * st, c1 * cp
-    X1 = (p00 * x + p01 * y + p02 * z) + px1
-    Y1 = (p10 * x + p11 * y + p12 * z) + py1
-    Z1 = (p20 * x + p21 * y + p22 * z) + pz1
-    x, y, z = b1 * c1 * sp * ct, a1 * c1 * sp * st, a1 * b1 * cp
-    s = math.sqrt(x * x + y * y + z * z)
-    x, y, z = x / s, y / s, z / s
-    n1x, n1y, n1z = (p00 * x + p01 * y + p02 * z, p10 * x + p11 * y + p12 * z,
-                     p20 * x + p21 * y + p22 * z)
-    x, y = -a1 * sp * st, b1 * sp * ct
-    s = math.sqrt(x * x + y * y)
-    pole1 = s < POLE_TOL * (a1 if a1 > b1 else b1)
-    if not pole1:
-        x, y = x / s, y / s
-        u1x, u1y, u1z = (p00 * x + p01 * y + p02 * 0.0, p10 * x + p11 * y + p12 * 0.0,
-                         p20 * x + p21 * y + p22 * 0.0)
-    x, y, z = a1 * cp * ct, b1 * cp * st, -c1 * sp
-    s = math.sqrt(x * x + y * y + z * z)
-    x, y, z = x / s, y / s, z / s
-    v1x, v1y, v1z = (p00 * x + p01 * y + p02 * z, p10 * x + p11 * y + p12 * z,
-                     p20 * x + p21 * y + p22 * z)
-    # witness 2, the same way
-    sp, cp, st, ct = math.sin(h2), math.cos(h2), math.sin(t2), math.cos(t2)
-    x, y, z = a2 * sp * ct, b2 * sp * st, c2 * cp
-    X2 = (q00 * x + q01 * y + q02 * z) + qx2
-    Y2 = (q10 * x + q11 * y + q12 * z) + qy2
-    Z2 = (q20 * x + q21 * y + q22 * z) + qz2
-    x, y, z = b2 * c2 * sp * ct, a2 * c2 * sp * st, a2 * b2 * cp
-    s = math.sqrt(x * x + y * y + z * z)
-    x, y, z = x / s, y / s, z / s
-    n2x, n2y, n2z = (q00 * x + q01 * y + q02 * z, q10 * x + q11 * y + q12 * z,
-                     q20 * x + q21 * y + q22 * z)
-    x, y = -a2 * sp * st, b2 * sp * ct
-    s = math.sqrt(x * x + y * y)
-    pole2 = s < POLE_TOL * (a2 if a2 > b2 else b2)
-    if not pole2:
-        x, y = x / s, y / s
-        u2x, u2y, u2z = (q00 * x + q01 * y + q02 * 0.0, q10 * x + q11 * y + q12 * 0.0,
-                         q20 * x + q21 * y + q22 * 0.0)
-    x, y, z = a2 * cp * ct, b2 * cp * st, -c2 * sp
-    s = math.sqrt(x * x + y * y + z * z)
-    x, y, z = x / s, y / s, z / s
-    v2x, v2y, v2z = (q00 * x + q01 * y + q02 * z, q10 * x + q11 * y + q12 * z,
-                     q20 * x + q21 * y + q22 * z)
-    # each witness in the other body's frame, over its semi-axes
-    x, y, z = X1 - qx2, Y1 - qy2, Z1 - qz2
-    x, y, z = ((q00 * x + q10 * y + q20 * z) / a2, (q01 * x + q11 * y + q21 * z) / b2,
-               (q02 * x + q12 * y + q22 * z) / c2)
-    inside1 = x * x + y * y + z * z - 1.0 < 0.0
-    x, y, z = X2 - px1, Y2 - py1, Z2 - pz1
-    x, y, z = ((p00 * x + p10 * y + p20 * z) / a1, (p01 * x + p11 * y + p21 * z) / b1,
-               (p02 * x + p12 * y + p22 * z) / c1)
-    inside2 = x * x + y * y + z * z - 1.0 < 0.0
-
-    dx, dy, dz = X2 - X1, Y2 - Y1, Z2 - Z1
-    dist = math.sqrt(dx * dx + dy * dy + dz * dz)
-    push = dist < sigma or inside1 or inside2
-    if push:  # -n2 pushes the point on e1, -n1 the point on e2
-        g1x, g1y, g1z = -n2x, -n2y, -n2z
-        g2x, g2y, g2z = -n1x, -n1y, -n1z
-    else:
-        g1x, g1y, g1z = dx, dy, dz
-        g2x, g2y, g2z = -dx, -dy, -dz
-    if inside1 and inside2 and dist > sigma:
-        dn1, dn2 = -(dx * n1x + dy * n1y + dz * n1z), dx * n2x + dy * n2y + dz * n2z
-    else:
-        dn1 = dn2 = None
-    return (
-        dist, push,
-        0.0 if pole1 else g1x * u1x + g1y * u1y + g1z * u1z, g1x * v1x + g1y * v1y + g1z * v1z,
-        0.0 if pole2 else g2x * u2x + g2y * u2y + g2z * u2z, g2x * v2x + g2y * v2y + g2z * v2z,
-        dn1, dn2,
-    )
-
-
 def penetration_depth(
     e1: Ellipsoid,
     e2: Ellipsoid,
@@ -204,69 +111,156 @@ def penetration_depth(
     need not leave each witness against its own normal there, nor need the
     two normals be anti-parallel. Before that stop applies, a step that
     leaves both witnesses in place would repeat until ``max_iter``
-    (the same reading, no halving), so the loop ends there as 'max-iter'.
+    (the same reading, no halving), so the loop reads the moved witnesses
+    once more and ends there as 'max-iter'.
 
-    The loop keeps (theta, phi), the distances and the lambdas in plain
-    float locals, as ``solve`` does: each step reads both witnesses from
-    one kernel, ``_depth_evaluate``, and advances (theta, phi) with
-    ``_canonical``'s fast path inline. ``SurfaceParam``s and the normals
-    (from ``_frame_fast``) are built only for the report.
+    Each pass reads both witnesses, rounding as ``_frame_fast`` and
+    ``implicit_value`` do, and steps as ``step_increments``, ``_halved``,
+    ``_metrics`` and ``_canonical``'s fast path do, on plain float locals.
+    The report is built from the last reading.
     """
     sigma = config.resolve_sigma(e1, e2)
     tol_d, tol_n, tol_lambda = config.tol_d, config.tol_n, config.tol_lambda
     p1, p2 = entry_params
     t1, h1, t2, h2 = p1.theta, p1.phi, p2.theta, p2.phi
     lam1 = lam2 = config.lambda0
-    toggle = 0
+    toggle, prev_push = 0, False
     d_1 = d_2 = math.nan  # the distances one and two steps back; ``x == x`` tests for NaN
-    prev_push = False
-    K1, K2 = e1._flat, e2._flat
-    kind = "max-iter"
+    a1, b1, c1, p00, p01, p02, p10, p11, p12, p20, p21, p22, px1, py1, pz1 = e1._flat
+    a2, b2, c2, q00, q01, q02, q10, q11, q12, q20, q21, q22, qx2, qy2, qz2 = e2._flat
+    # Python multiplies left to right, so b1 * c1 * sp * ct is
+    # (b1 * c1) * sp * ct and each body's products can be taken once
+    bc1, ac1, ab1, na1, nc1 = b1 * c1, a1 * c1, a1 * b1, -a1, -c1
+    bc2, ac2, ab2, na2, nc2 = b2 * c2, a2 * c2, a2 * b2, -a2, -c2
+    pole_tol1, pole_tol2 = POLE_TOL * (a1 if a1 > b1 else b1), POLE_TOL * (a2 if a2 > b2 else b2)
+    last, kind = config.max_iter, "max-iter"
 
-    for k in range(config.max_iter + 1):
-        dist, push, th1, ph1, th2, ph2, dn1, dn2 = _depth_evaluate(
-            K1, K2, t1, h1, t2, h2, sigma
-        )
-        if k == config.max_iter:
+    for k in range(last + 1):
+        # each witness's position and unit normal, rotated into the global frame
+        sp1, cp1, st1, ct1 = math.sin(h1), math.cos(h1), math.sin(t1), math.cos(t1)
+        x, y, z = a1 * sp1 * ct1, b1 * sp1 * st1, c1 * cp1
+        X1 = (p00 * x + p01 * y + p02 * z) + px1
+        Y1 = (p10 * x + p11 * y + p12 * z) + py1
+        Z1 = (p20 * x + p21 * y + p22 * z) + pz1
+        x, y, z = bc1 * sp1 * ct1, ac1 * sp1 * st1, ab1 * cp1
+        s = math.sqrt(x * x + y * y + z * z)
+        x, y, z = x / s, y / s, z / s
+        n1x, n1y, n1z = (p00 * x + p01 * y + p02 * z, p10 * x + p11 * y + p12 * z,
+                         p20 * x + p21 * y + p22 * z)
+        sp2, cp2, st2, ct2 = math.sin(h2), math.cos(h2), math.sin(t2), math.cos(t2)
+        x, y, z = a2 * sp2 * ct2, b2 * sp2 * st2, c2 * cp2
+        X2 = (q00 * x + q01 * y + q02 * z) + qx2
+        Y2 = (q10 * x + q11 * y + q12 * z) + qy2
+        Z2 = (q20 * x + q21 * y + q22 * z) + qz2
+        x, y, z = bc2 * sp2 * ct2, ac2 * sp2 * st2, ab2 * cp2
+        s = math.sqrt(x * x + y * y + z * z)
+        x, y, z = x / s, y / s, z / s
+        n2x, n2y, n2z = (q00 * x + q01 * y + q02 * z, q10 * x + q11 * y + q12 * z,
+                         q20 * x + q21 * y + q22 * z)
+        dx, dy, dz = X2 - X1, Y2 - Y1, Z2 - Z1
+        dist = math.sqrt(dx * dx + dy * dy + dz * dz)
+        if k == last:
             break
 
+        # each witness in the other body's frame, over its semi-axes
+        x, y, z = X1 - qx2, Y1 - qy2, Z1 - qz2
+        x, y, z = ((q00 * x + q10 * y + q20 * z) / a2, (q01 * x + q11 * y + q21 * z) / b2,
+                   (q02 * x + q12 * y + q22 * z) / c2)
+        inside1 = x * x + y * y + z * z - 1.0 < 0.0
+        x, y, z = X2 - px1, Y2 - py1, Z2 - pz1
+        x, y, z = ((p00 * x + p10 * y + p20 * z) / a1, (p01 * x + p11 * y + p21 * z) / b1,
+                   (p02 * x + p12 * y + p22 * z) / c1)
+        inside2 = x * x + y * y + z * z - 1.0 < 0.0
+        push = dist < sigma or inside1 or inside2
+        if push:  # -n2 pushes the point on e1, -n1 the point on e2
+            g1x, g1y, g1z = -n2x, -n2y, -n2z
+            g2x, g2y, g2z = -n1x, -n1y, -n1z
+        else:
+            g1x, g1y, g1z = dx, dy, dz
+            g2x, g2y, g2z = -dx, -dy, -dz
+
+        # each goal along its witness's unit theta tangent (0 at a pole; its
+        # zero z kept in the rotation) and unit phi tangent
+        x, y = na1 * sp1 * st1, b1 * sp1 * ct1
+        s = math.sqrt(x * x + y * y)
+        if s < pole_tol1:
+            th1 = 0.0
+        else:
+            x, y = x / s, y / s
+            th1 = (g1x * (p00 * x + p01 * y + p02 * 0.0) + g1y * (p10 * x + p11 * y + p12 * 0.0)
+                   + g1z * (p20 * x + p21 * y + p22 * 0.0))
+        x, y, z = a1 * cp1 * ct1, b1 * cp1 * st1, nc1 * sp1
+        s = math.sqrt(x * x + y * y + z * z)
+        x, y, z = x / s, y / s, z / s
+        ph1 = (g1x * (p00 * x + p01 * y + p02 * z) + g1y * (p10 * x + p11 * y + p12 * z)
+               + g1z * (p20 * x + p21 * y + p22 * z))
+        x, y = na2 * sp2 * st2, b2 * sp2 * ct2
+        s = math.sqrt(x * x + y * y)
+        if s < pole_tol2:
+            th2 = 0.0
+        else:
+            x, y = x / s, y / s
+            th2 = (g2x * (q00 * x + q01 * y + q02 * 0.0) + g2y * (q10 * x + q11 * y + q12 * 0.0)
+                   + g2z * (q20 * x + q21 * y + q22 * 0.0))
+        x, y, z = a2 * cp2 * ct2, b2 * cp2 * st2, nc2 * sp2
+        s = math.sqrt(x * x + y * y + z * z)
+        x, y, z = x / s, y / s, z / s
+        ph2 = (g2x * (q00 * x + q01 * y + q02 * z) + g2y * (q10 * x + q11 * y + q12 * z)
+               + g2z * (q20 * x + q21 * y + q22 * z))
+
         # overshoot = motion against the current goal; skip across mode flips
-        if push == prev_push and d_1 == d_1:
-            wrong_way = dist < d_1 if push else dist > d_1
-            if wrong_way:
-                lam1, lam2, toggle = _halved(lam1, lam2, toggle)
+        if push == prev_push and d_1 == d_1 and (dist < d_1 if push else dist > d_1):
+            if toggle == 0:  # _halved
+                lam1, toggle = lam1 * 0.5, 1
+            else:
+                lam2, toggle = lam2 * 0.5, 0
 
-        # the push goal is a unit normal, the pull goal the segment
+        # step_increments: the push goal is a unit normal, the pull goal the segment
         guard = ZERO_PROJECTION_FACTOR * (1.0 if push else dist)
-        dth1, dph1 = step_increments(th1, ph1, lam1, guard)
-        dth2, dph2 = step_increments(th2, ph2, lam2, guard)
+        mag = math.hypot(th1, ph1)
+        if mag <= guard or mag == 0.0:
+            dth1 = dph1 = 0.0
+        else:
+            dth1, dph1 = th1 / mag * lam1, ph1 / mag * lam1
+        mag = math.hypot(th2, ph2)
+        if mag <= guard or mag == 0.0:
+            dth2 = dph2 = 0.0
+        else:
+            dth2, dph2 = th2 / mag * lam2, ph2 / mag * lam2
 
-        if dn1 is not None:
-            # both witnesses inside beyond sigma; eps_n reads the segment
-            # against n1 and along n2
-            eps_d, eps_n, eps_lambda = _metrics(dist, d_1, d_2, dn1, dn2, lam1, lam2)
+        stop_test = inside1 and inside2 and dist > sigma
+        if stop_test:
+            # the stop metrics, as _metrics computes them; dist > sigma >= 0
+            # leaves no coincident witnesses. eps_d is NaN, which compares
+            # false, while d_1 does not exist yet, and so is the older change
+            # while d_2 does not; eps_n reads the segment against n1 and along n2
+            change, older = abs(dist - d_1), abs(d_1 - d_2)
+            eps_d = (older if older > change else change) / dist
+            dn1, dn2 = -(dx * n1x + dy * n1y + dz * n1z), dx * n2x + dy * n2y + dz * n2z
+            m1, m2 = 1.0 - dn1 / dist, 1.0 - dn2 / dist
             if (
                 (dth1 == 0.0 and dph1 == 0.0 and dth2 == 0.0 and dph2 == 0.0)
-                or (eps_d is not None and eps_d < tol_d)
-                or eps_n < tol_n
-                or eps_lambda < tol_lambda
+                or eps_d < tol_d
+                or (m2 if m2 > m1 else m1) < tol_n
+                or (lam2 if lam2 > lam1 else lam1) < tol_lambda
             ):
                 kind = "overlapping"
                 break
 
-        start = (t1, h1, t2, h2)
-        t1, h1, t2, h2 = t1 + dth1, h1 + dph1, t2 + dth2, h2 + dph2
-        if not (0.0 <= t1 < TWO_PI and 0.0 <= h1 <= math.pi):
-            t1, h1 = _canonical(t1, h1)
-        if not (0.0 <= t2 < TWO_PI and 0.0 <= h2 <= math.pi):
-            t2, h2 = _canonical(t2, h2)
-        if dn1 is None and (t1, h1, t2, h2) == start:
-            break  # a fixed point with no stop test in force
+        u1, v1, u2, v2 = t1 + dth1, h1 + dph1, t2 + dth2, h2 + dph2
+        if not (0.0 <= u1 < TWO_PI and 0.0 <= v1 <= math.pi):
+            u1, v1 = _canonical(u1, v1)
+        if not (0.0 <= u2 < TWO_PI and 0.0 <= v2 <= math.pi):
+            u2, v2 = _canonical(u2, v2)
+        if not stop_test and u1 == t1 and v1 == h1 and u2 == t2 and v2 == h2:
+            # a fixed point with no stop test in force; the next pass reads
+            # the moved witnesses (only a zero's sign may differ) and ends
+            last = k + 1
+        t1, h1, t2, h2 = u1, v1, u2, v2
         d_2, d_1, prev_push = d_1, dist, push
 
     params = (SurfaceParam(t1, h1), SurfaceParam(t2, h2))
-    normals = (_frame_fast(K1, t1, h1)[1], _frame_fast(K2, t2, h2)[1])
-    return ContactReport(kind, dist, params, normals)
+    return ContactReport(kind, dist, params, ((n1x, n1y, n1z), (n2x, n2y, n2z)))
 
 
 def analyze(

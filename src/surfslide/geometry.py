@@ -173,8 +173,8 @@ def _frame_fast(K, theta: float, phi: float):
     """The fields of a :class:`SurfaceFrame`, as a plain tuple, of the body
     with the 15-float layout ``K`` of ``Ellipsoid._flat``. ``solve`` calls
     it for its contact hand-off and result, and for the witness segment of
-    a misaligned warm start (``_begin``); the depth continuation for its
-    report's normals. Their step kernels repeat this arithmetic."""
+    a misaligned warm start (``_begin``). Their step kernels, and the
+    depth continuation's loop, repeat this arithmetic."""
     a, b, c, r00, r01, r02, r10, r11, r12, r20, r21, r22, cx, cy, cz = K
     sp, cp = math.sin(phi), math.cos(phi)
     st, ct = math.sin(theta), math.cos(theta)

@@ -479,11 +479,12 @@ def _start(e1: Ellipsoid, e2: Ellipsoid, sigma: float) -> tuple[SurfaceParam, Su
     inside both bodies, and ``solve`` reports ``overlap`` at k = 0 with no
     slide. That covers every pair with a center, or a ray exit, more than
     sigma inside the other body along the line. Both steps start at
-    lambda0. Concentric pairs raise NoIntersectionError."""
+    lambda0. Concentric pairs, and pairs whose center line's squared length
+    overflows, raise NoIntersectionError from ``_ray_exit``."""
     (x1, y1, z1), (x2, y2, z2) = e1.center, e2.center
     rx, ry, rz = x2 - x1, y2 - y1, z2 - z1
     r = math.sqrt(rx * rx + ry * ry + rz * rz)
-    if r > 0.0:
+    if 0.0 < r < math.inf:
         ux, uy, uz = rx / r, ry / r, rz / r
         if r - _reach(e1._flat, ux, uy, uz)[3] - _reach(e2._flat, -ux, -uy, -uz)[3] > 0.0:
             return (*_projected(e1, e2, e2.center, 2), False)
@@ -502,7 +503,8 @@ def _begin(e1: Ellipsoid, e2: Ellipsoid, init, config: SolverConfig, sigma: floa
     take a step below lambda0, whose eps_n has not yet met tol_n, and
     whose own witness segment has a positive ``_segment_gap`` (the pair is
     disjoint) first runs one round of ``_projected`` from its P2, and is
-    read and sized again there; any other warm start stays as given.
+    read and sized again there; any other warm start stays as given. One
+    whose witness segment's square overflows raises NoIntersectionError.
     Returns (p1, p2, dist, w1, w2, lam, overlap), with ``_start``'s
     certain ``overlap``: then p1 and p2 are the ray exits, and no later
     pass runs."""
@@ -515,6 +517,8 @@ def _begin(e1: Ellipsoid, e2: Ellipsoid, init, config: SolverConfig, sigma: floa
     if not (p1.is_canonical() and p2.is_canonical()):
         raise ValueError("initial surface parameters must be canonical")
     dist, w1, w2 = _evaluate(K1, K2, p1.theta, p1.phi, p2.theta, p2.phi)
+    if dist == math.inf:
+        raise NoIntersectionError("the witness segment's squared length overflows")
     lam, eps_n = _warm_step(config.lambda0, dist, w1[2], w2[2])
     if lam < config.lambda0 and eps_n >= config.tol_n:
         P2 = _frame_fast(K2, p2.theta, p2.phi)[0]
@@ -624,8 +628,8 @@ def solve(
     max_iter or the lambda floor is reported as a status, not an
     exception. A cold pair that ``_start`` finds overlapping for certain
     is reported as ``overlap`` at k = 0 from its ray exits, for the
-    contact continuation to start from (concentric pairs raise
-    NoIntersectionError).
+    contact continuation to start from. Concentric pairs, and starts whose
+    segment's square overflows, raise NoIntersectionError (``_begin``).
     Separations below the contact threshold, the start's included, hand
     off to the contact classifier before any stop test. A witness within
     CHART_POLE_MARGIN of a pole of its chart carries on in another chart;

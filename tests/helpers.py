@@ -250,8 +250,9 @@ def penetration_depth_by_frames(e1, e2, entry_params, config):
     """The depth continuation built from the shared frame and interior
     kernels, a reference for ``contact.penetration_depth``: every step
     reads both global frames from ``_frame_fast`` and both interior tests
-    from ``implicit_value``. Returns (kind, depth, params, normals), the
-    normals as float triples."""
+    from ``implicit_value``, and the segment's squares are products, as in
+    the program. Returns (kind, depth, params, normals), the normals as
+    float triples."""
     sigma = config.resolve_sigma(e1, e2)
     tol_d, tol_n, tol_lambda = config.tol_d, config.tol_n, config.tol_lambda
     p1, p2 = entry_params
@@ -266,7 +267,7 @@ def penetration_depth_by_frames(e1, e2, entry_params, config):
         P1, n1, et1, ep1 = _frame_fast(K1, t1, h1)
         P2, n2, et2, ep2 = _frame_fast(K2, t2, h2)
         dx, dy, dz = P2[0] - P1[0], P2[1] - P1[1], P2[2] - P1[2]
-        dist = math.sqrt(dx ** 2 + dy ** 2 + dz ** 2)
+        dist = math.sqrt(dx * dx + dy * dy + dz * dz)
         if k == config.max_iter:
             break
         inside1 = implicit_value(e2, P1) < 0.0

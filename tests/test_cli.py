@@ -297,15 +297,19 @@ def test_solve_concentric_pair_is_input_error(tmp_path, capsys):
     [
         (1e-200, 0.0, 3e-200, "concentric bodies have no center line"),
         (1.0, -1e308, 1e308, "the center line's squared length overflows"),
+        (1.0, 0.0, 1e300, "the center line's squared length overflows"),
     ],
-    ids=["squares-underflow", "squares-overflow"],
+    ids=["squares-underflow", "squares-overflow", "far"],
 )
 def test_solve_center_line_beyond_the_float_range_is_input_error(
     radius, x1, x2, message, tmp_path, capsys
 ):
     # spheres of radius 1e-200 whose centers lie 3e-200 apart: the center
     # line's squares underflow to 0, as for concentric bodies; centers at
-    # +-1e308: the center line itself overflows
+    # +-1e308: the center line itself overflows; unit spheres 1e300 apart:
+    # its square overflows, which once left the slide to burn every round
+    # on an infinite distance. Each is refused with a message and no
+    # traceback.
     sphere = {"semi_axes": [radius] * 3, "euler": [0, 0, 0]}
     doc = {"name": "far", "e1": {**sphere, "center": [x1, 0, 0]},
            "e2": {**sphere, "center": [x2, 0, 0]}}
@@ -376,8 +380,10 @@ def _strict_json(text):
 
 
 def test_records_print_non_finite_floats_as_null(tmp_path, capsys):
-    # coincident start witnesses have eps_n NaN, unit spheres 1e300 apart an
-    # infinite distance, and a sweep with no converged run a NaN spread
+    # coincident start witnesses have eps_n NaN, spheres of radius 1e154
+    # whose centers lie 1e153 apart an infinite distance (their ray exits
+    # lie 1.9e154 apart, which squares to inf), and a sweep with no
+    # converged run a NaN spread
     sphere = {"semi_axes": [0.5, 0.5, 0.5], "center": [0, 0, 0], "euler": [0, 0, 0]}
     path = tmp_path / "coincident.json"
     path.write_text(json.dumps({
@@ -388,8 +394,11 @@ def test_records_print_non_finite_floats_as_null(tmp_path, capsys):
     record = _strict_json(capsys.readouterr().out)
     assert record["final_eps"]["eps_n"] is None and record["distance"] == 0.0
 
-    path = _spheres_file(tmp_path, "far", 1.0, 1e300)
-    assert main(["solve", path, "--max-iter", "5"]) == 2
+    huge = {"semi_axes": [1e154] * 3, "center": [0, 0, 0], "euler": [0, 0, 0]}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"name": "huge", "e1": huge,
+                                "e2": {**huge, "center": [1e153, 0, 0]}}))
+    assert main(["solve", str(path), "--max-iter", "5"]) == 7
     record = _strict_json(capsys.readouterr().out)
     assert record["distance"] is None and record["final_eps"]["eps_d"] is None
 
@@ -469,7 +478,7 @@ def test_solve_verify_on_overlapping_pair_records_oracle_error(tmp_path, capsys)
 
 
 @pytest.mark.parametrize(
-    "semi_axis, center2", [(1e120, 3e120), (1.0, 1e300)], ids=["huge", "far"]
+    "semi_axis, center2", [(1e120, 3e120), (1.0, 1e100)], ids=["huge", "far"]
 )
 def test_solve_verify_records_an_oracle_range_error(semi_axis, center2, tmp_path, capsys):
     # the oracle raises before its arithmetic could overflow; the solve's

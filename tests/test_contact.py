@@ -3,10 +3,12 @@ continuation."""
 
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import helpers
 from helpers import (
     assert_float_triples,
     penetration_depth_by_frames,
@@ -20,6 +22,7 @@ from surfslide.geometry import (
     Ellipsoid,
     NoIntersectionError,
     SurfaceParam,
+    _canonical,
     implicit_value,
     surface_frame,
 )
@@ -285,11 +288,27 @@ def _assert_matches_reference(e1, e2, entry, config):
     return report.kind
 
 
-def test_continuation_matches_frame_reference_on_overlap_pairs():
+def test_continuation_matches_frame_reference_on_overlap_pairs(monkeypatch):
     # every continuation that analyze runs on 300 overlap-recipe pairs in
     # both argument orders, center-inside starts included; max_iter 300
     # keeps the runs that never settle short and still ends them at the
-    # max-iter exit
+    # max-iter exit. The set also covers the loop's pull steps (neither
+    # witness inside the other body, as the reference reads it) and its
+    # calls of _canonical, which it makes only when a step leaves the
+    # canonical range.
+    inside, wraps = [], []
+
+    def interior(e, X):
+        value = implicit_value(e, X)
+        inside.append(value < 0.0)
+        return value
+
+    def wrap(theta, phi):
+        wraps.append((theta, phi))
+        return _canonical(theta, phi)
+
+    monkeypatch.setattr(helpers, "implicit_value", interior)
+    monkeypatch.setattr(contact, "_canonical", wrap)
     config = SolverConfig(max_iter=300)
     rng = np.random.default_rng(7)
     kinds = []
@@ -304,6 +323,9 @@ def test_continuation_matches_frame_reference_on_overlap_pairs():
             kinds.append(_assert_matches_reference(e1, e2, res.params, config))
     assert len(kinds) >= 300 and center_inside >= 100
     assert set(kinds) == {"overlapping", "max-iter"}
+    # the reference reads both interior tests on every step
+    neither = sum(not a and not b for a, b in zip(inside[::2], inside[1::2]))
+    assert (neither, len(wraps)) == (102, 45)
 
 
 @pytest.mark.parametrize("swap", [False, True])
@@ -326,26 +348,43 @@ def test_continuation_matches_frame_reference_at_poles_and_max_iter(swap):
 
 
 @pytest.mark.parametrize("swap", [False, True])
+@pytest.mark.parametrize("max_iter", [1, 2])
+def test_continuation_matches_frame_reference_at_its_first_passes(max_iter, swap):
+    # a chord-certified pair, whose continuation starts from the ray exits:
+    # the loop breaks at k == max_iter after one or two steps, and its
+    # report's normals are the ones read there
+    tilted = Ellipsoid((1.0, 0.8, 0.6), (0.3, 0.1, 1.2), (0.3, 0.2, 0.0))
+    bodies = (_sphere(1.0, (0, 0, 0)), tilted)
+    if swap:
+        bodies = bodies[::-1]
+    res = solve(*bodies)
+    assert (res.status, res.iterations) == ("overlap", 0)
+    config = SolverConfig(max_iter=max_iter)
+    assert _assert_matches_reference(*bodies, res.params, config) == "max-iter"
+
+
+@pytest.mark.parametrize("swap", [False, True])
 def test_continuation_exits_at_a_fixed_point(monkeypatch, swap):
     # A sphere inside another: once the pushes fall below their guard, the
     # steps leave both witnesses in place while the stop test is not in
     # force, so every later step would repeat the same null move. The loop
-    # ends there with the report that all max_iter steps give.
+    # reads the moved witnesses once more and ends there with the report
+    # that all max_iter steps give. Each pass reads sin twice per witness,
+    # and nothing else that analyze runs calls contact's math.sin.
     calls = []
 
-    def spy(*args):
-        calls.append(args)
-        return depth_evaluate(*args)
+    def sin(x):
+        calls.append(x)
+        return math.sin(x)
 
-    depth_evaluate = contact._depth_evaluate
-    monkeypatch.setattr(contact, "_depth_evaluate", spy)
+    monkeypatch.setattr(contact, "math", SimpleNamespace(**{**vars(math), "sin": sin}))
     bodies = (_sphere(1.0, (0, 0, 0)), _sphere(0.3, (0.5, 0, 0)))
     if swap:
         bodies = bodies[::-1]
     config = SolverConfig()
     report = analyze(*bodies, config)
     assert report.kind == "max-iter"
-    assert 1 <= len(calls) <= 2
+    assert len(calls) % 4 == 0 and 1 <= len(calls) // 4 <= 2
     got = _hex(report.kind, report.distance_or_depth, report.witness_params,
                report.witness_normals)
     assert got == _hex(*penetration_depth_by_frames(*bodies, report.result.params, config))

@@ -591,6 +591,16 @@ def test_concentric_bodies_have_no_center_line_start():
         solve(e1, e2)
 
 
+def test_overflowing_segments_have_no_start():
+    # unit spheres 1e300 apart: the center line's squared length overflows,
+    # and so does the segment between any two witnesses, cold or warm; an
+    # infinite distance would only burn every round
+    e1, e2 = _spheres(1.0, (0, 0, 0), 1.0, (1e300, 0, 0))
+    for init in (None, (SurfaceParam(0.0, 1.0), SurfaceParam(2.0, 1.0))):
+        with pytest.raises(NoIntersectionError, match="squared length overflows"):
+            solve(e1, e2, init)
+
+
 def test_solve_rejects_non_canonical_init():
     e1, e2 = _spheres(1.0, (0, 0, 0), 1.0, (3, 0, 0))
     with pytest.raises(ValueError):
@@ -865,7 +875,7 @@ SCALE_OUTCOMES = {
     0: "converged",
     100: "converged, zero normals",
     140: "converged, zero normals",
-    160: "max-iter, non-finite",
+    160: "NoIntersectionError",  # the squared center distance overflows
 }
 
 
